@@ -1,6 +1,10 @@
 #include "svc/fsio.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -32,25 +36,37 @@ std::string read_file(const std::string& path) {
   return text.str();
 }
 
-void write_file_atomic(const std::string& path, const std::string& content) {
-  static const std::uint64_t tmp_token = process_token();
+std::string unique_sibling(const std::string& path, const std::string& tag) {
+  static const std::uint64_t token = process_token();
   // razorlint: allow(no-mutable-static): temp-name serial — naming only,
   // never simulation state (same precedent as lut::PointStore::flush).
-  static std::atomic<unsigned> tmp_serial{0};
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << std::hex << tmp_token << "." << tmp_serial++;
-  const std::string tmp_path = tmp_name.str();
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write " + tmp_path);
-    out << content;
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      throw std::runtime_error("short write to " + tmp_path);
-    }
+  static std::atomic<unsigned> serial{0};
+  std::ostringstream name;
+  name << path << "." << tag << "." << std::hex << token << "." << serial++;
+  return name.str();
+}
+
+namespace {
+
+// Writes `content` to a fresh sibling temp file and returns its path.
+std::string write_temp(const std::string& path, const std::string& content) {
+  const std::string tmp_path = unique_sibling(path, "tmp");
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot write " + tmp_path);
+  out << content;
+  out.flush();
+  if (!out) {
+    std::error_code ec;
+    std::filesystem::remove(tmp_path, ec);
+    throw std::runtime_error("short write to " + tmp_path);
   }
+  return tmp_path;
+}
+
+}  // namespace
+
+void write_file_atomic(const std::string& path, const std::string& content) {
+  const std::string tmp_path = write_temp(path, content);
   std::error_code ec;
   std::filesystem::rename(tmp_path, path, ec);
   if (ec) {
@@ -59,6 +75,18 @@ void write_file_atomic(const std::string& path, const std::string& content) {
     throw std::runtime_error("cannot rename " + tmp_path + " -> " + path + ": " +
                              ec.message());
   }
+}
+
+bool create_file_exclusive(const std::string& path, const std::string& content) {
+  const std::string tmp_path = write_temp(path, content);
+  const bool created = ::link(tmp_path.c_str(), path.c_str()) == 0;
+  const int err = errno;
+  std::error_code ignore;
+  std::filesystem::remove(tmp_path, ignore);
+  if (!created && err != EEXIST)
+    throw std::runtime_error("cannot link " + tmp_path + " -> " + path + ": " +
+                             std::strerror(err));
+  return created;
 }
 
 std::string shell_quote(const std::string& s) {

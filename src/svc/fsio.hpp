@@ -21,6 +21,16 @@ std::string read_file(const std::string& path);
 // Throws std::runtime_error when the write or rename fails.
 void write_file_atomic(const std::string& path, const std::string& content);
 
+// Publishes `content` at `path` only if nothing is there yet: the complete
+// temp file is link(2)ed to `path`, so the file appears with its whole
+// body or not at all. Returns false when `path` already exists; throws
+// std::runtime_error on any other failure.
+bool create_file_exclusive(const std::string& path, const std::string& content);
+
+// A fresh sibling name `<path>.<tag>.<token>.<serial>`, unique across
+// threads and processes (temp files, tombstones).
+std::string unique_sibling(const std::string& path, const std::string& tag);
+
 // POSIX-shell single-quoting: inhibits every expansion, survives spaces,
 // '$', backticks and double quotes in operator-supplied paths.
 std::string shell_quote(const std::string& s);

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -85,47 +86,78 @@ std::vector<QueueJob> JobQueue::jobs() const {
 }
 
 std::optional<QueueJob> JobQueue::claim(const std::string& worker_id) {
+  Json claim = Json::object();
+  claim.set("worker", worker_id);
+  claim.set("pid", static_cast<long long>(::getpid()));
   for (const QueueJob& job : jobs()) {
     if (is_done(job.name)) continue;
     const std::string claim_path =
         (fs::path(claims_dir_) / claim_name(job.name)).string();
+    claim.set("job", job.name);
+    const std::string text = claim.dump(2) + "\n";
 
-    // Up to two O_EXCL attempts: the first loses either to a live claim
-    // (skip the job) or to a stale one (remove it, try once more). The
-    // second attempt can still lose — another worker reclaimed first —
-    // and then this worker simply moves on; the filesystem's exclusivity
-    // guarantee is what makes double-claiming impossible.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const int fd = ::open(claim_path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-      if (fd >= 0) {
-        Json claim = Json::object();
-        claim.set("worker", worker_id);
-        claim.set("pid", static_cast<long long>(::getpid()));
-        claim.set("job", job.name);
-        const std::string text = claim.dump(2) + "\n";
-        // Best-effort body: an empty/torn claim body is treated as stale
-        // by other workers only once this pid exits, which is exactly the
-        // abandoned-claim semantics we want.
-        (void)!::write(fd, text.data(), text.size());
-        ::close(fd);
-        return job;
-      }
-      if (errno != EEXIST) break;  // unwritable claims dir: skip the job
-
-      // Existing claim: stale (dead pid / unreadable) or live?
-      bool stale = false;
+    // Up to two exclusive publishes: the first loses either to a live
+    // claim (skip the job) or to a stale one (steal it, try once more).
+    // The second can still lose — another worker reclaimed first — and
+    // then this worker simply moves on. The claim appears with its whole
+    // body (create_file_exclusive links a complete file), so a peer never
+    // reads a live claim half-written and mistakes it for a torn one.
+    bool won = false;
+    for (int attempt = 0; attempt < 2 && !won; ++attempt) {
       try {
-        const Json claim = Json::parse_file(claim_path);
-        stale = !pid_alive(claim.at("pid").as_int());
+        won = create_file_exclusive(claim_path, text);
       } catch (const std::exception&) {
-        stale = true;  // torn claim from a crashed worker
+        break;  // unwritable claims dir: skip the job
       }
-      if (!stale) break;
-      std::error_code ec;
-      fs::remove(claim_path, ec);  // then retry the O_EXCL gate once
+      if (!won && !steal_stale_claim(claim_path)) break;
     }
+    if (!won) continue;
+    // A peer may have claimed, completed and released the job between the
+    // is_done() check above and this claim: hand it straight back.
+    if (is_done(job.name)) {
+      release(job.name);
+      continue;
+    }
+    return job;
   }
   return std::nullopt;
+}
+
+namespace {
+
+// Is the claim at `path` abandoned? Its pid is dead, or its body cannot be
+// read (a torn claim left by a crash, or one released a moment ago).
+bool claim_is_stale(const std::string& path) {
+  try {
+    return !pid_alive(Json::parse_file(path).at("pid").as_int());
+  } catch (const std::exception&) {
+    return true;
+  }
+}
+
+}  // namespace
+
+bool JobQueue::steal_stale_claim(const std::string& claim_path) const {
+  if (!claim_is_stale(claim_path)) return false;
+  // Two workers can both read one dead claim as stale; the later one must
+  // not then remove the fresh claim the earlier one has published in its
+  // place. Stealers therefore serialise on an flock(2) of claims/.steal —
+  // which the kernel drops if the holder dies — re-read the claim under it,
+  // and rename it to a unique tombstone only while it is still stale.
+  const int lock =
+      ::open((fs::path(claims_dir_) / ".steal").c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (lock < 0) return false;
+  bool stolen = false;
+  if (::flock(lock, LOCK_EX) == 0 && claim_is_stale(claim_path)) {
+    const std::string tomb = unique_sibling(claim_path, "tomb");
+    if (::rename(claim_path.c_str(), tomb.c_str()) == 0) {
+      std::error_code ec;
+      fs::remove(tomb, ec);
+    }
+    stolen = true;  // the stale claim is gone (or was released meanwhile)
+  }
+  ::close(lock);
+  return stolen;
 }
 
 void JobQueue::complete(const std::string& name, const Json& record) {

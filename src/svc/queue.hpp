@@ -5,18 +5,22 @@
 // filesystem operation:
 //
 //   <dir>/jobs/<name>.json     the job record (atomic temp+rename)
-//   <dir>/claims/<name>.claim  exclusive claim (O_CREAT|O_EXCL) by a worker
+//   <dir>/claims/<name>.claim  exclusive claim (temp file + link(2)) by a worker
 //   <dir>/done/<name>.json     outcome record (atomic temp+rename)
 //
 // A job is PENDING when it has a record but no done file, RUNNING while a
 // live worker holds its claim, and DONE once the outcome record exists.
-// Claim creation uses O_CREAT|O_EXCL, which the filesystem guarantees to
-// succeed for exactly one contender — that single syscall is the whole
-// work-stealing protocol: any number of worker processes can point at one
-// queue directory and each job runs exactly once. A claim whose recorded
-// pid is dead (worker killed mid-job) is stale; the next claimant removes
-// it and re-claims through the same O_EXCL gate, which is what makes a
-// campaign resumable after `kill -9`.
+// A claim is published by link(2)ing a complete temp file to the claim
+// path, which the filesystem guarantees to succeed for exactly one
+// contender and which never exposes a half-written body — that single
+// syscall is the whole work-stealing protocol: any number of worker
+// processes can point at one queue directory and each job runs exactly
+// once. The winner re-checks the done record, since a peer may have
+// finished the job between the pending check and the claim. A claim whose
+// recorded pid is dead (worker killed mid-job) is stale; the next
+// claimant moves it to a tombstone under an flock(2) that serialises
+// stealers, then re-claims through the same link gate, which is what
+// makes a campaign resumable after `kill -9`.
 //
 // Liveness probing is per-host (kill(pid, 0)), so one queue directory
 // serves the workers of ONE host. Multi-host splits partition jobs by
@@ -94,6 +98,10 @@ class JobQueue {
   const std::string& dir() const { return dir_; }
 
  private:
+  // Removes the claim at `claim_path` if it is stale; true when the path
+  // is now free to claim.
+  bool steal_stale_claim(const std::string& claim_path) const;
+
   std::string dir_;
   std::string jobs_dir_;
   std::string claims_dir_;

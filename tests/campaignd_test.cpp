@@ -1,5 +1,5 @@
 // Campaign service (docs/campaignd.md): content-hash job identity, the
-// durable O_EXCL claim queue, the verbatim result cache, and campaignd end
+// durable link(2) claim queue, the verbatim result cache, and campaignd end
 // to end.
 //
 // The in-process tests drive src/svc directly (the concurrency ones run
@@ -294,7 +294,7 @@ TEST(JobQueue, DurableAcrossAKilledWorker) {
 }
 
 // Two workers hammering one queue never claim the same job twice — the
-// O_CREAT|O_EXCL gate is the whole mutual-exclusion protocol. Runs under
+// exclusive link(2) gate is the whole mutual-exclusion protocol. Runs under
 // the TSan CI leg.
 TEST(JobQueue, ConcurrentWorkersNeverDoubleClaim) {
   const std::string dir = scratch("queue_concurrent");
