@@ -15,6 +15,7 @@
 #include "bus/simulator.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
+#include "dvs/proportional.hpp"
 #include "dvs/regulator.hpp"
 #include "interconnect/bus_design.hpp"
 #include "lut/pattern.hpp"
@@ -235,9 +236,10 @@ TEST(EngineParity, ResetSeedsReceiversWithInitialWord) {
 }
 
 // The window-batched closed-loop driver must make exactly the decisions the
-// historical per-cycle driver made: replicate that driver here (step + one
-// observe_cycle/advance per cycle) against the reference engine and compare
-// with core::run_closed_loop.
+// historical per-cycle driver made, under either window-count controller:
+// replicate that driver here (step + one observe_cycle/advance per cycle,
+// threshold steps or proportional deltas) against the reference engine and
+// compare with core::run_closed_loop / run_closed_loop_proportional.
 TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
   const auto& system = parity_system();
   const tech::PvtCorner env = tech::typical_corner();
@@ -246,52 +248,74 @@ TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
   cfg.load_rate = 0.5;
   cfg.seed = 9;
   const trace::Trace trace = trace::generate_synthetic(cfg, "closed_loop");
+  const std::uint64_t window = 4000;
+  const std::uint64_t delay = 1500;  // lands mid-window on purpose
 
-  core::DvsRunConfig run_cfg;
-  run_cfg.controller.window_cycles = 4000;
-  run_cfg.regulator_delay_cycles = 1500;  // lands mid-window on purpose
-  run_cfg.record_series = true;
-  const core::DvsRunReport batched = core::run_closed_loop(system, env, trace, run_cfg);
+  for (const auto kind : {dvs::ControllerKind::threshold, dvs::ControllerKind::proportional}) {
+    SCOPED_TRACE(dvs::to_string(kind));
+    const bool threshold = kind == dvs::ControllerKind::threshold;
+    core::DvsRunConfig run_cfg;
+    run_cfg.controller.window_cycles = window;
+    run_cfg.regulator_delay_cycles = delay;
+    run_cfg.record_series = true;
+    core::ProportionalRunConfig prop_cfg;
+    prop_cfg.controller.window_cycles = window;
+    prop_cfg.regulator_delay_cycles = delay;
+    const core::DvsRunReport batched =
+        threshold ? core::run_closed_loop(system, env, trace, run_cfg)
+                  : core::run_closed_loop_proportional(system, env, trace, prop_cfg);
 
-  bus::BusSimulator sim = system.make_simulator(env);
-  sim.set_engine_mode(EngineMode::reference);
-  dvs::VoltageRegulator regulator(system.design().node.vdd_nominal,
-                                  system.dvs_floor(env.process),
-                                  system.design().node.vdd_nominal,
-                                  run_cfg.regulator_delay_cycles);
-  dvs::ThresholdController controller(run_cfg.controller);
-  sim.set_supply(regulator.voltage());
+    bus::BusSimulator sim = system.make_simulator(env);
+    sim.set_engine_mode(EngineMode::reference);
+    dvs::VoltageRegulator regulator(system.design().node.vdd_nominal,
+                                    system.dvs_floor(env.process),
+                                    system.design().node.vdd_nominal, delay);
+    dvs::ThresholdController controller(run_cfg.controller);
+    dvs::ProportionalController proportional(prop_cfg.controller);
+    sim.set_supply(regulator.voltage());
 
-  std::vector<core::WindowSample> series;
-  std::uint64_t prev_windows = 0;
-  double supply_sum = 0.0;
-  std::uint64_t cycle = 0;
-  for (const auto word : trace.words) {
-    sim.set_supply(regulator.advance(cycle));
-    const CycleResult r = sim.step(word);
-    supply_sum += sim.supply();
-    const dvs::VoltageDecision decision = controller.observe_cycle(r.error);
-    if (decision == dvs::VoltageDecision::step_down)
-      regulator.request_change(-run_cfg.controller.voltage_step, cycle);
-    else if (decision == dvs::VoltageDecision::step_up)
-      regulator.request_change(+run_cfg.controller.voltage_step, cycle);
-    if (controller.windows_completed() != prev_windows) {
-      prev_windows = controller.windows_completed();
-      series.push_back({cycle + 1, sim.supply(), controller.last_window_error_rate()});
+    std::vector<core::WindowSample> series;
+    std::uint64_t prev_windows = 0;
+    std::uint64_t supply_changes = 0;
+    double supply_sum = 0.0;
+    std::uint64_t cycle = 0;
+    for (const auto word : trace.words) {
+      sim.set_supply(regulator.advance(cycle));
+      const CycleResult r = sim.step(word);
+      supply_sum += sim.supply();
+      double delta = 0.0;
+      if (threshold) {
+        const dvs::VoltageDecision decision = controller.observe_cycle(r.error);
+        if (decision == dvs::VoltageDecision::step_down)
+          delta = -run_cfg.controller.voltage_step;
+        else if (decision == dvs::VoltageDecision::step_up)
+          delta = +run_cfg.controller.voltage_step;
+        if (controller.windows_completed() != prev_windows) {
+          prev_windows = controller.windows_completed();
+          series.push_back({cycle + 1, sim.supply(), controller.last_window_error_rate()});
+        }
+      } else {
+        delta = proportional.observe_cycle(r.error);
+      }
+      // razorlint: allow(float-eq): both controllers return literal 0.0 for
+      // "no step".
+      if (delta != 0.0 && regulator.request_change(delta, cycle)) ++supply_changes;
+      ++cycle;
     }
-    ++cycle;
-  }
+    // The run must actually move the supply, or the comparison is vacuous.
+    EXPECT_GT(supply_changes, 0u);
 
-  expect_totals_identical(batched.totals, sim.totals(), "closed loop vs per-cycle");
-  // average_supply is accumulated as supply*span_length in the batched
-  // driver vs one add per cycle here: same value up to summation order.
-  EXPECT_NEAR(batched.average_supply,
-              supply_sum / static_cast<double>(trace.words.size()), 1e-9);
-  ASSERT_EQ(batched.series.size(), series.size());
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    EXPECT_EQ(batched.series[i].end_cycle, series[i].end_cycle) << "window " << i;
-    EXPECT_EQ(batched.series[i].supply, series[i].supply) << "window " << i;
-    EXPECT_EQ(batched.series[i].error_rate, series[i].error_rate) << "window " << i;
+    expect_totals_identical(batched.totals, sim.totals(), "closed loop vs per-cycle");
+    // average_supply is accumulated as supply*span_length in the batched
+    // driver vs one add per cycle here: same value up to summation order.
+    EXPECT_NEAR(batched.average_supply,
+                supply_sum / static_cast<double>(trace.words.size()), 1e-9);
+    ASSERT_EQ(batched.series.size(), series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      EXPECT_EQ(batched.series[i].end_cycle, series[i].end_cycle) << "window " << i;
+      EXPECT_EQ(batched.series[i].supply, series[i].supply) << "window " << i;
+      EXPECT_EQ(batched.series[i].error_rate, series[i].error_rate) << "window " << i;
+    }
   }
 }
 
