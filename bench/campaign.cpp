@@ -80,159 +80,24 @@ const core::DvsBusSystem& system_for_job(int width, double lut_tolerance) {
   return *it->second;
 }
 
-// Materialise the job's traces at the job's width.
-std::vector<trace::Trace> traces_for(const core::ScenarioSpec& spec,
-                                     std::size_t cycles) {
-  const int width = spec.widths.at(0);
-  std::vector<trace::Trace> traces;
-  switch (spec.trace.source) {
-    case core::TraceSpec::Source::synthetic: {
-      trace::SyntheticConfig cfg;
-      cfg.style = spec.trace.style;
-      cfg.cycles = cycles;
-      cfg.load_rate = spec.trace.load_rate;
-      cfg.activity = spec.trace.activity;
-      cfg.seed = spec.trace.seed;
-      cfg.n_bits = width;
-      traces.push_back(
-          trace::generate_synthetic(cfg, trace::to_string(spec.trace.style)));
-      break;
-    }
-    case core::TraceSpec::Source::benchmark:
-    case core::TraceSpec::Source::suite: {
-      // Mini-CPU kernels capture 32-bit load streams; wider buses pack
-      // consecutive words into flits (README "memory bus" recipe).
-      if (width % 32 != 0)
-        throw std::invalid_argument("benchmark traces require a width that is a "
-                                    "multiple of 32, got " +
-                                    std::to_string(width));
-      const int factor = width / 32;
-      const auto capture = [&](const cpu::Benchmark& bench) {
-        const trace::Trace t = bench.capture(cycles * static_cast<std::size_t>(factor));
-        return factor == 1 ? t : trace::widen(t, factor);
-      };
-      if (spec.trace.source == core::TraceSpec::Source::benchmark) {
-        traces.push_back(capture(cpu::benchmark_by_name(spec.trace.benchmark)));
-      } else {
-        for (const auto& bench : cpu::spec2000_suite()) {
-          std::fprintf(stderr, "[tracing %s]\n", bench.name.c_str());
-          traces.push_back(capture(bench));
-        }
-      }
-      break;
-    }
-    case core::TraceSpec::Source::file: {
-      trace::Trace t = trace::load_trace_file(spec.trace.path);
-      if (t.n_bits != width)
-        throw std::invalid_argument("trace file " + spec.trace.path + " is " +
-                                    std::to_string(t.n_bits) + " wires, job wants " +
-                                    std::to_string(width));
-      traces.push_back(std::move(t));
-      break;
-    }
-  }
-  if (spec.bus_invert)
-    for (auto& t : traces) t = bus::bus_invert_encode(t).encoded;
-  return traces;
+// One mini-CPU benchmark's load stream at `width` wires: 32-bit loads,
+// packed into flits of consecutive words on wider buses.
+std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench, int width,
+                                                     std::size_t cycles) {
+  if (width % 32 != 0)
+    throw std::invalid_argument("benchmark traces require a width that is a "
+                                "multiple of 32, got " +
+                                std::to_string(width));
+  const int factor = width / 32;
+  auto s = bench.stream(cycles * static_cast<std::size_t>(factor));
+  if (factor > 1) s = trace::widen_source(std::move(s), factor);
+  return s;
 }
 
-// Streamed twin of traces_for (DESIGN.md §12): one TraceSource per trace
-// the materialized path would have built, producing the identical word
-// sequences and names — which is what keeps a "stream": true job's
-// experiment metrics byte-identical to the materialized job's.
-std::vector<std::unique_ptr<trace::TraceSource>> sources_for(
-    const core::ScenarioSpec& spec, std::size_t cycles) {
-  const int width = spec.widths.at(0);
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  switch (spec.trace.source) {
-    case core::TraceSpec::Source::synthetic: {
-      trace::SyntheticConfig cfg;
-      cfg.style = spec.trace.style;
-      cfg.cycles = cycles;
-      cfg.load_rate = spec.trace.load_rate;
-      cfg.activity = spec.trace.activity;
-      cfg.seed = spec.trace.seed;
-      cfg.n_bits = width;
-      sources.push_back(
-          trace::make_synthetic_source(cfg, trace::to_string(spec.trace.style)));
-      break;
-    }
-    case core::TraceSpec::Source::benchmark:
-    case core::TraceSpec::Source::suite: {
-      if (width % 32 != 0)
-        throw std::invalid_argument("benchmark traces require a width that is a "
-                                    "multiple of 32, got " +
-                                    std::to_string(width));
-      const int factor = width / 32;
-      const auto stream_one = [&](const cpu::Benchmark& bench) {
-        auto s = bench.stream(cycles * static_cast<std::size_t>(factor));
-        if (factor > 1) s = trace::widen_source(std::move(s), factor);
-        return s;
-      };
-      if (spec.trace.source == core::TraceSpec::Source::benchmark) {
-        sources.push_back(stream_one(cpu::benchmark_by_name(spec.trace.benchmark)));
-      } else {
-        for (const auto& bench : cpu::spec2000_suite())
-          sources.push_back(stream_one(bench));
-      }
-      break;
-    }
-    case core::TraceSpec::Source::file: {
-      auto s = trace::open_trace_stream(spec.trace.path);
-      if (s->n_bits() != width)
-        throw std::invalid_argument("trace file " + spec.trace.path + " is " +
-                                    std::to_string(s->n_bits()) + " wires, job wants " +
-                                    std::to_string(width));
-      sources.push_back(std::move(s));
-      break;
-    }
-  }
-  if (spec.bus_invert)
-    for (auto& s : sources) s = bus::bus_invert_encode_source(std::move(s));
-  return sources;
-}
-
-// One lane's trace for a multi_bus job (docs/campaigns.md `buses`): the
-// single-trace branches of traces_for at the lane's own width. Suite
-// sources and non-multiple-of-32 benchmark widths are rejected by the
-// spec parser, so only the three single-stream branches survive to here.
-trace::Trace trace_for_lane(const core::TraceSpec& spec, int width,
-                            std::size_t cycles, bool bus_invert) {
-  trace::Trace t;
-  switch (spec.source) {
-    case core::TraceSpec::Source::synthetic: {
-      trace::SyntheticConfig cfg;
-      cfg.style = spec.style;
-      cfg.cycles = cycles;
-      cfg.load_rate = spec.load_rate;
-      cfg.activity = spec.activity;
-      cfg.seed = spec.seed;
-      cfg.n_bits = width;
-      t = trace::generate_synthetic(cfg, trace::to_string(spec.style));
-      break;
-    }
-    case core::TraceSpec::Source::benchmark:
-    case core::TraceSpec::Source::suite: {
-      const int factor = width / 32;  // width % 32 == 0, parser-checked
-      const cpu::Benchmark& bench = cpu::benchmark_by_name(spec.benchmark);
-      t = bench.capture(cycles * static_cast<std::size_t>(factor));
-      if (factor > 1) t = trace::widen(t, factor);
-      break;
-    }
-    case core::TraceSpec::Source::file: {
-      t = trace::load_trace_file(spec.path);
-      if (t.n_bits != width)
-        throw std::invalid_argument("trace file " + spec.path + " is " +
-                                    std::to_string(t.n_bits) + " wires, lane wants " +
-                                    std::to_string(width));
-      break;
-    }
-  }
-  if (bus_invert) t = bus::bus_invert_encode(t).encoded;
-  return t;
-}
-
-// Streamed twin of trace_for_lane: identical word sequence and name.
+// One trace source at `width` wires: a synthetic stream, one mini-CPU
+// benchmark (32-bit loads packed into flits on wider buses, the README
+// "memory bus" recipe) or a trace file, optionally bus-invert coded.
+// Suite specs name no single benchmark and are expanded by sources_for.
 std::unique_ptr<trace::TraceSource> source_for_lane(const core::TraceSpec& spec,
                                                     int width, std::size_t cycles,
                                                     bool bus_invert) {
@@ -250,24 +115,57 @@ std::unique_ptr<trace::TraceSource> source_for_lane(const core::TraceSpec& spec,
       break;
     }
     case core::TraceSpec::Source::benchmark:
-    case core::TraceSpec::Source::suite: {
-      const int factor = width / 32;
-      s = cpu::benchmark_by_name(spec.benchmark)
-              .stream(cycles * static_cast<std::size_t>(factor));
-      if (factor > 1) s = trace::widen_source(std::move(s), factor);
+    case core::TraceSpec::Source::suite:
+      s = benchmark_source(cpu::benchmark_by_name(spec.benchmark), width, cycles);
       break;
-    }
     case core::TraceSpec::Source::file: {
       s = trace::open_trace_stream(spec.path);
       if (s->n_bits() != width)
         throw std::invalid_argument("trace file " + spec.path + " is " +
-                                    std::to_string(s->n_bits()) + " wires, lane wants " +
+                                    std::to_string(s->n_bits()) + " wires, job wants " +
                                     std::to_string(width));
       break;
     }
   }
   if (bus_invert) s = bus::bus_invert_encode_source(std::move(s));
   return s;
+}
+
+// The job's traces, one source per trace, at the job's width.
+std::vector<std::unique_ptr<trace::TraceSource>> sources_for(
+    const core::ScenarioSpec& spec, std::size_t cycles) {
+  const int width = spec.widths.at(0);
+  std::vector<std::unique_ptr<trace::TraceSource>> sources;
+  if (spec.trace.source != core::TraceSpec::Source::suite) {
+    sources.push_back(source_for_lane(spec.trace, width, cycles, spec.bus_invert));
+    return sources;
+  }
+  for (const auto& bench : cpu::spec2000_suite()) {
+    sources.push_back(benchmark_source(bench, width, cycles));
+    if (spec.bus_invert)
+      sources.back() = bus::bus_invert_encode_source(std::move(sources.back()));
+  }
+  return sources;
+}
+
+// A job's sources as the experiments consume them. A streamed job pulls
+// them lazily; a "stream": false job materializes each source once and
+// runs view sources over the resident traces. The word sequences are the
+// same either way, so only the stream_* metrics tell the modes apart.
+struct JobTraces {
+  std::vector<trace::Trace> resident;
+  std::vector<std::unique_ptr<trace::TraceSource>> sources;
+};
+
+JobTraces job_traces(std::vector<std::unique_ptr<trace::TraceSource>> sources,
+                     bool stream) {
+  JobTraces out;
+  if (!stream) {
+    for (const auto& s : sources) out.resident.push_back(trace::materialize(*s));
+    sources = trace::make_trace_view_sources(out.resident);
+  }
+  out.sources = std::move(sources);
+  return out;
 }
 
 // Block accounting of a streamed job, surfaced next to the experiment
@@ -292,20 +190,7 @@ std::string corner_key(const tech::PvtCorner& corner) {
 void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
   const core::ControllerSpec& controller = spec.controllers.at(0);
-
-  // Either every trace resident (legacy) or one lazily-executed stream per
-  // trace: the reports — and therefore every metric below — are
-  // bit-identical between the two paths (tests/stream_test.cpp).
-  std::vector<trace::Trace> traces;
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  std::vector<std::string> trace_names;
-  if (spec.stream) {
-    sources = sources_for(spec, ctx.cycles);
-    for (const auto& s : sources) trace_names.push_back(s->name());
-  } else {
-    traces = traces_for(spec, ctx.cycles);
-    for (const auto& t : traces) trace_names.push_back(t.name);
-  }
+  const JobTraces traces = job_traces(sources_for(spec, ctx.cycles), spec.stream);
   core::StreamStats stream_stats;
 
   Table table({"Corner", "Trace", "Gain (%)", "Err (%)", "Avg V (mV)", "Floor (mV)"});
@@ -328,18 +213,11 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
           cfg.lut_tolerance = spec.lut_tolerance;
           cfg.drift = sys::schedule_from_spec(spec.drift, ctx.cycles);
           const sys::BusSystem one_lane({{&system, 1.0}});
-          const std::size_t runs = spec.stream ? sources.size() : traces.size();
-          for (std::size_t t = 0; t < runs; ++t) {
-            sys::SystemRunReport rep;
-            if (spec.stream) {
-              std::vector<std::unique_ptr<trace::TraceSource>> one;
-              one.push_back(std::move(sources[t]));
-              rep = one_lane.run_closed_loop_streamed(corner, one, cfg, {},
-                                                      &stream_stats);
-              sources[t] = std::move(one.front());  // reused by later corners
-            } else {
-              rep = one_lane.run_closed_loop(corner, {traces[t]}, cfg);
-            }
+          for (const auto& source : traces.sources) {
+            std::vector<std::unique_ptr<trace::TraceSource>> one;
+            one.push_back(source->clone());
+            const sys::SystemRunReport rep =
+                one_lane.run_closed_loop_streamed(corner, one, cfg, {}, &stream_stats);
             reports.push_back(rep.per_bus.front());
             wall_tracking.push_back(rep.wall_tracking_error);
             env_updates += rep.env_updates;
@@ -351,10 +229,8 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
         cfg.engine = spec.engine;
         cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
         cfg.lut_tolerance = spec.lut_tolerance;
-        reports = spec.stream
-                      ? core::run_closed_loop_suite_streamed(system, corner, sources,
-                                                             cfg, {}, &stream_stats)
-                      : core::run_closed_loop_suite(system, corner, traces, cfg);
+        reports = core::run_closed_loop_suite_streamed(system, corner, traces.sources, cfg,
+                                                       {}, &stream_stats);
         break;
       }
       case dvs::ControllerKind::proportional: {
@@ -362,37 +238,28 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
         cfg.controller = controller.proportional;
         cfg.engine = spec.engine;
         cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-        if (spec.stream) {
-          for (const auto& s : sources)
-            reports.push_back(core::run_closed_loop_proportional_streamed(
-                system, corner, *s, cfg, {}, &stream_stats));
-        } else {
-          for (const auto& t : traces)
-            reports.push_back(
-                core::run_closed_loop_proportional(system, corner, t, cfg));
-        }
+        for (const auto& source : traces.sources)
+          reports.push_back(core::run_closed_loop_proportional_streamed(
+              system, corner, *source, cfg, {}, &stream_stats));
         break;
       }
       case dvs::ControllerKind::fixed_vs:
-        reports = spec.stream
-                      ? core::run_fixed_vs_suite_streamed(system, corner, sources,
-                                                          spec.engine,
-                                                          spec.timing_jitter_sigma, {},
-                                                          &stream_stats)
-                      : core::run_fixed_vs_suite(system, corner, traces, spec.engine,
-                                                 spec.timing_jitter_sigma);
+        reports = core::run_fixed_vs_suite_streamed(system, corner, traces.sources,
+                                                    spec.engine, spec.timing_jitter_sigma,
+                                                    {}, &stream_stats);
         break;
     }
-    for (std::size_t t = 0; t < trace_names.size(); ++t) {
+    for (std::size_t t = 0; t < traces.sources.size(); ++t) {
       const core::DvsRunReport& r = reports[t];
+      const std::string& trace_name = traces.sources[t]->name();
       table.row()
           .add(corner.name())
-          .add(trace_names[t])
+          .add(trace_name)
           .add(100.0 * r.energy_gain(), 1)
           .add(100.0 * r.error_rate(), 2)
           .add(to_mV(r.average_supply), 0)
           .add(to_mV(r.floor_supply), 0);
-      const std::string key = corner_key(corner) + "_" + trace_names[t];
+      const std::string key = corner_key(corner) + "_" + trace_name;
       ctx.metric(key + "_gain", r.energy_gain());
       ctx.metric(key + "_error_rate", r.error_rate());
       ctx.metric(key + "_avg_supply", r.average_supply);
@@ -434,18 +301,12 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   cfg.arbitration = spec.arbitration;
   cfg.drift = sys::schedule_from_spec(spec.drift, ctx.cycles);
 
-  // Sources are cloned inside the streamed run, so one set serves every
-  // corner — mirroring the materialized path's trace reuse.
-  std::vector<trace::Trace> traces;
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  for (const auto& lane_spec : spec.buses) {
-    if (spec.stream)
-      sources.push_back(source_for_lane(lane_spec.trace, lane_spec.width,
-                                        ctx.cycles, spec.bus_invert));
-    else
-      traces.push_back(trace_for_lane(lane_spec.trace, lane_spec.width, ctx.cycles,
-                                      spec.bus_invert));
-  }
+  // Sources are cloned inside the run, so one set serves every corner.
+  std::vector<std::unique_ptr<trace::TraceSource>> lane_sources;
+  for (const auto& lane_spec : spec.buses)
+    lane_sources.push_back(
+        source_for_lane(lane_spec.trace, lane_spec.width, ctx.cycles, spec.bus_invert));
+  const JobTraces traces = job_traces(std::move(lane_sources), spec.stream);
   core::StreamStats stream_stats;
 
   Table table({"Corner", "Bus", "Gain (%)", "Err (%)", "Avg V (mV)", "Floor (mV)"});
@@ -453,9 +314,7 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
     std::fprintf(stderr, "[%zu-bus %s @ %s]\n", spec.buses.size(),
                  dvs::to_string(spec.arbitration).c_str(), corner.name().c_str());
     const sys::SystemRunReport report =
-        spec.stream
-            ? system.run_closed_loop_streamed(corner, sources, cfg, {}, &stream_stats)
-            : system.run_closed_loop(corner, traces, cfg);
+        system.run_closed_loop_streamed(corner, traces.sources, cfg, {}, &stream_stats);
     const std::string ckey = corner_key(corner);
     for (std::size_t b = 0; b < report.per_bus.size(); ++b) {
       const core::DvsRunReport& r = report.per_bus[b];
@@ -491,28 +350,18 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
 
 void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
-  std::vector<trace::Trace> traces;
-  std::unique_ptr<trace::TraceSource> source;
-  if (spec.stream) {
-    // The materialized sweep runs its traces back to back through one
-    // simulator, so the streamed sweep sees their concatenation.
-    auto parts = sources_for(spec, ctx.cycles);
-    source = parts.size() == 1
-                 ? std::move(parts.front())
-                 : trace::concatenate_sources(std::move(parts), "suite");
-  } else {
-    traces = traces_for(spec, ctx.cycles);
-  }
+  // A multi-trace sweep runs its traces back to back: their concatenation.
+  JobTraces traces = job_traces(sources_for(spec, ctx.cycles), spec.stream);
+  const std::unique_ptr<trace::TraceSource> source =
+      traces.sources.size() == 1
+          ? std::move(traces.sources.front())
+          : trace::concatenate_sources(std::move(traces.sources), "suite");
   core::StreamStats stream_stats;
 
   for (const auto& corner : spec.corners) {
     std::fprintf(stderr, "[sweeping %s]\n", corner.name().c_str());
-    const core::StaticSweepResult sweep =
-        spec.stream ? core::static_voltage_sweep_streamed(
-                          system, corner, *source, spec.timing_jitter_sigma,
-                          spec.engine, {}, &stream_stats)
-                    : core::static_voltage_sweep(system, corner, traces,
-                                                 spec.timing_jitter_sigma, spec.engine);
+    const core::StaticSweepResult sweep = core::static_voltage_sweep_streamed(
+        system, corner, *source, spec.timing_jitter_sigma, spec.engine, {}, &stream_stats);
     Table table({"Supply (mV)", "Error Rate (%)", "Bus Energy (norm)",
                  "Bus+Recovery (norm)"});
     for (auto it = sweep.points.rbegin(); it != sweep.points.rend(); ++it) {

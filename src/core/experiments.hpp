@@ -4,23 +4,22 @@
 // bench binaries are thin printers around them (see DESIGN.md section 4
 // for the experiment index).
 //
-// Each driver exists in two forms with one results contract:
+// Each experiment has ONE implementation, which takes its input as
+// `trace::TraceSource` streams (DESIGN.md §12) and iterates fixed-size
+// blocks, so campaign length is bounded by simulation time, not memory.
+// Materialized `trace::Trace` inputs enter through
+// trace::make_trace_view_source: the Trace signatures below are one-line
+// forwards kept for the benches, examples and tests that hold traces in
+// RAM. Streamed = materialized therefore holds by construction — same
+// integer counts, exactly equal energy/supply doubles; tests/stream_test.cpp
+// keeps checking that reports are invariant under the block size. Every
+// closed loop runs through core::ClosedLoop (closed_loop.hpp). The width
+// rule: traces wider than the bus throw; narrower traces are legal (surplus
+// wires hold).
 //
-//   * The MATERIALIZED form takes `trace::Trace` vectors — every cycle
-//     resident in RAM (16 bytes/cycle), indexable, and the golden
-//     reference the streamed form is tested against.
-//   * The STREAMED form (`*_streamed`, DESIGN.md §12) takes
-//     `trace::TraceSource` streams and iterates fixed-size blocks, so
-//     campaign length is bounded by simulation time, not memory. Reports
-//     are BIT-IDENTICAL to the materialized form on the same word
-//     sequence — same integer counts, exactly equal energy/supply doubles
-//     (enforced by tests/stream_test.cpp). Both forms obey the width rule:
-//     traces wider than the bus throw; narrower traces are legal (surplus
-//     wires hold).
-//
-// Streamed drivers clone their source per shard (one clone per sweep
-// supply / suite trace / Monte-Carlo sample), so the §9 determinism
-// contract — bit-identical at any thread count — carries over unchanged.
+// Drivers clone their source per shard (one clone per sweep supply / suite
+// trace / Monte-Carlo sample), so the §9 determinism contract —
+// bit-identical at any thread count — carries over unchanged.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,7 @@
 namespace razorbus::core {
 
 // ------------------------------------------------ streaming configuration
-// Block sizing for the streamed drivers: each active stream is served
+// Block sizing for the drivers: each active stream is served
 // through one buffer of `block_cycles` BusWords (1 MiB at the default), so
 // peak trace memory is block_cycles x concurrent shards, independent of
 // how many cycles the campaign runs. Purely a memory/throughput knob —
@@ -48,7 +47,7 @@ struct StreamConfig {
   std::size_t block_cycles = trace::kDefaultBlockCycles;
 };
 
-// Block accounting a streamed driver reports (surfaced in BENCH_*.json as
+// Block accounting a driver reports (surfaced in BENCH_*.json as
 // the stream_* metrics, docs/bench-reports.md): how much trace was pulled
 // and the largest trace buffer that was ever resident per shard — the
 // peak-RSS-relevant number a memory budget cares about. Counts cover every
@@ -78,25 +77,28 @@ struct StaticSweepResult {
   double floor_supply = 0.0;        // shadow-safe minimum for this corner
 };
 
-// Run the combined traces at every 20 mV grid supply from the corner's
-// shadow floor up to nominal. Sharded one supply point per shard (each
-// point runs on its own BusSimulator), results in ascending-supply order —
-// bit-identical at any thread count (DESIGN.md §9).
-StaticSweepResult static_voltage_sweep(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<trace::Trace>& traces, double timing_jitter_sigma = 0.0,
-    bus::EngineMode engine = bus::EngineMode::bit_parallel);
-
-// Streamed form: each supply shard clones `source` and drains it block by
-// block. A multi-trace sweep is the concatenation of its traces (the
-// materialized form runs them back to back through one simulator), so pass
-// trace::concatenate_sources for suites. Bit-identical to the materialized
-// sweep on the same word sequence.
+// Run `source` at every 20 mV grid supply from the corner's shadow floor
+// up to nominal. Sharded one supply point per shard (each point drains its
+// own clone of the stream through its own BusSimulator), results in
+// ascending-supply order — bit-identical at any thread count (DESIGN.md
+// §9). EngineMode::simd batches chunks of supplies per drain instead. A
+// multi-trace sweep is the concatenation of its traces, so pass
+// trace::concatenate_sources for suites.
 StaticSweepResult static_voltage_sweep_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const trace::TraceSource& source, double timing_jitter_sigma = 0.0,
     bus::EngineMode engine = bus::EngineMode::bit_parallel,
     const StreamConfig& stream = {}, StreamStats* stats = nullptr);
+
+inline StaticSweepResult static_voltage_sweep(
+    const DvsBusSystem& system, const tech::PvtCorner& environment,
+    const std::vector<trace::Trace>& traces, double timing_jitter_sigma = 0.0,
+    bus::EngineMode engine = bus::EngineMode::bit_parallel) {
+  return static_voltage_sweep_streamed(
+      system, environment,
+      *trace::concatenate_sources(trace::make_trace_view_sources(traces), "suite"),
+      timing_jitter_sigma, engine);
+}
 
 // ---------------------------------------------------------------- Fig. 5
 struct TargetGainPoint {
@@ -176,17 +178,10 @@ struct DvsRunReport {
   double error_rate() const { return totals.error_rate(); }
 };
 
-// Closed-loop DVS over one trace (controller + ramping regulator).
-DvsRunReport run_closed_loop(const DvsBusSystem& system,
-                             const tech::PvtCorner& environment,
-                             const trace::Trace& trace, const DvsRunConfig& config = {});
-
-// Streamed form: single pass over a clone of `source`, with the
+// Closed-loop DVS over one trace (threshold controller + ramping
+// regulator): a single pass over a clone of `source`, with the
 // nominal-supply baseline simulator fed the same blocks in lockstep (so no
-// second pass and no materialization anywhere). Control decisions are made
-// on the same cycle boundaries as the materialized driver — segments are
-// delimited by controller windows and regulator change landings, never by
-// block boundaries — so the report is bit-identical.
+// second pass and no materialization anywhere).
 DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const tech::PvtCorner& environment,
                                       const trace::TraceSource& source,
@@ -194,14 +189,18 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const StreamConfig& stream = {},
                                       StreamStats* stats = nullptr);
 
-// Fixed-VS baseline: run the trace at the fixed-VS supply for the corner's
-// process. Gains are zero errors by construction (at zero jitter; a
-// non-zero jitter can push arrivals past the capture limit).
-DvsRunReport run_fixed_vs(const DvsBusSystem& system, const tech::PvtCorner& environment,
-                          const trace::Trace& trace,
-                          bus::EngineMode engine = bus::EngineMode::bit_parallel,
-                          double timing_jitter_sigma = 0.0);
+inline DvsRunReport run_closed_loop(const DvsBusSystem& system,
+                                    const tech::PvtCorner& environment,
+                                    const trace::Trace& trace,
+                                    const DvsRunConfig& config = {}) {
+  return run_closed_loop_streamed(system, environment, *trace::make_trace_view_source(trace),
+                                  config);
+}
 
+// Fixed-VS baseline: run the trace at the fixed-VS supply for the corner's
+// process — not a control loop, so the report's average supply is that
+// supply exactly. Gains are zero errors by construction (at zero jitter; a
+// non-zero jitter can push arrivals past the capture limit).
 DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
                                    const tech::PvtCorner& environment,
                                    const trace::TraceSource& source,
@@ -209,6 +208,15 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
                                    double timing_jitter_sigma = 0.0,
                                    const StreamConfig& stream = {},
                                    StreamStats* stats = nullptr);
+
+inline DvsRunReport run_fixed_vs(const DvsBusSystem& system,
+                                 const tech::PvtCorner& environment,
+                                 const trace::Trace& trace,
+                                 bus::EngineMode engine = bus::EngineMode::bit_parallel,
+                                 double timing_jitter_sigma = 0.0) {
+  return run_fixed_vs_streamed(system, environment, *trace::make_trace_view_source(trace),
+                               engine, timing_jitter_sigma);
+}
 
 // Closed loop with the PROPORTIONAL controller the paper discusses and
 // rejects (Section 5). Same regulator model; the controller requests
@@ -222,15 +230,18 @@ struct ProportionalRunConfig {
   bus::EngineMode engine = bus::EngineMode::bit_parallel;
 };
 
-DvsRunReport run_closed_loop_proportional(const DvsBusSystem& system,
-                                          const tech::PvtCorner& environment,
-                                          const trace::Trace& trace,
-                                          const ProportionalRunConfig& config = {});
-
 DvsRunReport run_closed_loop_proportional_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const trace::TraceSource& source, const ProportionalRunConfig& config = {},
     const StreamConfig& stream = {}, StreamStats* stats = nullptr);
+
+inline DvsRunReport run_closed_loop_proportional(const DvsBusSystem& system,
+                                                 const tech::PvtCorner& environment,
+                                                 const trace::Trace& trace,
+                                                 const ProportionalRunConfig& config = {}) {
+  return run_closed_loop_proportional_streamed(
+      system, environment, *trace::make_trace_view_source(trace), config);
+}
 
 // Continue a closed-loop run across consecutive traces without resetting
 // controller/regulator state (Fig. 8 runs the 10 benchmarks back to back).
@@ -239,40 +250,31 @@ struct ConsecutiveRunReport {
   std::vector<WindowSample> series;  // stitched, cycle offsets cumulative
 };
 
-ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
-                                     const tech::PvtCorner& environment,
-                                     const std::vector<trace::Trace>& traces,
-                                     const DvsRunConfig& config = {});
-
-// Streamed form of the paper's headline run: the consecutive-benchmark
-// stream is executed one source at a time with controller/regulator state
-// carried across boundaries, exactly like the materialized driver — this
-// is the path that makes billion-cycle Fig. 8 campaigns memory-feasible.
-// Sources are NOT cloned (the pass is inherently sequential); per-source
-// baselines stream in lockstep with the DVS simulator.
+// The paper's headline run: one closed loop executes the sources in turn
+// with controller/regulator state carried across boundaries — the path
+// that makes billion-cycle Fig. 8 campaigns memory-feasible. Per-source
+// baselines stream in lockstep with the DVS simulator, and per-source
+// average supplies restart at each source.
 ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
     const DvsRunConfig& config = {}, const StreamConfig& stream = {},
     StreamStats* stats = nullptr);
 
+inline ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
+                                            const tech::PvtCorner& environment,
+                                            const std::vector<trace::Trace>& traces,
+                                            const DvsRunConfig& config = {}) {
+  return run_consecutive_streamed(system, environment, trace::make_trace_view_sources(traces),
+                                  config);
+}
+
 // Independent closed-loop / fixed-VS runs over a trace suite (Table 1 runs
 // every benchmark separately). Unlike run_consecutive, controller and
 // regulator state reset per trace, so the traces are embarrassingly
-// parallel: sharded one trace per shard, one BusSimulator per shard,
-// reports returned in trace order (DESIGN.md §9).
-std::vector<DvsRunReport> run_closed_loop_suite(const DvsBusSystem& system,
-                                                const tech::PvtCorner& environment,
-                                                const std::vector<trace::Trace>& traces,
-                                                const DvsRunConfig& config = {});
-std::vector<DvsRunReport> run_fixed_vs_suite(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<trace::Trace>& traces,
-    bus::EngineMode engine = bus::EngineMode::bit_parallel,
-    double timing_jitter_sigma = 0.0);
-
-// Streamed suite forms: one shard per source, each shard cloning its
-// source and running the streamed single-trace driver.
+// parallel: sharded one source per shard, each shard cloning its source
+// into its own BusSimulator, reports returned in source order (DESIGN.md
+// §9).
 std::vector<DvsRunReport> run_closed_loop_suite_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
@@ -285,13 +287,30 @@ std::vector<DvsRunReport> run_fixed_vs_suite_streamed(
     double timing_jitter_sigma = 0.0, const StreamConfig& stream = {},
     StreamStats* stats = nullptr);
 
+inline std::vector<DvsRunReport> run_closed_loop_suite(
+    const DvsBusSystem& system, const tech::PvtCorner& environment,
+    const std::vector<trace::Trace>& traces, const DvsRunConfig& config = {}) {
+  return run_closed_loop_suite_streamed(system, environment,
+                                        trace::make_trace_view_sources(traces), config);
+}
+inline std::vector<DvsRunReport> run_fixed_vs_suite(
+    const DvsBusSystem& system, const tech::PvtCorner& environment,
+    const std::vector<trace::Trace>& traces,
+    bus::EngineMode engine = bus::EngineMode::bit_parallel,
+    double timing_jitter_sigma = 0.0) {
+  return run_fixed_vs_suite_streamed(system, environment,
+                                     trace::make_trace_view_sources(traces), engine,
+                                     timing_jitter_sigma);
+}
+
 // ------------------------------------------------- PVT sampling extension
 // Monte-Carlo over operating conditions (the paper hand-picks corners; the
 // ablation samples a part population instead). Sharded one sample per
 // shard: sample s draws its PVT point from a private Rng seeded with
-// SplitMix of (seed, s) and runs on its own BusSimulator, so the
-// population — and every derived statistic — is bit-identical at any
-// thread count (DESIGN.md §9).
+// SplitMix of (seed, s) and runs the closed loop on its own clone of the
+// source, so the population — and every derived statistic — is
+// bit-identical at any thread count (DESIGN.md §9). Under EngineMode::simd
+// all samples' nominal baselines come from one multi-point pass.
 struct PvtSampleConfig {
   int samples = 24;
   std::uint64_t seed = 2025;
@@ -309,17 +328,16 @@ struct PvtSampleResult {
   RunningStats err_stats;
 };
 
-PvtSampleResult pvt_sample_gains(const DvsBusSystem& system, const trace::Trace& trace,
-                                 const PvtSampleConfig& config = {});
-
-// Streamed form: each sample shard draws its corner from the identical
-// per-shard Rng stream, then runs the streamed closed loop on its own
-// clone of `source` — the population and every derived statistic match
-// the materialized form bit for bit.
 PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
                                           const trace::TraceSource& source,
                                           const PvtSampleConfig& config = {},
                                           const StreamConfig& stream = {},
                                           StreamStats* stats = nullptr);
+
+inline PvtSampleResult pvt_sample_gains(const DvsBusSystem& system,
+                                        const trace::Trace& trace,
+                                        const PvtSampleConfig& config = {}) {
+  return pvt_sample_gains_streamed(system, *trace::make_trace_view_source(trace), config);
+}
 
 }  // namespace razorbus::core

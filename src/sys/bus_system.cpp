@@ -1,133 +1,9 @@
 #include "sys/bus_system.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "bus/simulator.hpp"
-#include "dvs/regulator.hpp"
-#include "util/busword.hpp"
-
 namespace razorbus::sys {
-
-namespace {
-
-// Same width rule and message as the single-bus drivers: a trace wider
-// than its lane would silently drop high wires; narrower is legal.
-void check_lane_width(const core::DvsBusSystem& system, const std::string& name,
-                      int n_bits) {
-  if (n_bits > system.design().n_bits)
-    throw std::invalid_argument(
-        "experiment: trace '" + name + "' is " + std::to_string(n_bits) +
-        " bits wide but the bus has " + std::to_string(system.design().n_bits) +
-        " wires");
-}
-
-// Nominal-supply conventional-bus lockstep baseline, matching
-// BusSimulator::run_reference (core::make_baseline_sim's contract): fed
-// the same word spans, its totals equal a run_reference pass bit for bit.
-bus::BusSimulator make_baseline_sim(const core::DvsBusSystem& system,
-                                    const tech::PvtCorner& environment) {
-  bus::BusSimulator sim(system.design(), system.table(), environment);
-  sim.set_supply(system.design().node.vdd_nominal);
-  return sim;
-}
-
-struct FeedResult {
-  std::uint64_t cycles = 0;
-  std::uint64_t errors = 0;
-};
-
-// Materialized lane cursor: serves a resident trace. available() is the
-// whole remainder, so a logical segment is always served in one chunk —
-// exactly the single-bus materialized driver's one sim.run per segment.
-class TraceCursor {
- public:
-  TraceCursor(const trace::Trace& trace, std::size_t limit)
-      : words_(trace.words.data()), n_(limit) {}
-
-  bool has_more() { return pos_ < n_; }
-  std::size_t available() { return n_ - pos_; }
-
-  FeedResult run(bus::BusSimulator& sim, bus::BusSimulator& baseline,
-                 std::size_t count) {
-    const bus::RunningTotals d = sim.run(words_ + pos_, count);
-    baseline.run(words_ + pos_, count);
-    pos_ += count;
-    return {d.cycles, d.errors};
-  }
-
-  void account(core::StreamStats*, std::size_t) const {}
-
- private:
-  const BusWord* words_;
-  std::size_t n_;
-  std::size_t pos_ = 0;
-};
-
-// Streamed lane cursor: core's StreamFeeder with the buffered count
-// exposed, so the lockstep loop can cut a chunk every lane can serve.
-// Refill timing and accounting match the single-bus feeder exactly (the
-// N=1 stream-stats parity in tests/system_test.cpp rests on this).
-class StreamCursor {
- public:
-  StreamCursor(const trace::TraceSource& prototype, std::size_t block_cycles)
-      : source_(prototype.clone()), buffer_(block_cycles) {
-    if (block_cycles == 0)
-      throw std::invalid_argument("stream: block_cycles must be > 0");
-  }
-
-  bool has_more() {
-    if (pos_ == filled_ && !eof_) refill();
-    return pos_ < filled_;
-  }
-
-  std::size_t available() {
-    if (pos_ == filled_ && !eof_) refill();
-    return filled_ - pos_;
-  }
-
-  FeedResult run(bus::BusSimulator& sim, bus::BusSimulator& baseline,
-                 std::size_t count) {
-    const bus::RunningTotals d = sim.run(buffer_.data() + pos_, count);
-    baseline.run(buffer_.data() + pos_, count);
-    pos_ += count;
-    return {d.cycles, d.errors};
-  }
-
-  void account(core::StreamStats* stats, std::size_t block_cycles) const {
-    if (stats == nullptr) return;
-    stats->block_cycles = block_cycles;
-    stats->blocks += blocks_;
-    stats->cycles += streamed_;
-    stats->peak_buffer_words = std::max(stats->peak_buffer_words, buffer_.size());
-  }
-
- private:
-  void refill() {
-    filled_ = source_->next_block(buffer_.data(), buffer_.size());
-    pos_ = 0;
-    if (filled_ == 0) {
-      eof_ = true;
-    } else {
-      ++blocks_;
-      streamed_ += filled_;
-    }
-  }
-
-  std::unique_ptr<trace::TraceSource> source_;
-  std::vector<BusWord> buffer_;
-  std::size_t pos_ = 0;
-  std::size_t filled_ = 0;
-  bool eof_ = false;
-  std::uint64_t blocks_ = 0;
-  std::uint64_t streamed_ = 0;
-};
-
-}  // namespace
 
 BusSystem::BusSystem(std::vector<BusLane> lanes) : lanes_(std::move(lanes)) {
   if (lanes_.empty()) throw std::invalid_argument("sys: no buses");
@@ -143,172 +19,13 @@ BusSystem::BusSystem(std::vector<BusLane> lanes) : lanes_(std::move(lanes)) {
     if (lane.system->design().node.vdd_nominal != vnom)
       throw std::invalid_argument(
           "sys: all buses must share one supply rail (vdd_nominal mismatch)");
-  weights_.reserve(lanes_.size());
-  for (const BusLane& lane : lanes_) weights_.push_back(lane.weight);
 }
-
-namespace {
-
-// The shared closed loop, templated over the lane cursor. Mirrors
-// core::run_consecutive_impl / run_consecutive_streamed_impl segment for
-// segment: every span runs at one regulator voltage, inside one
-// controller window, and ends at a pending change landing — block refills
-// subdivide the sim.run calls but never the control arithmetic (span-
-// split invariance, DESIGN.md §5), so both cursors report identically.
-template <typename Cursor>
-SystemRunReport run_system_loop(const std::vector<BusLane>& lanes,
-                                const std::vector<double>& weights,
-                                const tech::PvtCorner& environment,
-                                std::vector<Cursor>& cursors,
-                                const SystemRunConfig& config,
-                                std::size_t stream_block,
-                                core::StreamStats* stats) {
-  const std::size_t n_lanes = lanes.size();
-  const double vnom = lanes.front().system->design().node.vdd_nominal;
-  double floor = 0.0;
-  for (const BusLane& lane : lanes)
-    floor = std::max(floor, lane.system->dvs_floor(environment.process));
-  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
-
-  std::vector<bus::BusSimulator> sims;
-  std::vector<bus::BusSimulator> baselines;
-  sims.reserve(n_lanes);
-  baselines.reserve(n_lanes);
-  for (const BusLane& lane : lanes) {
-    sims.push_back(lane.system->make_simulator(environment));
-    sims.back().set_engine_mode(config.engine);
-    if (config.timing_jitter_sigma > 0.0)
-      sims.back().set_timing_jitter(config.timing_jitter_sigma);
-    baselines.push_back(make_baseline_sim(*lane.system, environment));
-  }
-
-  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
-  dvs::ThresholdController controller(config.controller);
-  for (auto& sim : sims) sim.set_supply(regulator.voltage());
-
-  const std::uint64_t window = config.controller.window_cycles;
-  const double band_mid =
-      0.5 * (config.controller.low_threshold + config.controller.high_threshold);
-  const std::vector<double>& temp_axis = lanes.front().system->table().temps();
-
-  SystemRunReport report;
-  report.floor_supply = floor;
-
-  std::uint64_t cycle = 0;
-  std::uint64_t remaining_window = window;
-  std::vector<std::uint64_t> window_errors(n_lanes, 0);
-  double supply_sum = 0.0;
-  double track_sum = 0.0;
-  tech::PvtCorner current = environment;
-
-  // Re-derive the drift corner for the window starting at `at_cycle` and
-  // push it into every lane and its lockstep baseline. Disabled schedules
-  // never reach a set_environment call, which is what keeps zero-drift
-  // runs byte-identical to static-corner runs.
-  const auto apply_drift = [&](std::uint64_t at_cycle) {
-    if (!config.drift.enabled()) return;
-    const tech::PvtCorner next =
-        config.drift.corner_at(environment, at_cycle, vnom, temp_axis);
-    if (next == current) return;
-    current = next;
-    ++report.env_updates;
-    for (auto& sim : sims) sim.set_environment(next);
-    for (auto& baseline : baselines) baseline.set_environment(next);
-  };
-  apply_drift(0);
-
-  for (;;) {
-    bool more = true;
-    for (auto& cursor : cursors) more = cursor.has_more() && more;
-    if (!more) break;
-
-    const double advanced = regulator.advance(cycle);
-    for (auto& sim : sims) sim.set_supply(advanced);
-
-    std::uint64_t planned = remaining_window;
-    const std::uint64_t change = regulator.next_change_cycle();
-    if (change != dvs::VoltageRegulator::kNoPendingChange && change > cycle)
-      planned = std::min(planned, change - cycle);
-
-    // Serve the logical segment across buffer chunks, lockstep on every
-    // lane; short only when a stream ends mid-segment.
-    std::uint64_t served = 0;
-    while (served < planned) {
-      std::size_t avail = std::numeric_limits<std::size_t>::max();
-      for (auto& cursor : cursors) avail = std::min(avail, cursor.available());
-      if (avail == 0) break;
-      const auto chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(planned - served, avail));
-      for (std::size_t l = 0; l < n_lanes; ++l) {
-        const FeedResult fed = cursors[l].run(sims[l], baselines[l], chunk);
-        window_errors[l] += fed.errors;
-      }
-      served += chunk;
-    }
-    if (served == 0) break;
-    supply_sum += sims.front().supply() * static_cast<double>(served);
-    cycle += served;
-    remaining_window -= served;
-
-    if (remaining_window == 0) {
-      const std::uint64_t fused =
-          dvs::fuse_window_errors(config.arbitration, window_errors, weights);
-      const dvs::VoltageDecision decision = controller.observe_segment(window, fused);
-      // The decision belongs to the last cycle of the window (cycle - 1),
-      // exactly when the single-bus loop would have issued it.
-      if (decision == dvs::VoltageDecision::step_down)
-        regulator.request_change(-config.controller.voltage_step, cycle - 1);
-      else if (decision == dvs::VoltageDecision::step_up)
-        regulator.request_change(+config.controller.voltage_step, cycle - 1);
-
-      track_sum += std::abs(controller.last_window_error_rate() - band_mid);
-      ++report.windows;
-      if (config.record_series)
-        report.series.push_back(
-            {cycle, sims.front().supply(), controller.last_window_error_rate()});
-      std::fill(window_errors.begin(), window_errors.end(), 0);
-      remaining_window = window;
-      apply_drift(cycle);
-    }
-  }
-  for (auto& cursor : cursors) cursor.account(stats, stream_block);
-
-  report.cycles = cycle;
-  report.average_supply =
-      cycle == 0 ? sims.front().supply()
-                 : supply_sum / static_cast<double>(cycle);
-  report.wall_tracking_error =
-      report.windows == 0 ? 0.0 : track_sum / static_cast<double>(report.windows);
-  report.per_bus.reserve(n_lanes);
-  for (std::size_t l = 0; l < n_lanes; ++l) {
-    core::DvsRunReport r;
-    r.totals = sims[l].totals();
-    r.floor_supply = floor;
-    r.average_supply = report.average_supply;
-    r.baseline_bus_energy = baselines[l].totals().bus_energy;
-    report.per_bus.push_back(std::move(r));
-  }
-  return report;
-}
-
-}  // namespace
 
 SystemRunReport BusSystem::run_closed_loop(const tech::PvtCorner& environment,
                                            const std::vector<trace::Trace>& traces,
                                            const SystemRunConfig& config) const {
-  if (traces.size() != lanes_.size())
-    throw std::invalid_argument("sys: " + std::to_string(lanes_.size()) +
-                                " buses but " + std::to_string(traces.size()) +
-                                " traces");
-  for (std::size_t l = 0; l < lanes_.size(); ++l)
-    check_lane_width(*lanes_[l].system, traces[l].name, traces[l].n_bits);
-  // Lockstep: the run ends when the shortest trace does.
-  std::size_t limit = traces.front().words.size();
-  for (const auto& t : traces) limit = std::min(limit, t.words.size());
-  std::vector<TraceCursor> cursors;
-  cursors.reserve(traces.size());
-  for (const auto& t : traces) cursors.emplace_back(t, limit);
-  return run_system_loop(lanes_, weights_, environment, cursors, config, 0, nullptr);
+  return run_closed_loop_streamed(environment, trace::make_trace_view_sources(traces),
+                                  config);
 }
 
 SystemRunReport BusSystem::run_closed_loop_streamed(
@@ -316,17 +33,29 @@ SystemRunReport BusSystem::run_closed_loop_streamed(
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
     const SystemRunConfig& config, const core::StreamConfig& stream,
     core::StreamStats* stats) const {
-  if (sources.size() != lanes_.size())
-    throw std::invalid_argument("sys: " + std::to_string(lanes_.size()) +
-                                " buses but " + std::to_string(sources.size()) +
-                                " sources");
-  for (std::size_t l = 0; l < lanes_.size(); ++l)
-    check_lane_width(*lanes_[l].system, sources[l]->name(), sources[l]->n_bits());
-  std::vector<StreamCursor> cursors;
-  cursors.reserve(sources.size());
-  for (const auto& s : sources) cursors.emplace_back(*s, stream.block_cycles);
-  return run_system_loop(lanes_, weights_, environment, cursors, config,
-                         stream.block_cycles, stats);
+  core::LoopConfig loop_config;
+  loop_config.threshold = config.controller;
+  loop_config.regulator_delay_cycles = config.regulator_delay_cycles;
+  loop_config.start_supply = config.start_supply;
+  loop_config.timing_jitter_sigma = config.timing_jitter_sigma;
+  loop_config.record_series = config.record_series;
+  loop_config.engine = config.engine;
+  loop_config.arbitration = config.arbitration;
+  loop_config.drift = config.drift;
+  core::ClosedLoop loop(lanes_, environment, std::move(loop_config));
+
+  std::vector<const trace::TraceSource*> lane_sources;
+  for (const auto& source : sources) lane_sources.push_back(source.get());
+  SystemRunReport report;
+  report.per_bus = loop.run(lane_sources, stream, stats);
+  report.series = loop.take_series();
+  report.cycles = loop.cycles();
+  report.windows = loop.windows();
+  report.floor_supply = loop.floor_supply();
+  report.average_supply = report.per_bus.front().average_supply;
+  report.wall_tracking_error = loop.wall_tracking_error();
+  report.env_updates = loop.env_updates();
+  return report;
 }
 
 drift::Schedule schedule_from_spec(const core::DriftSpec& spec,

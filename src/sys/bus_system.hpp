@@ -8,24 +8,21 @@
 // stream) advance in lockstep under a shared supply, each bus counts its
 // own receiver-bank errors per controller window, and a pluggable
 // arbitration policy (dvs::fuse_window_errors) fuses the N window counts
-// into the single count the threshold controller sees. Decisions and
-// regulator ramping are untouched single-bus machinery.
+// into the single count the threshold controller sees.
 //
-// Contracts, in the spirit of DESIGN.md §5/§12:
+// BusSystem validates the lanes and runs core::ClosedLoop — the one
+// closed loop every single-bus driver runs too (core/closed_loop.hpp) —
+// once over N sources. Contracts, in the spirit of DESIGN.md §5/§12:
 //
-//  * N=1 PARITY (the load-bearing invariant, tests/system_test.cpp): a
-//    one-bus BusSystem report is bit-identical to the single-bus
-//    closed-loop drivers (core::run_closed_loop{,_streamed}) — same
-//    integer counts, exactly equal doubles, for every arbitration policy
-//    (they all reduce to the identity at N=1) and every engine mode.
-//    Segments are delimited by controller windows and regulator change
-//    landings exactly as the single-bus loop delimits them; the fused
-//    window count equals the lane count; and the controller is fed whole
-//    windows, which the count-based threshold decision cannot
-//    distinguish from the single-bus per-segment feeding.
-//  * STREAM PARITY: the streamed form serves logical segments across
-//    block refills, so block boundaries never move a control decision;
-//    streamed reports are bit-identical to materialized ones.
+//  * N=1 PARITY: a one-bus BusSystem report is bit-identical to the
+//    single-bus closed-loop drivers (core::run_closed_loop{,_streamed}) —
+//    by construction, since both are one ClosedLoop lane and every
+//    arbitration policy reduces to the identity at N=1.
+//    tests/system_test.cpp keeps checking it for every policy and engine.
+//  * STREAM PARITY: the materialized form runs view sources through the
+//    same loop, so streamed reports equal materialized ones by
+//    construction; the loop serves logical segments across block refills,
+//    so block boundaries never move a control decision.
 //  * DRIFT: an enabled drift::Schedule re-derives the operating corner at
 //    every controller-window boundary and applies it to all lanes AND
 //    their lockstep nominal baselines (the gain under drift compares the
@@ -41,6 +38,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/closed_loop.hpp"
 #include "core/experiments.hpp"
 #include "core/scenario_spec.hpp"
 #include "core/system.hpp"
@@ -54,10 +52,7 @@ namespace razorbus::sys {
 
 // One bus of the system. `system` is non-owning and must outlive the
 // BusSystem; `weight` is read by the `weighted` arbitration policy.
-struct BusLane {
-  const core::DvsBusSystem* system = nullptr;
-  double weight = 1.0;
-};
+using BusLane = core::LoopLane;
 
 // Mirrors core::DvsRunConfig field-for-field (so a single-bus config maps
 // 1:1 onto the N=1 parity case), plus the system-level knobs.
@@ -123,16 +118,15 @@ class BusSystem {
 
   const std::vector<BusLane>& lanes() const { return lanes_; }
 
-  // Materialized run: one trace per lane, lockstep; the run ends when the
-  // shortest trace does. Traces wider than their lane throw (the
+  // One trace per lane, lockstep, through view sources; the run ends when
+  // the shortest trace does. Traces wider than their lane throw (the
   // single-bus width rule, per lane).
   SystemRunReport run_closed_loop(const tech::PvtCorner& environment,
                                   const std::vector<trace::Trace>& traces,
                                   const SystemRunConfig& config = {}) const;
 
-  // Streamed run: one source per lane, cloned and drained block by block
-  // in lockstep; ends when the first source does. Bit-identical to the
-  // materialized form on the same word sequences.
+  // One source per lane, cloned and drained block by block in lockstep;
+  // ends when the first source does.
   SystemRunReport run_closed_loop_streamed(
       const tech::PvtCorner& environment,
       const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
@@ -141,7 +135,6 @@ class BusSystem {
 
  private:
   std::vector<BusLane> lanes_;
-  std::vector<double> weights_;  // lanes_[i].weight, for fuse_window_errors
 };
 
 // Resolve a declarative drift spec (core::DriftSpec, docs/campaigns.md

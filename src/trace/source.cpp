@@ -184,6 +184,14 @@ std::unique_ptr<TraceSource> make_trace_view_source(const Trace& trace) {
       std::shared_ptr<const Trace>(std::shared_ptr<const Trace>(), &trace));
 }
 
+std::vector<std::unique_ptr<TraceSource>> make_trace_view_sources(
+    const std::vector<Trace>& traces) {
+  std::vector<std::unique_ptr<TraceSource>> sources;
+  sources.reserve(traces.size());
+  for (const Trace& trace : traces) sources.push_back(make_trace_view_source(trace));
+  return sources;
+}
+
 std::unique_ptr<TraceSource> concatenate_sources(
     std::vector<std::unique_ptr<TraceSource>> parts, const std::string& name) {
   return std::make_unique<ConcatenatedSource>(std::move(parts), name);

@@ -82,6 +82,9 @@ inline constexpr std::size_t kDefaultBlockCycles = std::size_t{1} << 16;
 std::unique_ptr<TraceSource> make_trace_source(Trace trace);
 std::unique_ptr<TraceSource> make_trace_source(std::shared_ptr<const Trace> trace);
 std::unique_ptr<TraceSource> make_trace_view_source(const Trace& trace);
+// One view source per trace, in order (the Trace-vector driver forwards).
+std::vector<std::unique_ptr<TraceSource>> make_trace_view_sources(
+    const std::vector<Trace>& traces);
 
 // Back-to-back concatenation (the Fig. 8 consecutive-benchmark stream).
 // All parts must share one width — mixed widths throw std::invalid_argument

@@ -20,8 +20,8 @@ const std::vector<std::pair<std::string, std::vector<std::string>>>& layer_dag()
       {"svc", {"core", "bus", "cpu", "dvs", "gatesim", "interconnect", "lut",
                "razor", "spice", "tech", "trace", "util"}},
       // experiment drivers — may see the whole library
-      {"core", {"bus", "cpu", "dvs", "gatesim", "interconnect", "lut", "razor",
-                "spice", "tech", "trace", "util"}},
+      {"core", {"bus", "cpu", "drift", "dvs", "gatesim", "interconnect", "lut",
+                "razor", "spice", "tech", "trace", "util"}},
       // control loop — engine and below, plus the trace types it consumes
       {"dvs", {"bus", "interconnect", "lut", "razor", "tech", "trace", "util"}},
       // cycle engine
