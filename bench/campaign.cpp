@@ -150,22 +150,13 @@ std::vector<std::unique_ptr<trace::TraceSource>> sources_for(
 
 // A job's sources as the experiments consume them. A streamed job pulls
 // them lazily; a "stream": false job materializes each source once and
-// runs view sources over the resident traces. The word sequences are the
-// same either way, so only the stream_* metrics tell the modes apart.
-struct JobTraces {
-  std::vector<trace::Trace> resident;
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
-};
-
-JobTraces job_traces(std::vector<std::unique_ptr<trace::TraceSource>> sources,
-                     bool stream) {
-  JobTraces out;
-  if (!stream) {
-    for (const auto& s : sources) out.resident.push_back(trace::materialize(*s));
-    sources = trace::make_trace_view_sources(out.resident);
-  }
-  out.sources = std::move(sources);
-  return out;
+// serves the resident trace. The word sequences are the same either way,
+// so only the stream_* metrics tell the modes apart.
+std::vector<std::unique_ptr<trace::TraceSource>> job_sources(
+    std::vector<std::unique_ptr<trace::TraceSource>> sources, bool stream) {
+  if (!stream)
+    for (auto& s : sources) s = trace::make_trace_source(trace::materialize(*s));
+  return sources;
 }
 
 // Block accounting of a streamed job, surfaced next to the experiment
@@ -187,10 +178,22 @@ std::string corner_key(const tech::PvtCorner& corner) {
   return key;
 }
 
+// The closed-loop settings of a declarative job (threshold controller).
+sys::SystemRunConfig loop_config(const core::ScenarioSpec& spec, std::size_t cycles) {
+  sys::SystemRunConfig cfg;
+  cfg.controller = spec.controllers.at(0).threshold;
+  cfg.engine = spec.engine;
+  cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
+  cfg.lut_tolerance = spec.lut_tolerance;
+  cfg.arbitration = spec.arbitration;
+  cfg.drift = sys::schedule_from_spec(spec.drift, cycles);
+  return cfg;
+}
+
 void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
   const core::ControllerSpec& controller = spec.controllers.at(0);
-  const JobTraces traces = job_traces(sources_for(spec, ctx.cycles), spec.stream);
+  const auto sources = job_sources(sources_for(spec, ctx.cycles), spec.stream);
   core::StreamStats stream_stats;
 
   Table table({"Corner", "Trace", "Gain (%)", "Err (%)", "Avg V (mV)", "Floor (mV)"});
@@ -202,35 +205,24 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
     std::uint64_t env_updates = 0;
     switch (controller.kind) {
       case dvs::ControllerKind::threshold: {
-        if (spec.drift.enabled) {
-          // Drift rides on a 1-lane BusSystem; a zero-drift schedule is
-          // byte-identical to the plain drivers (tests/drift_test.cpp),
-          // so this branch only fires when the schedule actually moves.
-          sys::SystemRunConfig cfg;
-          cfg.controller = controller.threshold;
-          cfg.engine = spec.engine;
-          cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-          cfg.lut_tolerance = spec.lut_tolerance;
-          cfg.drift = sys::schedule_from_spec(spec.drift, ctx.cycles);
-          const sys::BusSystem one_lane({{&system, 1.0}});
-          for (const auto& source : traces.sources) {
-            std::vector<std::unique_ptr<trace::TraceSource>> one;
-            one.push_back(source->clone());
-            const sys::SystemRunReport rep =
-                one_lane.run_closed_loop_streamed(corner, one, cfg, {}, &stream_stats);
-            reports.push_back(rep.per_bus.front());
-            wall_tracking.push_back(rep.wall_tracking_error);
-            env_updates += rep.env_updates;
-          }
+        const sys::SystemRunConfig cfg = loop_config(spec, ctx.cycles);
+        if (!spec.drift.enabled) {
+          reports = core::run_closed_loop_suite_streamed(system, corner, sources,
+                                                         cfg, {}, &stream_stats);
           break;
         }
-        core::DvsRunConfig cfg;
-        cfg.controller = controller.threshold;
-        cfg.engine = spec.engine;
-        cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-        cfg.lut_tolerance = spec.lut_tolerance;
-        reports = core::run_closed_loop_suite_streamed(system, corner, traces.sources, cfg,
-                                                       {}, &stream_stats);
+        // Drift rides on a 1-lane BusSystem, which reports how the loop
+        // tracked the band and how often the corner moved.
+        const sys::BusSystem one_lane({{&system, 1.0}});
+        for (const auto& source : sources) {
+          std::vector<std::unique_ptr<trace::TraceSource>> one;
+          one.push_back(source->clone());
+          const sys::SystemRunReport rep =
+              one_lane.run_closed_loop_streamed(corner, one, cfg, {}, &stream_stats);
+          reports.push_back(rep.per_bus.front());
+          wall_tracking.push_back(rep.wall_tracking_error);
+          env_updates += rep.env_updates;
+        }
         break;
       }
       case dvs::ControllerKind::proportional: {
@@ -238,20 +230,20 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
         cfg.controller = controller.proportional;
         cfg.engine = spec.engine;
         cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-        for (const auto& source : traces.sources)
+        for (const auto& source : sources)
           reports.push_back(core::run_closed_loop_proportional_streamed(
               system, corner, *source, cfg, {}, &stream_stats));
         break;
       }
       case dvs::ControllerKind::fixed_vs:
-        reports = core::run_fixed_vs_suite_streamed(system, corner, traces.sources,
+        reports = core::run_fixed_vs_suite_streamed(system, corner, sources,
                                                     spec.engine, spec.timing_jitter_sigma,
                                                     {}, &stream_stats);
         break;
     }
-    for (std::size_t t = 0; t < traces.sources.size(); ++t) {
+    for (std::size_t t = 0; t < sources.size(); ++t) {
       const core::DvsRunReport& r = reports[t];
-      const std::string& trace_name = traces.sources[t]->name();
+      const std::string& trace_name = sources[t]->name();
       table.row()
           .add(corner.name())
           .add(trace_name)
@@ -293,20 +285,14 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
         {&system_for_job(lane_spec.width, spec.lut_tolerance), lane_spec.weight});
   const sys::BusSystem system(std::move(lanes));
 
-  sys::SystemRunConfig cfg;
-  cfg.controller = spec.controllers.at(0).threshold;
-  cfg.engine = spec.engine;
-  cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-  cfg.lut_tolerance = spec.lut_tolerance;
-  cfg.arbitration = spec.arbitration;
-  cfg.drift = sys::schedule_from_spec(spec.drift, ctx.cycles);
+  const sys::SystemRunConfig cfg = loop_config(spec, ctx.cycles);
 
   // Sources are cloned inside the run, so one set serves every corner.
   std::vector<std::unique_ptr<trace::TraceSource>> lane_sources;
   for (const auto& lane_spec : spec.buses)
     lane_sources.push_back(
         source_for_lane(lane_spec.trace, lane_spec.width, ctx.cycles, spec.bus_invert));
-  const JobTraces traces = job_traces(std::move(lane_sources), spec.stream);
+  const auto sources = job_sources(std::move(lane_sources), spec.stream);
   core::StreamStats stream_stats;
 
   Table table({"Corner", "Bus", "Gain (%)", "Err (%)", "Avg V (mV)", "Floor (mV)"});
@@ -314,7 +300,7 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
     std::fprintf(stderr, "[%zu-bus %s @ %s]\n", spec.buses.size(),
                  dvs::to_string(spec.arbitration).c_str(), corner.name().c_str());
     const sys::SystemRunReport report =
-        system.run_closed_loop_streamed(corner, traces.sources, cfg, {}, &stream_stats);
+        system.run_closed_loop_streamed(corner, sources, cfg, {}, &stream_stats);
     const std::string ckey = corner_key(corner);
     for (std::size_t b = 0; b < report.per_bus.size(); ++b) {
       const core::DvsRunReport& r = report.per_bus[b];
@@ -351,11 +337,10 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
 void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
   // A multi-trace sweep runs its traces back to back: their concatenation.
-  JobTraces traces = job_traces(sources_for(spec, ctx.cycles), spec.stream);
+  auto sources = job_sources(sources_for(spec, ctx.cycles), spec.stream);
   const std::unique_ptr<trace::TraceSource> source =
-      traces.sources.size() == 1
-          ? std::move(traces.sources.front())
-          : trace::concatenate_sources(std::move(traces.sources), "suite");
+      sources.size() == 1 ? std::move(sources.front())
+                          : trace::concatenate_sources(std::move(sources), "suite");
   core::StreamStats stream_stats;
 
   for (const auto& corner : spec.corners) {

@@ -1016,15 +1016,4 @@ std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design
   return multi_point_run(design, table, points, words.data(), words.size(), config);
 }
 
-std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design,
-                                           const lut::DelayEnergyTable& table,
-                                           const std::vector<OperatingPoint>& points,
-                                           trace::TraceSource& source,
-                                           const MultiPointConfig& config,
-                                           std::size_t block_cycles) {
-  MultiPointEngine engine(design, table, points, config);
-  engine.run(source, block_cycles);
-  return engine.all_totals();
-}
-
 }  // namespace razorbus::bus

@@ -430,10 +430,5 @@ std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design
                                            const std::vector<OperatingPoint>& points,
                                            const std::vector<BusWord>& words,
                                            const MultiPointConfig& config = {});
-std::vector<RunningTotals> multi_point_run(
-    const interconnect::BusDesign& design, const lut::DelayEnergyTable& table,
-    const std::vector<OperatingPoint>& points, trace::TraceSource& source,
-    const MultiPointConfig& config = {},
-    std::size_t block_cycles = trace::kDefaultBlockCycles);
 
 }  // namespace razorbus::bus

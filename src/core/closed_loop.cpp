@@ -67,7 +67,7 @@ double start_supply(const std::vector<LoopLane>& lanes, const LoopConfig& config
 }  // namespace
 
 ClosedLoop::ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& environment,
-                       LoopConfig config)
+                       LoopConfig config, const dvs::ProportionalConfig* proportional)
     : lanes_(std::move(lanes)),
       environment_(environment),
       current_(environment),
@@ -76,16 +76,12 @@ ClosedLoop::ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& envir
       regulator_(start_supply(lanes_, config_), floor_,
                  lanes_.front().system->design().node.vdd_nominal,
                  config_.regulator_delay_cycles),
-      threshold_(config_.threshold),
-      proportional_(config_.proportional) {
-  const bool proportional = config_.controller == dvs::ControllerKind::proportional;
-  if (!proportional && config_.controller != dvs::ControllerKind::threshold)
-    throw std::invalid_argument("closed loop: fixed_vs is not a control loop");
-  window_ = proportional ? config_.proportional.window_cycles
-                         : config_.threshold.window_cycles;
-  band_mid_ = proportional
-                  ? config_.proportional.target_error_rate
-                  : 0.5 * (config_.threshold.low_threshold + config_.threshold.high_threshold);
+      threshold_(config_.controller) {
+  if (proportional != nullptr) proportional_.emplace(*proportional);
+  window_ = proportional ? proportional->window_cycles : config_.controller.window_cycles;
+  band_mid_ = proportional ? proportional->target_error_rate
+                           : 0.5 * (config_.controller.low_threshold +
+                                    config_.controller.high_threshold);
   remaining_window_ = window_;
   window_errors_.assign(lanes_.size(), 0);
 
@@ -111,16 +107,17 @@ std::vector<DvsRunReport> ClosedLoop::run(
                                 " traces");
   for (std::size_t l = 0; l < n_lanes; ++l) check_width(*lanes_[l].system, *sources[l]);
 
-  std::vector<StreamCursor> cursors;
   std::vector<bus::RunningTotals> before;
   baselines_.clear();
   for (std::size_t l = 0; l < n_lanes; ++l) {
-    cursors.emplace_back(*sources[l], stream.block_cycles);
     before.push_back(sims_[l].totals());
     if (baselines != nullptr) continue;
     baselines_.push_back(make_baseline_sim(*lanes_[l].system, environment_));
     if (!(current_ == environment_)) baselines_.back().set_environment(current_);
   }
+  std::vector<StreamCursor> cursors;
+  for (const trace::TraceSource* source : sources)
+    cursors.emplace_back(*source, stream.block_cycles);
 
   double supply_sum = 0.0;
   std::uint64_t leg_cycles = 0;
@@ -186,15 +183,15 @@ void ClosedLoop::close_window() {
       dvs::fuse_window_errors(config_.arbitration, window_errors_, weights_);
   double delta = 0.0;
   double rate = 0.0;
-  if (config_.controller == dvs::ControllerKind::proportional) {
-    delta = proportional_.observe_segment(window_, fused);
-    rate = proportional_.last_window_error_rate();
+  if (proportional_) {
+    delta = proportional_->observe_segment(window_, fused);
+    rate = proportional_->last_window_error_rate();
   } else {
     const dvs::VoltageDecision decision = threshold_.observe_segment(window_, fused);
     if (decision == dvs::VoltageDecision::step_down)
-      delta = -config_.threshold.voltage_step;
+      delta = -config_.controller.voltage_step;
     else if (decision == dvs::VoltageDecision::step_up)
-      delta = +config_.threshold.voltage_step;
+      delta = +config_.controller.voltage_step;
     rate = threshold_.last_window_error_rate();
   }
   // razorlint: allow(float-eq): the controllers return literal 0.0 for "no

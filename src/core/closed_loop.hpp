@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bus/simulator.hpp"
@@ -90,17 +91,9 @@ struct LoopLane {
   double weight = 1.0;
 };
 
-struct LoopConfig {
-  // The window-count policy: threshold (`threshold` config) or
-  // proportional (`proportional` config). fixed_vs is not a loop.
-  dvs::ControllerKind controller = dvs::ControllerKind::threshold;
-  dvs::ControllerConfig threshold{};
-  dvs::ProportionalConfig proportional{};
-  std::uint64_t regulator_delay_cycles = 3000;
-  double start_supply = 0.0;  // 0 = nominal
-  double timing_jitter_sigma = 0.0;
-  bool record_series = false;
-  bus::EngineMode engine = bus::EngineMode::bit_parallel;
+// A single-bus run's settings plus the system knobs (sys::SystemRunConfig
+// is this struct).
+struct LoopConfig : DvsRunConfig {
   dvs::ArbitrationPolicy arbitration = dvs::ArbitrationPolicy::max_error;
   // Disabled (the default) = the static corner, on the exact static code
   // path. Enabled: the corner is re-derived at every window boundary and
@@ -111,9 +104,11 @@ struct LoopConfig {
 class ClosedLoop {
  public:
   // Lanes must be non-empty, non-null and share one nominal supply (the
-  // caller validates; sys::BusSystem does for its users).
+  // caller validates; sys::BusSystem does for its users). The window-count
+  // policy is the threshold controller of `config.controller`, or the
+  // proportional controller when `proportional` is given.
   ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& environment,
-             LoopConfig config);
+             LoopConfig config, const dvs::ProportionalConfig* proportional = nullptr);
 
   // One leg: lane l drains a clone of sources[l], all lanes in lockstep,
   // until the first source ends. Controller, regulator, drift and DVS
@@ -152,7 +147,7 @@ class ClosedLoop {
   std::vector<bus::BusSimulator> baselines_;  // this leg's lockstep baselines
   dvs::VoltageRegulator regulator_;
   dvs::ThresholdController threshold_;
-  dvs::ProportionalController proportional_;
+  std::optional<dvs::ProportionalController> proportional_;
   std::uint64_t window_;
   double band_mid_;
   std::uint64_t remaining_window_;

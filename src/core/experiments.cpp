@@ -19,36 +19,18 @@ lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base) {
 
 namespace {
 
-LoopConfig loop_config(const DvsRunConfig& config) {
-  LoopConfig loop;
-  loop.threshold = config.controller;
-  loop.regulator_delay_cycles = config.regulator_delay_cycles;
-  loop.start_supply = config.start_supply;
-  loop.timing_jitter_sigma = config.timing_jitter_sigma;
-  loop.record_series = config.record_series;
-  loop.engine = config.engine;
-  return loop;
-}
-
-LoopConfig loop_config(const ProportionalRunConfig& config) {
-  LoopConfig loop;
-  loop.controller = dvs::ControllerKind::proportional;
-  loop.proportional = config.controller;
-  loop.regulator_delay_cycles = config.regulator_delay_cycles;
-  loop.start_supply = config.start_supply;
-  loop.timing_jitter_sigma = config.timing_jitter_sigma;
-  loop.engine = config.engine;
-  return loop;
-}
-
-// One closed-loop run of one source on one bus. `baseline`, when given,
-// replaces the lockstep nominal baseline (the batched PVT path).
+// One closed-loop run of one source on one bus, under the threshold
+// controller or, when given, the `proportional` one. `baseline`, when
+// given, replaces the lockstep nominal baseline (the batched PVT path).
 DvsRunReport closed_loop_once(const DvsBusSystem& system,
                               const tech::PvtCorner& environment,
-                              const trace::TraceSource& source, const LoopConfig& config,
+                              const trace::TraceSource& source, const DvsRunConfig& config,
                               const StreamConfig& stream, StreamStats* stats,
+                              const dvs::ProportionalConfig* proportional = nullptr,
                               const double* baseline = nullptr) {
-  ClosedLoop loop({{&system}}, environment, config);
+  LoopConfig loop_config;
+  static_cast<DvsRunConfig&>(loop_config) = config;
+  ClosedLoop loop({{&system}}, environment, loop_config, proportional);
   DvsRunReport report = std::move(loop.run({&source}, stream, stats, baseline).front());
   report.series = loop.take_series();
   return report;
@@ -237,7 +219,9 @@ ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
     const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats) {
-  ClosedLoop loop({{&system}}, environment, loop_config(config));
+  LoopConfig loop_config;
+  static_cast<DvsRunConfig&>(loop_config) = config;
+  ClosedLoop loop({{&system}}, environment, loop_config);
   ConsecutiveRunReport report;
   for (const auto& source : sources)
     report.per_trace.push_back(std::move(loop.run({source.get()}, stream, stats).front()));
@@ -250,7 +234,7 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const trace::TraceSource& source,
                                       const DvsRunConfig& config,
                                       const StreamConfig& stream, StreamStats* stats) {
-  return closed_loop_once(system, environment, source, loop_config(config), stream, stats);
+  return closed_loop_once(system, environment, source, config, stream, stats);
 }
 
 DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
@@ -259,7 +243,13 @@ DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
                                                    const ProportionalRunConfig& config,
                                                    const StreamConfig& stream,
                                                    StreamStats* stats) {
-  return closed_loop_once(system, environment, source, loop_config(config), stream, stats);
+  DvsRunConfig run;
+  run.regulator_delay_cycles = config.regulator_delay_cycles;
+  run.start_supply = config.start_supply;
+  run.timing_jitter_sigma = config.timing_jitter_sigma;
+  run.engine = config.engine;
+  return closed_loop_once(system, environment, source, run, stream, stats,
+                          &config.controller);
 }
 
 DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
@@ -347,12 +337,12 @@ PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
     for (std::size_t s = 0; s < n; ++s) baselines.push_back(engine.totals(s).bus_energy);
   }
 
-  const LoopConfig loop = loop_config(config.run);
   PvtSampleResult out;
   out.samples = map_shards(n, stats, [&](std::size_t s, StreamStats* shard) {
     PvtSample sample;
     sample.corner = corners[s];
-    sample.report = closed_loop_once(system, sample.corner, source, loop, stream, shard,
+    sample.report = closed_loop_once(system, sample.corner, source, config.run, stream,
+                                     shard, nullptr,
                                      baselines.empty() ? nullptr : &baselines[s]);
     return sample;
   });

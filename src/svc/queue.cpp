@@ -31,6 +31,16 @@ bool pid_alive(long long pid) {
   return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
 }
 
+// Is the claim at `path` abandoned? Its pid is dead, or its body cannot be
+// read (a torn claim left by a crash, or one released a moment ago).
+bool claim_is_stale(const std::string& path) {
+  try {
+    return !pid_alive(Json::parse_file(path).at("pid").as_int());
+  } catch (const std::exception&) {
+    return true;
+  }
+}
+
 }  // namespace
 
 Json QueueJob::to_json() const {
@@ -122,20 +132,6 @@ std::optional<QueueJob> JobQueue::claim(const std::string& worker_id) {
   }
   return std::nullopt;
 }
-
-namespace {
-
-// Is the claim at `path` abandoned? Its pid is dead, or its body cannot be
-// read (a torn claim left by a crash, or one released a moment ago).
-bool claim_is_stale(const std::string& path) {
-  try {
-    return !pid_alive(Json::parse_file(path).at("pid").as_int());
-  } catch (const std::exception&) {
-    return true;
-  }
-}
-
-}  // namespace
 
 bool JobQueue::steal_stale_claim(const std::string& claim_path) const {
   if (!claim_is_stale(claim_path)) return false;

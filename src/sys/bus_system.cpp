@@ -33,16 +33,7 @@ SystemRunReport BusSystem::run_closed_loop_streamed(
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
     const SystemRunConfig& config, const core::StreamConfig& stream,
     core::StreamStats* stats) const {
-  core::LoopConfig loop_config;
-  loop_config.threshold = config.controller;
-  loop_config.regulator_delay_cycles = config.regulator_delay_cycles;
-  loop_config.start_supply = config.start_supply;
-  loop_config.timing_jitter_sigma = config.timing_jitter_sigma;
-  loop_config.record_series = config.record_series;
-  loop_config.engine = config.engine;
-  loop_config.arbitration = config.arbitration;
-  loop_config.drift = config.drift;
-  core::ClosedLoop loop(lanes_, environment, std::move(loop_config));
+  core::ClosedLoop loop(lanes_, environment, config);
 
   std::vector<const trace::TraceSource*> lane_sources;
   for (const auto& source : sources) lane_sources.push_back(source.get());

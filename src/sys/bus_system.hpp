@@ -54,19 +54,9 @@ namespace razorbus::sys {
 // BusSystem; `weight` is read by the `weighted` arbitration policy.
 using BusLane = core::LoopLane;
 
-// Mirrors core::DvsRunConfig field-for-field (so a single-bus config maps
-// 1:1 onto the N=1 parity case), plus the system-level knobs.
-struct SystemRunConfig {
-  dvs::ControllerConfig controller{};
-  std::uint64_t regulator_delay_cycles = 3000;  // 2 us at 1.5 GHz
-  double start_supply = 0.0;                    // 0 = nominal
-  double timing_jitter_sigma = 0.0;
-  bool record_series = false;
-  bus::EngineMode engine = bus::EngineMode::bit_parallel;
-  double lut_tolerance = 0.0;  // provenance, as core::DvsRunConfig
-  dvs::ArbitrationPolicy arbitration = dvs::ArbitrationPolicy::max_error;
-  drift::Schedule drift{};  // default-constructed = disabled
-};
+// A core::DvsRunConfig (so a single-bus config maps 1:1 onto the N=1
+// parity case) plus the system knobs `arbitration` and `drift`.
+using SystemRunConfig = core::LoopConfig;
 
 struct SystemRunReport {
   // Per-lane reports in lane order. At N=1, per_bus[0] is bit-identical
