@@ -82,8 +82,8 @@ const core::DvsBusSystem& system_for_job(int width, double lut_tolerance) {
 
 // One mini-CPU benchmark's load stream at `width` wires: 32-bit loads,
 // packed into flits of consecutive words on wider buses.
-std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench, int width,
-                                                     std::size_t cycles) {
+std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench,
+                                                     int width, std::size_t cycles) {
   if (width % 32 != 0)
     throw std::invalid_argument("benchmark traces require a width that is a "
                                 "multiple of 32, got " +
@@ -346,7 +346,8 @@ void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) 
   for (const auto& corner : spec.corners) {
     std::fprintf(stderr, "[sweeping %s]\n", corner.name().c_str());
     const core::StaticSweepResult sweep = core::static_voltage_sweep_streamed(
-        system, corner, *source, spec.timing_jitter_sigma, spec.engine, {}, &stream_stats);
+        system, corner, *source, spec.timing_jitter_sigma, spec.engine, {},
+        &stream_stats);
     Table table({"Supply (mV)", "Error Rate (%)", "Bus Energy (norm)",
                  "Bus+Recovery (norm)"});
     for (auto it = sweep.points.rbegin(); it != sweep.points.rend(); ++it) {

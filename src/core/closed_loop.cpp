@@ -52,7 +52,8 @@ bus::BusSimulator make_baseline_sim(const DvsBusSystem& system,
 
 namespace {
 
-double loop_floor(const std::vector<LoopLane>& lanes, const tech::PvtCorner& environment) {
+double loop_floor(const std::vector<LoopLane>& lanes,
+                  const tech::PvtCorner& environment) {
   double floor = 0.0;
   for (const LoopLane& lane : lanes)
     floor = std::max(floor, lane.system->dvs_floor(environment.process));

@@ -1,6 +1,8 @@
 #include "core/experiments.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 #include "core/closed_loop.hpp"
 #include "util/parallel.hpp"
@@ -24,13 +26,14 @@ namespace {
 // given, replaces the lockstep nominal baseline (the batched PVT path).
 DvsRunReport closed_loop_once(const DvsBusSystem& system,
                               const tech::PvtCorner& environment,
-                              const trace::TraceSource& source, const DvsRunConfig& config,
-                              const StreamConfig& stream, StreamStats* stats,
+                              const trace::TraceSource& source,
+                              const DvsRunConfig& config, const StreamConfig& stream,
+                              StreamStats* stats,
                               const dvs::ProportionalConfig* proportional = nullptr,
                               const double* baseline = nullptr) {
   LoopConfig loop_config;
   static_cast<DvsRunConfig&>(loop_config) = config;
-  ClosedLoop loop({{&system}}, environment, loop_config, proportional);
+  ClosedLoop loop({{&system}}, environment, std::move(loop_config), proportional);
   DvsRunReport report = std::move(loop.run({&source}, stream, stats, baseline).front());
   report.series = loop.take_series();
   return report;
@@ -148,7 +151,7 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
     // jitter Rng is seeded per shard exactly as a sequential loop would
     // seed it per supply) and its own clone of the stream, so total trace
     // memory is block_cycles x live shards.
-    result.points = map_shards(supplies.size(), stats, [&](std::size_t s, StreamStats* shard) {
+    const auto run_supply = [&](std::size_t s, StreamStats* shard) {
       bus::BusSimulator sim = system.make_simulator(environment);
       sim.set_engine_mode(engine);
       if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
@@ -157,7 +160,8 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
       cursor.drain([&](const BusWord* words, std::size_t n) { sim.run(words, n); });
       cursor.account(shard);
       return sweep_point(supplies[s], sim.totals());
-    });
+    };
+    result.points = map_shards(supplies.size(), stats, run_supply);
   }
 
   result.baseline_bus_energy = result.points.back().bus_energy;  // nominal supply
@@ -221,10 +225,10 @@ ConsecutiveRunReport run_consecutive_streamed(
     const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats) {
   LoopConfig loop_config;
   static_cast<DvsRunConfig&>(loop_config) = config;
-  ClosedLoop loop({{&system}}, environment, loop_config);
+  ClosedLoop loop({{&system}}, environment, std::move(loop_config));
   ConsecutiveRunReport report;
   for (const auto& source : sources)
-    report.per_trace.push_back(std::move(loop.run({source.get()}, stream, stats).front()));
+    report.per_trace.push_back(loop.run({source.get()}, stream, stats).front());
   report.series = loop.take_series();
   return report;
 }

@@ -193,8 +193,8 @@ inline DvsRunReport run_closed_loop(const DvsBusSystem& system,
                                     const tech::PvtCorner& environment,
                                     const trace::Trace& trace,
                                     const DvsRunConfig& config = {}) {
-  return run_closed_loop_streamed(system, environment, *trace::make_trace_view_source(trace),
-                                  config);
+  return run_closed_loop_streamed(system, environment,
+                                  *trace::make_trace_view_source(trace), config);
 }
 
 // Fixed-VS baseline: run the trace at the fixed-VS supply for the corner's
@@ -235,10 +235,9 @@ DvsRunReport run_closed_loop_proportional_streamed(
     const trace::TraceSource& source, const ProportionalRunConfig& config = {},
     const StreamConfig& stream = {}, StreamStats* stats = nullptr);
 
-inline DvsRunReport run_closed_loop_proportional(const DvsBusSystem& system,
-                                                 const tech::PvtCorner& environment,
-                                                 const trace::Trace& trace,
-                                                 const ProportionalRunConfig& config = {}) {
+inline DvsRunReport run_closed_loop_proportional(
+    const DvsBusSystem& system, const tech::PvtCorner& environment,
+    const trace::Trace& trace, const ProportionalRunConfig& config = {}) {
   return run_closed_loop_proportional_streamed(
       system, environment, *trace::make_trace_view_source(trace), config);
 }
@@ -265,8 +264,8 @@ inline ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
                                             const tech::PvtCorner& environment,
                                             const std::vector<trace::Trace>& traces,
                                             const DvsRunConfig& config = {}) {
-  return run_consecutive_streamed(system, environment, trace::make_trace_view_sources(traces),
-                                  config);
+  return run_consecutive_streamed(system, environment,
+                                  trace::make_trace_view_sources(traces), config);
 }
 
 // Independent closed-loop / fixed-VS runs over a trace suite (Table 1 runs

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -85,7 +84,7 @@ bool create_file_exclusive(const std::string& path, const std::string& content) 
   std::filesystem::remove(tmp_path, ignore);
   if (!created && err != EEXIST)
     throw std::runtime_error("cannot link " + tmp_path + " -> " + path + ": " +
-                             std::strerror(err));
+                             std::error_code(err, std::generic_category()).message());
   return created;
 }
 

@@ -140,8 +140,8 @@ bool JobQueue::steal_stale_claim(const std::string& claim_path) const {
   // place. Stealers therefore serialise on an flock(2) of claims/.steal —
   // which the kernel drops if the holder dies — re-read the claim under it,
   // and rename it to a unique tombstone only while it is still stale.
-  const int lock =
-      ::open((fs::path(claims_dir_) / ".steal").c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  const std::string lock_path = (fs::path(claims_dir_) / ".steal").string();
+  const int lock = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
   if (lock < 0) return false;
   bool stolen = false;
   if (::flock(lock, LOCK_EX) == 0 && claim_is_stale(claim_path)) {

@@ -251,7 +251,8 @@ TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
   const std::uint64_t window = 4000;
   const std::uint64_t delay = 1500;  // lands mid-window on purpose
 
-  for (const auto kind : {dvs::ControllerKind::threshold, dvs::ControllerKind::proportional}) {
+  for (const auto kind :
+       {dvs::ControllerKind::threshold, dvs::ControllerKind::proportional}) {
     SCOPED_TRACE(dvs::to_string(kind));
     const bool threshold = kind == dvs::ControllerKind::threshold;
     core::DvsRunConfig run_cfg;
@@ -292,7 +293,8 @@ TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
           delta = +run_cfg.controller.voltage_step;
         if (controller.windows_completed() != prev_windows) {
           prev_windows = controller.windows_completed();
-          series.push_back({cycle + 1, sim.supply(), controller.last_window_error_rate()});
+          series.push_back(
+              {cycle + 1, sim.supply(), controller.last_window_error_rate()});
         }
       } else {
         delta = proportional.observe_cycle(r.error);
