@@ -41,9 +41,7 @@
 #include "core/closed_loop.hpp"
 #include "core/experiments.hpp"
 #include "core/scenario_spec.hpp"
-#include "core/system.hpp"
 #include "drift/schedule.hpp"
-#include "dvs/arbitration.hpp"
 #include "tech/corner.hpp"
 #include "trace/source.hpp"
 #include "trace/trace.hpp"
