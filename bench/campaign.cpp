@@ -81,7 +81,8 @@ const core::DvsBusSystem& system_for_job(int width, double lut_tolerance) {
 }
 
 // One mini-CPU benchmark's load stream at `width` wires: 32-bit loads,
-// packed into flits of consecutive words on wider buses.
+// packed into flits of consecutive words on wider buses (the README
+// "memory bus" recipe).
 std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench,
                                                      int width, std::size_t cycles) {
   if (width % 32 != 0)
@@ -95,9 +96,8 @@ std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench
 }
 
 // One trace source at `width` wires: a synthetic stream, one mini-CPU
-// benchmark (32-bit loads packed into flits on wider buses, the README
-// "memory bus" recipe) or a trace file, optionally bus-invert coded.
-// Suite specs name no single benchmark and are expanded by sources_for.
+// benchmark or a trace file, optionally bus-invert coded. Suite specs
+// name no single benchmark and are expanded by sources_for.
 std::unique_ptr<trace::TraceSource> source_for_lane(const core::TraceSpec& spec,
                                                     int width, std::size_t cycles,
                                                     bool bus_invert) {
