@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "util/bits.hpp"
 #include "util/simd.hpp"
 #include "util/units.hpp"
 
@@ -30,7 +29,7 @@ razor::FlopTiming make_timing(const interconnect::BusDesign& design) {
 // Branch order mirrors DoubleSamplingFlop::clock exactly; keeping the
 // comparison chain identical across every engine is what makes them all
 // bit-compatible.
-detail::Verdict classify_arrival_for(const razor::FlopTiming& timing, double arrival) {
+detail::Verdict classify_arrival(const razor::FlopTiming& timing, double arrival) {
   using detail::Verdict;
   if (arrival <= 0.0) return Verdict::held;
   if (timing.min_path_limit > 0.0 && arrival < timing.min_path_limit)
@@ -40,28 +39,47 @@ detail::Verdict classify_arrival_for(const razor::FlopTiming& timing, double arr
   return Verdict::shadow_failed;
 }
 
-// One (prev, cur) combination of one shield group at one operating point:
-// the per-bit chain in ascending bit order — the exact operation sequence
-// every engine uses for this group's energy sub-sum — plus the zero-jitter
-// wire verdicts folded into error/shadow masks. `any_held` flags the
-// arrival <= 0 case the toggle-update table path cannot express. Shared by
-// the single-point and multi-point table builders so their tables agree
-// bit for bit by construction.
-struct ComboCell {
-  double energy = 0.0;
-  double worst = 0.0;
-  std::uint8_t error_mask = 0;
-  std::uint8_t shadow_mask = 0;
-  bool any_held = false;
-};
+// Folds one capture verdict over `wires` into `out`: a wire that captured
+// updates its receiver line, and a corrected or failed capture also flags
+// its mask. A held wire keeps its old value.
+void apply_verdict(detail::Verdict verdict, const BusWord& wires,
+                   detail::CycleOutcome& out) {
+  switch (verdict) {
+    case detail::Verdict::held:
+      return;
+    case detail::Verdict::clean:
+      break;
+    case detail::Verdict::corrected:
+      out.error_mask |= wires;
+      break;
+    case detail::Verdict::shadow_failed:
+      out.shadow_mask |= wires;
+      break;
+  }
+  out.line_update |= wires;
+}
 
-ComboCell compute_combo(int w, std::uint32_t pm, std::uint32_t cm,
-                        const double* scaled_energy, const double* class_delay,
-                        const detail::Verdict* class_verdict) {
-  using detail::Verdict;
+// Row of group `g`'s (prev, cur) combination in the combo tables (inline: the
+// kernels call it once per group per cycle).
+inline std::size_t combo_index(const detail::WireGroup& g, const BusWord& prev,
+                               const BusWord& word) {
+  const std::uint64_t pm = prev.extract(g.start, g.width);
+  const std::uint64_t cm = word.extract(g.start, g.width);
+  return g.table_offset + static_cast<std::size_t>((pm << g.width) | cm);
+}
+
+// One (prev, cur) combination of a `w`-wide shield group at one operating
+// point: the per-bit chain in ascending bit order — the exact operation
+// sequence every kernel uses for this group's energy sub-sum — plus the
+// zero-jitter wire verdicts folded into error/shadow masks (bits 0..w-1).
+// A switching victim toggles by definition, so at zero jitter (line ==
+// prev) the wire is active and the class verdict is the wire verdict.
+// `any_held` flags the arrival <= 0 case the table kernel cannot express.
+detail::CycleOutcome combo_cell(int w, std::uint32_t pm, std::uint32_t cm,
+                                const double* scaled_energy, const double* class_delay,
+                                const detail::Verdict* class_verdict, bool& any_held) {
   using lut::NeighborActivity;
-  using lut::PatternClass;
-  ComboCell cell;
+  detail::CycleOutcome cell;
   for (int b = 0; b < w; ++b) {
     const auto victim = lut::classify_victim((pm >> b) & 1u, (cm >> b) & 1u);
     const NeighborActivity left =
@@ -70,27 +88,13 @@ ComboCell compute_combo(int w, std::uint32_t pm, std::uint32_t cm,
     const NeighborActivity right =
         b == w - 1 ? NeighborActivity::shield
                    : lut::classify_neighbor((pm >> (b + 1)) & 1u, (cm >> (b + 1)) & 1u);
-    const int cls = PatternClass::encode(victim, left, right);
-    cell.energy += scaled_energy[cls];
+    const int cls = lut::PatternClass::encode(victim, left, right);
+    cell.dynamic_energy += scaled_energy[cls];
     const double d = class_delay[cls];
     if (std::isnan(d)) continue;
-    if (d > cell.worst) cell.worst = d;
-    // A switching victim toggles by definition, so at zero jitter
-    // (line == prev) the wire is active and the class verdict is the
-    // wire verdict.
-    switch (class_verdict[cls]) {
-      case Verdict::held:
-        cell.any_held = true;
-        break;
-      case Verdict::clean:
-        break;
-      case Verdict::corrected:
-        cell.error_mask |= static_cast<std::uint8_t>(1u << b);
-        break;
-      case Verdict::shadow_failed:
-        cell.shadow_mask |= static_cast<std::uint8_t>(1u << b);
-        break;
-    }
+    if (d > cell.worst_delay) cell.worst_delay = d;
+    if (class_verdict[cls] == detail::Verdict::held) any_held = true;
+    apply_verdict(class_verdict[cls], BusWord(1) << b, cell);
   }
   return cell;
 }
@@ -132,35 +136,195 @@ GroupLayout GroupLayout::build(const interconnect::BusDesign& design) {
   return layout;
 }
 
+PointTables::PointTables(const GroupLayout& layout, std::size_t n_points,
+                         std::size_t row_stride)
+    : stride(row_stride),
+      leak(row_stride, 0.0),
+      scaled_energy(n_points * lut::PatternClass::kCount, 0.0),
+      class_delay(n_points * lut::PatternClass::kCount, 0.0),
+      class_verdict(n_points * lut::PatternClass::kCount, Verdict::held),
+      combo_ok(n_points, 1) {
+  if (!layout.tabulatable) return;
+  combo_energy.assign(layout.total_combos * stride, 0.0);
+  combo_worst.assign(layout.total_combos * stride, 0.0);
+  combo_error.assign(layout.total_combos * stride, 0);
+  combo_shadow.assign(layout.total_combos * stride, 0);
+}
+
+CycleRule::CycleRule(const interconnect::BusDesign& design,
+                     const lut::DelayEnergyTable& table)
+    : design_(design),
+      table_(table),
+      leakage_(design.node),
+      classifier_(design),
+      timing_(make_timing(design)) {
+  design_.validate();
+  if (design_.repeater_size <= 0.0)
+    throw std::invalid_argument("bus simulator: repeaters not sized");
+  layout_ = GroupLayout::build(design_);
+}
+
+void CycleRule::build_point(PointTables& t, std::size_t p,
+                            const OperatingPoint& point) const {
+  if (point.supply <= 0.0)
+    throw std::invalid_argument("bus simulator: non-positive supply");
+  const tech::PvtCorner& env = point.environment;
+  const double v_eff = env.effective_supply(point.supply);
+  const lut::TableSlice slice = table_.slice(env.process, env.temp_c, v_eff);
+  // The tables are characterised at the drooped driver voltage; the charge
+  // is still drawn from the un-drooped supply rail.
+  const double energy_scale = point.supply / v_eff;
+
+  const double n_drivers =
+      static_cast<double>(design_.n_bits) * static_cast<double>(design_.n_segments);
+  const double leak_current =
+      leakage_.current(design_.repeater_size, env.process, env.temp_c, v_eff);
+  t.leak[p] = n_drivers * leak_current * point.supply * design_.clock_period();
+
+  // Per-class precomputation: all wires of a class share one delay, so the
+  // capture verdict (at zero jitter) and the rail-scaled energy are
+  // functions of the operating point alone.
+  double* se = &t.scaled_energy[p * lut::PatternClass::kCount];
+  double* cd = &t.class_delay[p * lut::PatternClass::kCount];
+  Verdict* cv = &t.class_verdict[p * lut::PatternClass::kCount];
+  for (int cls = 0; cls < lut::PatternClass::kCount; ++cls) {
+    se[cls] = slice.energy[cls] * energy_scale;
+    cd[cls] = slice.delay[cls];
+    cv[cls] = std::isnan(cd[cls]) ? Verdict::held : classify_arrival(timing_, cd[cls]);
+  }
+
+  // Combo rows: one block per distinct group width, written at
+  // combo * stride + p.
+  if (!layout_.tabulatable) return;
+  bool any_held = false;
+  bool built[GroupLayout::kMaxTableWidth + 1] = {};
+  for (const auto& g : layout_.groups) {
+    if (built[g.width]) continue;
+    built[g.width] = true;
+    const int w = g.width;
+    const std::uint32_t combos = 1u << w;
+    for (std::uint32_t pm = 0; pm < combos; ++pm) {
+      for (std::uint32_t cm = 0; cm < combos; ++cm) {
+        const CycleOutcome cell = combo_cell(w, pm, cm, se, cd, cv, any_held);
+        const std::size_t at =
+            (g.table_offset + static_cast<std::size_t>((pm << w) | cm)) * t.stride + p;
+        t.combo_energy[at] = cell.dynamic_energy;
+        t.combo_worst[at] = cell.worst_delay;
+        t.combo_error[at] = static_cast<std::uint8_t>(cell.error_mask.extract(0, w));
+        t.combo_shadow[at] = static_cast<std::uint8_t>(cell.shadow_mask.extract(0, w));
+      }
+    }
+  }
+  // A held verdict in any reachable combo means a wire would silently keep
+  // its old value, which the toggle-update table kernel cannot express.
+  t.combo_ok[p] = any_held ? 0 : 1;
+}
+
+CycleOutcome CycleRule::evaluate(const PointTables& t, std::size_t p,
+                                 CyclePattern& pattern, const BusWord& line,
+                                 double jitter) const {
+  if (!layout_.tabulatable) return general_kernel(t, p, pattern, line, jitter);
+  const bool in_sync = ((line ^ pattern.prev()) & classifier_.bits_mask()).none();
+  // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
+  // the combo-table path is only valid for that exact case (DESIGN.md §5).
+  if (jitter == 0.0 && in_sync && t.combo_ok[p])
+    return table_kernel(t, p, pattern.prev(), pattern.word());
+  return jitter_kernel(t, p, pattern, line, jitter);
+}
+
+CycleOutcome CycleRule::table_kernel(const PointTables& t, std::size_t p,
+                                     const BusWord& prev, const BusWord& word) const {
+  // Every toggling wire captures (cleanly or not), so the line update is
+  // simply the toggle mask.
+  CycleOutcome out;
+  for (const auto& g : layout_.groups) {
+    const std::size_t at = combo_index(g, prev, word) * t.stride + p;
+    out.dynamic_energy += t.combo_energy[at];
+    out.worst_delay = std::max(out.worst_delay, t.combo_worst[at]);
+    out.error_mask |= BusWord(t.combo_error[at]) << g.start;
+    out.shadow_mask |= BusWord(t.combo_shadow[at]) << g.start;
+  }
+  out.line_update = (prev ^ word) & classifier_.bits_mask();
+  return out;
+}
+
+CycleOutcome CycleRule::jitter_kernel(const PointTables& t, std::size_t p,
+                                      CyclePattern& pattern, const BusWord& line,
+                                      double jitter) const {
+  CycleOutcome out;
+  // Energy and the per-group sub-sum order are jitter-independent: reuse
+  // the combo tables.
+  for (const auto& g : layout_.groups)
+    out.dynamic_energy +=
+        t.combo_energy[combo_index(g, pattern.prev(), pattern.word()) * t.stride + p];
+
+  // Verdicts shift with the common-mode jitter: re-derive them per present
+  // switching class (all wires of a class share one arrival), comparing
+  // arrival = delay + jitter with exactly the flop's comparison chain.
+  const double* delay = &t.class_delay[p * lut::PatternClass::kCount];
+  const ClassMaskSet& s = pattern.masks();
+  const BusWord flop_toggle = pattern.word() ^ line;
+  for (int v = 0; v < 2; ++v) {  // rise, fall: the switching victims
+    const BusWord vm = s.victim[v];
+    if (!vm.any()) continue;
+    for (int l = 0; l < 4; ++l) {
+      const BusWord vl = vm & s.left[l];
+      if (!vl.any()) continue;
+      for (int r = 0; r < 4; ++r) {
+        const BusWord mask = vl & s.right[r];
+        if (!mask.any()) continue;
+        const double arrival = delay[(v << 4) | (l << 2) | r] + jitter;
+        if (arrival > out.worst_delay) out.worst_delay = arrival;
+        const BusWord active = mask & flop_toggle;
+        if (active.any()) apply_verdict(classify_arrival(timing_, arrival), active, out);
+      }
+    }
+  }
+  return out;
+}
+
+CycleOutcome CycleRule::general_kernel(const PointTables& t, std::size_t p,
+                                       CyclePattern& pattern, const BusWord& line,
+                                       double jitter) const {
+  // Classify every wire, keep the group-wise energy accounting, and apply
+  // the class verdict per wire.
+  CycleOutcome out;
+  const int* classes = pattern.classes();
+  const double* energy = &t.scaled_energy[p * lut::PatternClass::kCount];
+  const double* delay = &t.class_delay[p * lut::PatternClass::kCount];
+  const BusWord flop_toggle = pattern.word() ^ line;
+  for (const auto& g : layout_.groups) {
+    double sub = 0.0;
+    for (int bit = g.start; bit < g.start + g.width; ++bit) {
+      const int cls = classes[bit];
+      sub += energy[cls];
+      const double d = delay[cls];
+      if (std::isnan(d)) continue;
+      const double arrival = d + jitter;
+      if (arrival > out.worst_delay) out.worst_delay = arrival;
+      if (flop_toggle.test(bit))
+        apply_verdict(classify_arrival(timing_, arrival), BusWord(1) << bit, out);
+    }
+    out.dynamic_energy += sub;
+  }
+  return out;
+}
+
 }  // namespace detail
 
 BusSimulator::BusSimulator(const interconnect::BusDesign& design,
                            const lut::DelayEnergyTable& table,
                            tech::PvtCorner environment,
                            razor::RecoveryCostModel recovery)
-    : design_(design),
-      table_(table),
+    : rule_(design, table),
       environment_(environment),
-      recovery_(recovery),
-      leakage_(design.node),
-      classifier_(design),
-      bank_(design.n_bits, make_timing(design)),
-      timing_(make_timing(design)),
+      bank_(design.n_bits, rule_.timing()),
+      tables_(rule_.layout(), 1, 1),
+      cycle_overhead_(recovery.cycle_overhead(design.n_bits)),
+      error_overhead_(recovery.error_overhead(design.n_bits)),
       arrivals_(static_cast<std::size_t>(design.n_bits), -1.0),
       classes_(static_cast<std::size_t>(design.n_bits), 0) {
-  design_.validate();
-  if (design_.repeater_size <= 0.0)
-    throw std::invalid_argument("BusSimulator: repeaters not sized");
-  cycle_overhead_ = recovery_.cycle_overhead(design_.n_bits);
-  error_overhead_ = recovery_.error_overhead(design_.n_bits);
-  layout_ = detail::GroupLayout::build(design_);
-  if (layout_.tabulatable) {
-    combo_energy_.assign(layout_.total_combos, 0.0);
-    combo_worst_.assign(layout_.total_combos, 0.0);
-    combo_error_.assign(layout_.total_combos, 0);
-    combo_shadow_.assign(layout_.total_combos, 0);
-  }
-  set_supply(design_.node.vdd_nominal);
+  set_supply(design.node.vdd_nominal);
 }
 
 void BusSimulator::set_supply(double volts) {
@@ -183,6 +347,10 @@ void BusSimulator::set_environment(const tech::PvtCorner& environment) {
   if (environment == environment_) return;
   environment_ = environment;
   refresh_operating_point();
+}
+
+void BusSimulator::refresh_operating_point() {
+  rule_.build_point(tables_, 0, OperatingPoint{supply_, environment_});
 }
 
 std::string to_string(EngineMode mode) {
@@ -212,64 +380,7 @@ void BusSimulator::set_engine_mode(EngineMode mode) {
   // engine re-seeds its flop bank from it, the bit-parallel engine reads
   // it directly. Counters and totals carry over untouched.
   if (mode_ == EngineMode::reference)
-    bank_ = razor::FlopBank(design_.n_bits, timing_, line_word_);
-}
-
-BusSimulator::Verdict BusSimulator::classify_arrival(double arrival) const {
-  return classify_arrival_for(timing_, arrival);
-}
-
-void BusSimulator::refresh_operating_point() {
-  const double v_eff = environment_.effective_supply(supply_);
-  slice_ = table_.slice(environment_.process, environment_.temp_c, v_eff);
-  // The tables are characterised at the drooped driver voltage; the charge
-  // is still drawn from the un-drooped supply rail.
-  energy_scale_ = supply_ / v_eff;
-
-  const double n_drivers =
-      static_cast<double>(design_.n_bits) * static_cast<double>(design_.n_segments);
-  const double leak_current = leakage_.current(
-      design_.repeater_size, environment_.process, environment_.temp_c, v_eff);
-  leakage_energy_per_cycle_ = n_drivers * leak_current * supply_ * design_.clock_period();
-
-  // Per-class precomputation: all wires of a class share one delay, so the
-  // capture verdict (at zero jitter) and the rail-scaled energy are
-  // functions of the operating point alone.
-  for (int cls = 0; cls < lut::PatternClass::kCount; ++cls) {
-    scaled_energy_[cls] = slice_.energy[cls] * energy_scale_;
-    class_delay_[cls] = slice_.delay[cls];
-    class_verdict_[cls] = std::isnan(class_delay_[cls])
-                              ? Verdict::held
-                              : classify_arrival(class_delay_[cls]);
-  }
-  if (layout_.tabulatable) rebuild_group_tables();
-}
-
-void BusSimulator::rebuild_group_tables() {
-  combo_zero_jitter_ok_ = true;
-  bool built[detail::GroupLayout::kMaxTableWidth + 1] = {};
-  for (const auto& g : layout_.groups) {
-    if (built[g.width]) continue;
-    built[g.width] = true;
-    const int w = g.width;
-    const std::uint32_t combos = 1u << w;
-    for (std::uint32_t pm = 0; pm < combos; ++pm) {
-      for (std::uint32_t cm = 0; cm < combos; ++cm) {
-        const ComboCell cell =
-            compute_combo(w, pm, cm, scaled_energy_, class_delay_, class_verdict_);
-        // An arrival <= 0 verdict in any reachable combo means the wire
-        // would silently keep its old value, which the toggle-update
-        // table path cannot express — route such operating points
-        // through the per-class kernel instead.
-        if (cell.any_held) combo_zero_jitter_ok_ = false;
-        const std::size_t idx = g.table_offset + ((pm << w) | cm);
-        combo_energy_[idx] = cell.energy;
-        combo_worst_[idx] = cell.worst;
-        combo_error_[idx] = cell.error_mask;
-        combo_shadow_[idx] = cell.shadow_mask;
-      }
-    }
-  }
+    bank_ = razor::FlopBank(design().n_bits, rule_.timing(), line_word_);
 }
 
 void BusSimulator::set_timing_jitter(double sigma_seconds, std::uint64_t seed) {
@@ -278,9 +389,13 @@ void BusSimulator::set_timing_jitter(double sigma_seconds, std::uint64_t seed) {
   jitter_rng_ = Rng(seed);
 }
 
+double BusSimulator::draw_jitter() {
+  return jitter_sigma_ > 0.0 ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
+}
+
 void BusSimulator::account_idle(CycleResult& out) {
   // Idle bus: nothing switches, no flop can err, no dynamic energy.
-  out.bus_energy = leakage_energy_per_cycle_;
+  out.bus_energy = tables_.leak[0];
   out.overhead_energy = cycle_overhead_;
   ++totals_.cycles;
   totals_.bus_energy += out.bus_energy;
@@ -305,13 +420,13 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
     return out;
   }
 
-  classifier_.classify_all(prev_word_, word, classes_.data());
-  const double jitter =
-      jitter_sigma_ > 0.0 ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
+  const WireClassifier& classifier = rule_.classifier();
+  classifier.classify_all(prev_word_, word, classes_.data());
+  const double jitter = draw_jitter();
 
   double worst = 0.0;
-  for (int bit = 0; bit < classifier_.n_bits(); ++bit) {
-    const double d = slice_.delay[classes_[static_cast<std::size_t>(bit)]];
+  for (int bit = 0; bit < classifier.n_bits(); ++bit) {
+    const double d = tables_.class_delay[classes_[static_cast<std::size_t>(bit)]];
     if (std::isnan(d)) {
       arrivals_[static_cast<std::size_t>(bit)] = -1.0;
     } else {
@@ -325,10 +440,10 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
   // bit-parallel engine's precomputed group tables, so the engines'
   // energy totals match bit for bit.
   double dynamic_energy = 0.0;
-  for (const auto& g : layout_.groups) {
+  for (const auto& g : rule_.layout().groups) {
     double sub = 0.0;
     for (int bit = g.start; bit < g.start + g.width; ++bit)
-      sub += scaled_energy_[classes_[static_cast<std::size_t>(bit)]];
+      sub += tables_.scaled_energy[classes_[static_cast<std::size_t>(bit)]];
     dynamic_energy += sub;
   }
 
@@ -337,7 +452,7 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
   out.error = bank.error;
   out.shadow_failure = bank.shadow_failure;
   out.worst_delay = worst;
-  out.bus_energy = dynamic_energy + leakage_energy_per_cycle_;
+  out.bus_energy = dynamic_energy + tables_.leak[0];
   out.overhead_energy = cycle_overhead_;
   if (bank.error) out.overhead_energy += error_overhead_;
 
@@ -352,122 +467,6 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
 
 // ------------------------------------------------------------ bit-parallel
 
-BusSimulator::CycleOutcome BusSimulator::table_kernel(const BusWord& prev,
-                                                      const BusWord& word) const {
-  // Jitter-free, receiver in sync: the whole cycle is one lookup per
-  // shield group. Every toggling wire captures (cleanly or not), so the
-  // line update is simply the toggle mask.
-  CycleOutcome out;
-  for (const auto& g : layout_.groups) {
-    const std::uint64_t pm = prev.extract(g.start, g.width);
-    const std::uint64_t cm = word.extract(g.start, g.width);
-    const std::size_t idx =
-        g.table_offset + static_cast<std::size_t>((pm << g.width) | cm);
-    out.dynamic_energy += combo_energy_[idx];
-    if (combo_worst_[idx] > out.worst_delay) out.worst_delay = combo_worst_[idx];
-    out.error_mask |= BusWord(combo_error_[idx]) << g.start;
-    out.shadow_mask |= BusWord(combo_shadow_[idx]) << g.start;
-  }
-  out.line_update = (prev ^ word) & classifier_.bits_mask();
-  return out;
-}
-
-BusSimulator::CycleOutcome BusSimulator::jitter_kernel(const BusWord& prev,
-                                                       const BusWord& word,
-                                                       const BusWord& line,
-                                                       double jitter) const {
-  CycleOutcome out;
-  // Energy and the per-group sub-sum order are jitter-independent: reuse
-  // the combo tables.
-  for (const auto& g : layout_.groups) {
-    const std::uint64_t pm = prev.extract(g.start, g.width);
-    const std::uint64_t cm = word.extract(g.start, g.width);
-    out.dynamic_energy +=
-        combo_energy_[g.table_offset + static_cast<std::size_t>((pm << g.width) | cm)];
-  }
-
-  // Verdicts shift with the common-mode jitter: re-derive them per present
-  // switching class (all wires of a class share one arrival), comparing
-  // arrival = delay + jitter with exactly the flop's comparison chain.
-  const ClassMaskSet s = classifier_.masks(prev, word);
-  const BusWord flop_toggle = word ^ line;
-  for (int v = 0; v < 2; ++v) {  // rise, fall: the switching victims
-    const BusWord vm = s.victim[v];
-    if (!vm.any()) continue;
-    for (int l = 0; l < 4; ++l) {
-      const BusWord vl = vm & s.left[l];
-      if (!vl.any()) continue;
-      for (int r = 0; r < 4; ++r) {
-        const BusWord mask = vl & s.right[r];
-        if (!mask.any()) continue;
-        const int cls = (v << 4) | (l << 2) | r;
-        const double arrival = class_delay_[cls] + jitter;
-        if (arrival > out.worst_delay) out.worst_delay = arrival;
-        const BusWord active = mask & flop_toggle;
-        if (!active.any()) continue;
-        switch (classify_arrival(arrival)) {
-          case Verdict::held:
-            break;
-          case Verdict::clean:
-            out.line_update |= active;
-            break;
-          case Verdict::corrected:
-            out.error_mask |= active;
-            out.line_update |= active;
-            break;
-          case Verdict::shadow_failed:
-            out.shadow_mask |= active;
-            out.line_update |= active;
-            break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-BusSimulator::CycleOutcome BusSimulator::general_kernel(const BusWord& prev,
-                                                        const BusWord& word,
-                                                        const BusWord& line,
-                                                        double jitter) {
-  // Per-wire fallback for untabulatable layouts (a shield group wider than
-  // kMaxTableWidth): classify every wire, keep the group-wise energy
-  // accounting, and apply the class verdict per wire.
-  CycleOutcome out;
-  classifier_.classify_all(prev, word, classes_.data());
-  const BusWord flop_toggle = word ^ line;
-  for (const auto& g : layout_.groups) {
-    double sub = 0.0;
-    for (int bit = g.start; bit < g.start + g.width; ++bit) {
-      const int cls = classes_[static_cast<std::size_t>(bit)];
-      sub += scaled_energy_[cls];
-      const double d = class_delay_[cls];
-      if (std::isnan(d)) continue;
-      const double arrival = d + jitter;
-      if (arrival > out.worst_delay) out.worst_delay = arrival;
-      if (!flop_toggle.test(bit)) continue;
-      const BusWord wire = BusWord(1) << bit;
-      switch (classify_arrival(arrival)) {
-        case Verdict::held:
-          break;
-        case Verdict::clean:
-          out.line_update |= wire;
-          break;
-        case Verdict::corrected:
-          out.error_mask |= wire;
-          out.line_update |= wire;
-          break;
-        case Verdict::shadow_failed:
-          out.shadow_mask |= wire;
-          out.line_update |= wire;
-          break;
-      }
-    }
-    out.dynamic_energy += sub;
-  }
-  return out;
-}
-
 CycleResult BusSimulator::step_bit_parallel(const BusWord& word) {
   CycleResult out;
 
@@ -476,24 +475,15 @@ CycleResult BusSimulator::step_bit_parallel(const BusWord& word) {
     return out;
   }
 
-  const double jitter =
-      jitter_sigma_ > 0.0 ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
-  const bool in_sync = ((line_word_ ^ prev_word_) & classifier_.bits_mask()).none();
-  CycleOutcome k;
-  if (!layout_.tabulatable)
-    k = general_kernel(prev_word_, word, line_word_, jitter);
-  // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
-  // the combo-table fast path is only valid for that exact case (DESIGN.md §5).
-  else if (jitter == 0.0 && in_sync && combo_zero_jitter_ok_)
-    k = table_kernel(prev_word_, word);
-  else
-    k = jitter_kernel(prev_word_, word, line_word_, jitter);
+  const double jitter = draw_jitter();
+  detail::CyclePattern pattern(rule_.classifier(), prev_word_, word, classes_.data());
+  const detail::CycleOutcome k = rule_.evaluate(tables_, 0, pattern, line_word_, jitter);
 
   line_word_ = (line_word_ & ~k.line_update) | (word & k.line_update);
   out.error = k.error_mask.any();
   out.shadow_failure = k.shadow_mask.any();
   out.worst_delay = k.worst_delay;
-  out.bus_energy = k.dynamic_energy + leakage_energy_per_cycle_;
+  out.bus_energy = k.dynamic_energy + tables_.leak[0];
   out.overhead_energy = cycle_overhead_;
   if (out.error) out.overhead_energy += error_overhead_;
 
@@ -518,11 +508,9 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
   BusWord prev = prev_word_;
   BusWord line = line_word_;
 
-  const double leak = leakage_energy_per_cycle_;
+  const double leak = tables_.leak[0];
   const double cycle_ovh = cycle_overhead_;
   const double error_ovh = error_overhead_;
-  const bool jitter_on = jitter_sigma_ > 0.0;
-  const BusWord bits_mask = classifier_.bits_mask();
 
   for (std::size_t i = 0; i < n; ++i) {
     const BusWord word = words[i];
@@ -532,16 +520,9 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
       overhead_energy += cycle_ovh;
       continue;
     }
-    const double jitter = jitter_on ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
-    CycleOutcome k;
-    if (!layout_.tabulatable)
-      k = general_kernel(prev, word, line, jitter);
-    // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
-    // the table path is only valid for that exact case (DESIGN.md §5).
-    else if (jitter == 0.0 && ((line ^ prev) & bits_mask).none() && combo_zero_jitter_ok_)
-      k = table_kernel(prev, word);
-    else
-      k = jitter_kernel(prev, word, line, jitter);
+    const double jitter = draw_jitter();
+    detail::CyclePattern pattern(rule_.classifier(), prev, word, classes_.data());
+    const detail::CycleOutcome k = rule_.evaluate(tables_, 0, pattern, line, jitter);
 
     line = (line & ~k.line_update) | (word & k.line_update);
     prev = word;
@@ -582,53 +563,11 @@ RunningTotals BusSimulator::run(const BusWord* words, std::size_t n) {
   return delta;
 }
 
-RunningTotals BusSimulator::run(const std::uint32_t* words, std::size_t n) {
-  const std::vector<BusWord> wide(words, words + n);
-  return run(wide.data(), wide.size());
-}
-
-RunningTotals BusSimulator::run(trace::TraceSource& source, std::size_t block_cycles) {
-  if (block_cycles == 0)
-    throw std::invalid_argument("BusSimulator::run: block_cycles must be > 0");
-  if (source.n_bits() > design_.n_bits)
-    throw std::invalid_argument("BusSimulator::run: stream '" + source.name() +
-                                "' is " + std::to_string(source.n_bits()) +
-                                " bits wide but the bus has " +
-                                std::to_string(design_.n_bits) + " wires");
-  const RunningTotals before = totals_;
-  std::vector<BusWord> buffer(block_cycles);
-  for (;;) {
-    const std::size_t n = source.next_block(buffer.data(), buffer.size());
-    if (n == 0) break;
-    run(buffer.data(), n);
-  }
-  RunningTotals delta;
-  delta.cycles = totals_.cycles - before.cycles;
-  delta.errors = totals_.errors - before.errors;
-  delta.shadow_failures = totals_.shadow_failures - before.shadow_failures;
-  delta.bus_energy = totals_.bus_energy - before.bus_energy;
-  delta.overhead_energy = totals_.overhead_energy - before.overhead_energy;
-  return delta;
-}
-
 void BusSimulator::reset(const BusWord& initial_word) {
   prev_word_ = initial_word;
-  line_word_ = initial_word & classifier_.bits_mask();
+  line_word_ = initial_word & rule_.classifier().bits_mask();
   totals_ = RunningTotals{};
-  bank_ = razor::FlopBank(design_.n_bits, timing_, initial_word);
-}
-
-double BusSimulator::peek_cycle_energy(const BusWord& word) const {
-  // Per-group sub-sums, same accounting as the engines.
-  double energy = leakage_energy_per_cycle_;
-  if (word == prev_word_) return energy;
-  for (const auto& g : layout_.groups) {
-    double sub = 0.0;
-    for (int bit = g.start; bit < g.start + g.width; ++bit)
-      sub += slice_.energy[classifier_.classify(prev_word_, word, bit)] * energy_scale_;
-    energy += sub;
-  }
-  return energy;
+  bank_ = razor::FlopBank(design().n_bits, rule_.timing(), initial_word);
 }
 
 RunningTotals BusSimulator::run_reference(const interconnect::BusDesign& design,
@@ -641,123 +580,47 @@ RunningTotals BusSimulator::run_reference(const interconnect::BusDesign& design,
   return sim.totals();
 }
 
-RunningTotals BusSimulator::run_reference(const interconnect::BusDesign& design,
-                                          const lut::DelayEnergyTable& table,
-                                          tech::PvtCorner environment,
-                                          const std::vector<std::uint32_t>& words) {
-  return run_reference(design, table, environment,
-                       std::vector<BusWord>(words.begin(), words.end()));
-}
-
 // ------------------------------------------------------------- multi-point
 
 MultiPointEngine::MultiPointEngine(const interconnect::BusDesign& design,
                                    const lut::DelayEnergyTable& table,
                                    const std::vector<OperatingPoint>& points,
-                                   const MultiPointConfig& config)
-    : design_(design),
-      table_(table),
-      leakage_(design.node),
-      classifier_(design),
-      timing_(make_timing(design)),
-      jitter_sigma_(config.timing_jitter_sigma),
-      jitter_rng_(config.jitter_seed),
+                                   double timing_jitter_sigma)
+    : rule_(design, table),
+      n_points_(points.size()),
+      // Four lanes: the widest double vector in util/simd.cpp.
+      tables_(rule_.layout(), n_points_, (n_points_ + 3) & ~std::size_t{3}),
+      jitter_sigma_(timing_jitter_sigma),
       classes_(static_cast<std::size_t>(design.n_bits), 0) {
-  design_.validate();
-  if (design_.repeater_size <= 0.0)
-    throw std::invalid_argument("MultiPointEngine: repeaters not sized");
   if (points.empty())
     throw std::invalid_argument("MultiPointEngine: empty operating-point list");
   if (jitter_sigma_ < 0.0) throw std::invalid_argument("negative jitter sigma");
 
-  cycle_overhead_ = config.recovery.cycle_overhead(design_.n_bits);
-  cycle_error_overhead_ =
-      cycle_overhead_ + config.recovery.error_overhead(design_.n_bits);
-  layout_ = detail::GroupLayout::build(design_);
+  const razor::RecoveryCostModel recovery;
+  cycle_overhead_ = recovery.cycle_overhead(design.n_bits);
+  cycle_error_overhead_ = cycle_overhead_ + recovery.error_overhead(design.n_bits);
 
-  n_points_ = points.size();
-  // Rows padded to a fixed four-lane granule (the widest double vector in
-  // util/simd.cpp); padding slots stay zero and never reach the totals.
-  stride_ = (n_points_ + 3) & ~std::size_t{3};
-
-  leak_.assign(stride_, 0.0);
-  scaled_energy_.assign(n_points_ * lut::PatternClass::kCount, 0.0);
-  class_delay_.assign(n_points_ * lut::PatternClass::kCount, 0.0);
-  class_verdict_.assign(n_points_ * lut::PatternClass::kCount, detail::Verdict::held);
-  combo_ok_.assign(n_points_, 1);
-  if (layout_.tabulatable) {
-    combo_energy_.assign(layout_.total_combos * stride_, 0.0);
-    combo_error_.assign(layout_.total_combos * stride_, 0);
-    combo_shadow_.assign(layout_.total_combos * stride_, 0);
+  all_combo_ok_ = rule_.layout().tabulatable;
+  for (std::size_t p = 0; p < n_points_; ++p) {
+    rule_.build_point(tables_, p, points[p]);
+    if (!tables_.combo_ok[p]) all_combo_ok_ = false;
   }
-  for (std::size_t p = 0; p < n_points_; ++p) build_point(p, points[p]);
-  all_combo_ok_ = layout_.tabulatable;
-  for (std::size_t p = 0; p < n_points_; ++p)
-    if (!combo_ok_[p]) all_combo_ok_ = false;
 
+  const std::size_t stride = tables_.stride;
   line_.assign(n_points_, BusWord());
   errors_.assign(n_points_, 0);
   shadow_failures_.assign(n_points_, 0);
-  bus_energy_.assign(stride_, 0.0);
-  overhead_energy_.assign(stride_, 0.0);
-  dyn_.assign(stride_, 0.0);
-  errb_.assign(stride_, 0);
-  shadowb_.assign(stride_, 0);
-  reset(config.initial_word);
-}
-
-void MultiPointEngine::build_point(std::size_t p, const OperatingPoint& point) {
-  if (point.supply <= 0.0)
-    throw std::invalid_argument("MultiPointEngine: non-positive supply");
-  // Exactly BusSimulator::refresh_operating_point, written into row `p`
-  // of the structure-of-arrays tables.
-  const tech::PvtCorner& env = point.environment;
-  const double v_eff = env.effective_supply(point.supply);
-  const lut::TableSlice slice = table_.slice(env.process, env.temp_c, v_eff);
-  const double energy_scale = point.supply / v_eff;
-
-  const double n_drivers =
-      static_cast<double>(design_.n_bits) * static_cast<double>(design_.n_segments);
-  const double leak_current =
-      leakage_.current(design_.repeater_size, env.process, env.temp_c, v_eff);
-  leak_[p] = n_drivers * leak_current * point.supply * design_.clock_period();
-
-  double* se = &scaled_energy_[p * lut::PatternClass::kCount];
-  double* cd = &class_delay_[p * lut::PatternClass::kCount];
-  detail::Verdict* cv = &class_verdict_[p * lut::PatternClass::kCount];
-  for (int cls = 0; cls < lut::PatternClass::kCount; ++cls) {
-    se[cls] = slice.energy[cls] * energy_scale;
-    cd[cls] = slice.delay[cls];
-    cv[cls] = std::isnan(cd[cls]) ? detail::Verdict::held
-                                  : classify_arrival_for(timing_, cd[cls]);
-  }
-
-  if (!layout_.tabulatable) return;
-  bool ok = true;
-  bool built[detail::GroupLayout::kMaxTableWidth + 1] = {};
-  for (const auto& g : layout_.groups) {
-    if (built[g.width]) continue;
-    built[g.width] = true;
-    const int w = g.width;
-    const std::uint32_t combos = 1u << w;
-    for (std::uint32_t pm = 0; pm < combos; ++pm) {
-      for (std::uint32_t cm = 0; cm < combos; ++cm) {
-        const ComboCell cell = compute_combo(w, pm, cm, se, cd, cv);
-        if (cell.any_held) ok = false;
-        const std::size_t row =
-            (g.table_offset + static_cast<std::size_t>((pm << w) | cm)) * stride_;
-        combo_energy_[row + p] = cell.energy;
-        combo_error_[row + p] = cell.error_mask;
-        combo_shadow_[row + p] = cell.shadow_mask;
-      }
-    }
-  }
-  combo_ok_[p] = ok ? 1 : 0;
+  bus_energy_.assign(stride, 0.0);
+  overhead_energy_.assign(stride, 0.0);
+  dyn_.assign(stride, 0.0);
+  errb_.assign(stride, 0);
+  shadowb_.assign(stride, 0);
+  reset();
 }
 
 void MultiPointEngine::reset(const BusWord& initial_word) {
   prev_word_ = initial_word;
-  std::fill(line_.begin(), line_.end(), initial_word & classifier_.bits_mask());
+  std::fill(line_.begin(), line_.end(), initial_word & rule_.classifier().bits_mask());
   all_fast_ = all_combo_ok_;
   cycles_ = 0;
   std::fill(errors_.begin(), errors_.end(), 0);
@@ -774,8 +637,8 @@ void MultiPointEngine::run(const BusWord* words, std::size_t n) {
       // Idle bus: nothing switches for ANY point — leakage plus the flop
       // clocking overhead, rows at a time.
       ++cycles_;
-      simd::add_rows(bus_energy_.data(), leak_.data(), stride_);
-      simd::add_const(overhead_energy_.data(), cycle_overhead_, stride_);
+      simd::add_rows(bus_energy_.data(), tables_.leak.data(), tables_.stride);
+      simd::add_const(overhead_energy_.data(), cycle_overhead_, tables_.stride);
       continue;
     }
     const double jitter = jitter_on ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
@@ -794,19 +657,17 @@ void MultiPointEngine::fast_cycle(const BusWord& word) {
   // stay implicitly in sync (line == word on the signal wires), so no
   // per-point line update is needed.
   std::fill(dyn_.begin(), dyn_.end(), 0.0);
-  std::memset(errb_.data(), 0, stride_);
-  std::memset(shadowb_.data(), 0, stride_);
+  const std::size_t stride = tables_.stride;
+  std::memset(errb_.data(), 0, stride);
+  std::memset(shadowb_.data(), 0, stride);
   const BusWord prev = prev_word_;
-  for (const auto& g : layout_.groups) {
-    const std::uint64_t pm = prev.extract(g.start, g.width);
-    const std::uint64_t cm = word.extract(g.start, g.width);
-    const std::size_t row =
-        (g.table_offset + static_cast<std::size_t>((pm << g.width) | cm)) * stride_;
-    simd::add_rows(dyn_.data(), combo_energy_.data() + row, stride_);
-    simd::or_bytes(errb_.data(), combo_error_.data() + row, stride_);
-    simd::or_bytes(shadowb_.data(), combo_shadow_.data() + row, stride_);
+  for (const auto& g : rule_.layout().groups) {
+    const std::size_t row = combo_index(g, prev, word) * stride;
+    simd::add_rows(dyn_.data(), tables_.combo_energy.data() + row, stride);
+    simd::or_bytes(errb_.data(), tables_.combo_error.data() + row, stride);
+    simd::or_bytes(shadowb_.data(), tables_.combo_shadow.data() + row, stride);
   }
-  simd::add2_rows(bus_energy_.data(), dyn_.data(), leak_.data(), stride_);
+  simd::add2_rows(bus_energy_.data(), dyn_.data(), tables_.leak.data(), stride);
   ++cycles_;
   for (std::size_t p = 0; p < n_points_; ++p) {
     const bool error = errb_[p] != 0;
@@ -819,11 +680,11 @@ void MultiPointEngine::fast_cycle(const BusWord& word) {
 void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
   // The general cycle: jittered arrivals, a desynced receiver, a
   // combo-ineligible point, or an untabulatable layout. Points are walked
-  // one at a time with the scalar engine's own per-point kernel
-  // selection; the trace-dependent pattern work (class masks / per-wire
-  // classes) is shared across points, computed lazily on first demand.
+  // one at a time through the cycle rule; the trace-dependent pattern work
+  // (class masks / per-wire classes) is shared across points, computed
+  // lazily on first demand.
   const BusWord prev = prev_word_;
-  const BusWord bits_mask = classifier_.bits_mask();
+  const BusWord bits_mask = rule_.classifier().bits_mask();
   if (all_fast_) {
     // Leaving the fast path: materialize the per-point receiver lines
     // (all equal to prev on the signal wires while the path was hot).
@@ -831,123 +692,15 @@ void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
     all_fast_ = false;
   }
 
-  ClassMaskSet masks{};
-  bool have_masks = false;
-  bool have_classes = false;
-
+  detail::CyclePattern pattern(rule_.classifier(), prev, word, classes_.data());
   ++cycles_;
   for (std::size_t p = 0; p < n_points_; ++p) {
-    const double* cd = &class_delay_[p * lut::PatternClass::kCount];
-    double dynamic_energy = 0.0;
-    BusWord error_mask, shadow_mask, line_update;
-
-    if (!layout_.tabulatable) {
-      // Per-wire general kernel (BusSimulator::general_kernel).
-      if (!have_classes) {
-        classifier_.classify_all(prev, word, classes_.data());
-        have_classes = true;
-      }
-      const double* se = &scaled_energy_[p * lut::PatternClass::kCount];
-      const BusWord flop_toggle = word ^ line_[p];
-      for (const auto& g : layout_.groups) {
-        double sub = 0.0;
-        for (int bit = g.start; bit < g.start + g.width; ++bit) {
-          const int cls = classes_[static_cast<std::size_t>(bit)];
-          sub += se[cls];
-          const double d = cd[cls];
-          if (std::isnan(d)) continue;
-          const double arrival = d + jitter;
-          if (!flop_toggle.test(bit)) continue;
-          const BusWord wire = BusWord(1) << bit;
-          switch (classify_arrival_for(timing_, arrival)) {
-            case detail::Verdict::held:
-              break;
-            case detail::Verdict::clean:
-              line_update |= wire;
-              break;
-            case detail::Verdict::corrected:
-              error_mask |= wire;
-              line_update |= wire;
-              break;
-            case detail::Verdict::shadow_failed:
-              shadow_mask |= wire;
-              line_update |= wire;
-              break;
-          }
-        }
-        dynamic_energy += sub;
-      }
-      // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn".
-    } else if (jitter == 0.0 && combo_ok_[p] &&
-               ((line_[p] ^ prev) & bits_mask).none()) {
-      // This point still qualifies for the table path
-      // (BusSimulator::table_kernel), scalar over its combo rows.
-      for (const auto& g : layout_.groups) {
-        const std::uint64_t pm = prev.extract(g.start, g.width);
-        const std::uint64_t cm = word.extract(g.start, g.width);
-        const std::size_t row =
-            (g.table_offset + static_cast<std::size_t>((pm << g.width) | cm)) *
-            stride_;
-        dynamic_energy += combo_energy_[row + p];
-        error_mask |= BusWord(combo_error_[row + p]) << g.start;
-        shadow_mask |= BusWord(combo_shadow_[row + p]) << g.start;
-      }
-      line_update = (prev ^ word) & bits_mask;
-    } else {
-      // Per-class kernel (BusSimulator::jitter_kernel): energy from the
-      // combo rows, verdicts re-derived per present switching class.
-      for (const auto& g : layout_.groups) {
-        const std::uint64_t pm = prev.extract(g.start, g.width);
-        const std::uint64_t cm = word.extract(g.start, g.width);
-        dynamic_energy +=
-            combo_energy_[(g.table_offset +
-                           static_cast<std::size_t>((pm << g.width) | cm)) *
-                              stride_ +
-                          p];
-      }
-      if (!have_masks) {
-        masks = classifier_.masks(prev, word);
-        have_masks = true;
-      }
-      const BusWord flop_toggle = word ^ line_[p];
-      for (int v = 0; v < 2; ++v) {  // rise, fall: the switching victims
-        const BusWord vm = masks.victim[v];
-        if (!vm.any()) continue;
-        for (int l = 0; l < 4; ++l) {
-          const BusWord vl = vm & masks.left[l];
-          if (!vl.any()) continue;
-          for (int r = 0; r < 4; ++r) {
-            const BusWord mask = vl & masks.right[r];
-            if (!mask.any()) continue;
-            const int cls = (v << 4) | (l << 2) | r;
-            const double arrival = cd[cls] + jitter;
-            const BusWord active = mask & flop_toggle;
-            if (!active.any()) continue;
-            switch (classify_arrival_for(timing_, arrival)) {
-              case detail::Verdict::held:
-                break;
-              case detail::Verdict::clean:
-                line_update |= active;
-                break;
-              case detail::Verdict::corrected:
-                error_mask |= active;
-                line_update |= active;
-                break;
-              case detail::Verdict::shadow_failed:
-                shadow_mask |= active;
-                line_update |= active;
-                break;
-            }
-          }
-        }
-      }
-    }
-
-    line_[p] = (line_[p] & ~line_update) | (word & line_update);
-    const bool error = error_mask.any();
+    const detail::CycleOutcome k = rule_.evaluate(tables_, p, pattern, line_[p], jitter);
+    line_[p] = (line_[p] & ~k.line_update) | (word & k.line_update);
+    const bool error = k.error_mask.any();
     errors_[p] += error ? 1u : 0u;
-    shadow_failures_[p] += shadow_mask.any() ? 1u : 0u;
-    bus_energy_[p] += dynamic_energy + leak_[p];
+    shadow_failures_[p] += k.shadow_mask.any() ? 1u : 0u;
+    bus_energy_[p] += k.dynamic_energy + tables_.leak[p];
     overhead_energy_[p] += error ? cycle_error_overhead_ : cycle_overhead_;
   }
 
@@ -966,22 +719,6 @@ void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
   }
 }
 
-void MultiPointEngine::run(trace::TraceSource& source, std::size_t block_cycles) {
-  if (block_cycles == 0)
-    throw std::invalid_argument("MultiPointEngine::run: block_cycles must be > 0");
-  if (source.n_bits() > design_.n_bits)
-    throw std::invalid_argument("MultiPointEngine::run: stream '" + source.name() +
-                                "' is " + std::to_string(source.n_bits()) +
-                                " bits wide but the bus has " +
-                                std::to_string(design_.n_bits) + " wires");
-  std::vector<BusWord> buffer(block_cycles);
-  for (;;) {
-    const std::size_t n = source.next_block(buffer.data(), buffer.size());
-    if (n == 0) break;
-    run(buffer.data(), n);
-  }
-}
-
 RunningTotals MultiPointEngine::totals(std::size_t point) const {
   RunningTotals t;
   t.cycles = cycles_;
@@ -990,30 +727,6 @@ RunningTotals MultiPointEngine::totals(std::size_t point) const {
   t.bus_energy = bus_energy_[point];
   t.overhead_energy = overhead_energy_[point];
   return t;
-}
-
-std::vector<RunningTotals> MultiPointEngine::all_totals() const {
-  std::vector<RunningTotals> out(n_points_);
-  for (std::size_t p = 0; p < n_points_; ++p) out[p] = totals(p);
-  return out;
-}
-
-std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design,
-                                           const lut::DelayEnergyTable& table,
-                                           const std::vector<OperatingPoint>& points,
-                                           const BusWord* words, std::size_t n,
-                                           const MultiPointConfig& config) {
-  MultiPointEngine engine(design, table, points, config);
-  engine.run(words, n);
-  return engine.all_totals();
-}
-
-std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design,
-                                           const lut::DelayEnergyTable& table,
-                                           const std::vector<OperatingPoint>& points,
-                                           const std::vector<BusWord>& words,
-                                           const MultiPointConfig& config) {
-  return multi_point_run(design, table, points, words.data(), words.size(), config);
 }
 
 }  // namespace razorbus::bus

@@ -34,19 +34,22 @@
 // regulator window) through the hot loop with totals accumulated in
 // registers — this is what the experiment drivers use.
 //
-// A third mode, EngineMode::simd, selects the same bit-parallel cycle
-// semantics but tells multi-operating-point DRIVERS (static sweeps, PVT
-// sampling) to batch their points through MultiPointEngine (DESIGN.md
-// §13): one pass over the trace evaluates N (supply, corner) points with
-// the per-cycle pattern classification done once and the per-point
-// delay/energy/verdict evaluation laid out structure-of-arrays, vectorized
-// via util/simd.hpp. Per-point totals are bit-identical to running the
-// single-point engine once per point — a scheduling choice, never a
-// semantic one. On a single BusSimulator, simd behaves exactly like
-// bit_parallel.
+// The bit-parallel cycle rule is written once, as detail::CycleRule: the
+// operating-point derivation, the combo-table fill, the table / jitter /
+// general kernels and the rule that picks one per cycle, all addressing
+// one point of a detail::PointTables. BusSimulator evaluates one point
+// (stride 1). MultiPointEngine (DESIGN.md §13) evaluates N points per
+// trace pass through the same rule; it adds only the structure-of-arrays
+// row layout and a SIMD fast path for cycles on which every point takes
+// the table kernel. EngineMode::simd selects bit_parallel semantics plus
+// a promise to multi-operating-point DRIVERS (static sweeps, PVT
+// sampling) that they batch their points through MultiPointEngine — a
+// scheduling choice, never a semantic one. On a single BusSimulator, simd
+// behaves exactly like bit_parallel.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +59,6 @@
 #include "razor/bank.hpp"
 #include "tech/corner.hpp"
 #include "tech/leakage.hpp"
-#include "trace/source.hpp"
 #include "util/busword.hpp"
 #include "util/rng.hpp"
 
@@ -71,6 +73,14 @@ enum class EngineMode { bit_parallel, reference, simd };
 // "simd"); from_string throws std::invalid_argument on unknown names.
 std::string to_string(EngineMode mode);
 EngineMode engine_mode_from_string(const std::string& name);
+
+// One operating point of a batched run: the regulator rail voltage plus
+// the process/temperature/IR environment — exactly the axes BusSimulator
+// fixes per instance (set_supply + the constructor's PvtCorner).
+struct OperatingPoint {
+  double supply = 0.0;
+  tech::PvtCorner environment{};
+};
 
 namespace detail {
 
@@ -109,6 +119,124 @@ struct GroupLayout {
   bool tabulatable = false;
 
   static GroupLayout build(const interconnect::BusDesign& design);
+};
+
+// Operating tables of one or more points, structure-of-arrays (refreshed
+// by CycleRule::build_point on a supply or environment change). The combo
+// arrays hold one `stride`-wide row per (group table offset, prev, cur)
+// combination, so a multi-point cycle reduces whole rows; the per-class
+// arrays are point-major ([p * kCount + cls]). One point is stride 1.
+struct PointTables {
+  PointTables(const GroupLayout& layout, std::size_t n_points, std::size_t row_stride);
+
+  std::size_t stride = 0;
+  std::vector<double> leak;  // [stride]: leakage energy per cycle
+  // Per class: energy already scaled to the rail voltage, the arrival at
+  // zero jitter, and the zero-jitter capture verdict. With jitter the
+  // verdict is re-derived per cycle from arrival = delay + jitter with
+  // exactly the comparison chain of DoubleSamplingFlop::clock, so the
+  // engines stay bit-identical.
+  std::vector<double> scaled_energy;   // [point][kCount]
+  std::vector<double> class_delay;     // [point][kCount]
+  std::vector<Verdict> class_verdict;  // [point][kCount]
+  // 0 when some tabulated verdict is "held" (arrival <= 0), which the
+  // toggle-update table kernel cannot express; that point's zero-jitter
+  // cycles take the jitter kernel instead.
+  std::vector<std::uint8_t> combo_ok;      // [point]
+  std::vector<double> combo_energy;        // [combo][stride]
+  std::vector<double> combo_worst;         // [combo][stride]
+  std::vector<std::uint8_t> combo_error;   // [combo][stride]
+  std::vector<std::uint8_t> combo_shadow;  // [combo][stride]
+};
+
+// One point's outcome of one non-idle cycle.
+struct CycleOutcome {
+  double dynamic_energy = 0.0;
+  double worst_delay = 0.0;
+  BusWord error_mask;
+  BusWord shadow_mask;
+  BusWord line_update;  // wires whose receiver latched this cycle's value
+};
+
+// The (prev, cur) pattern work of one cycle, shared by every point that
+// needs it and computed on first demand: the class masks of the jitter
+// kernel and the per-wire classes of the general kernel.
+class CyclePattern {
+ public:
+  // `classes` is scratch for n_bits entries.
+  CyclePattern(const WireClassifier& classifier, const BusWord& prev, const BusWord& word,
+               int* classes)
+      : classifier_(classifier), prev_(prev), word_(word), classes_(classes) {}
+
+  const BusWord& prev() const { return prev_; }
+  const BusWord& word() const { return word_; }
+  const ClassMaskSet& masks() {
+    if (!masks_) masks_ = classifier_.masks(prev_, word_);
+    return *masks_;
+  }
+  const int* classes() {
+    if (!have_classes_) classifier_.classify_all(prev_, word_, classes_);
+    have_classes_ = true;
+    return classes_;
+  }
+
+ private:
+  const WireClassifier& classifier_;
+  BusWord prev_;
+  BusWord word_;
+  int* classes_;
+  bool have_classes_ = false;
+  std::optional<ClassMaskSet> masks_;
+};
+
+// The bit-parallel engine's per-point cycle rule (paper Sections 3-4):
+// each wire's pattern class gives a delay and an energy from the
+// characterised tables, and the double-sampling latch decides clean,
+// corrected or failed. BusSimulator and MultiPointEngine both evaluate
+// their points through this one rule, so they agree bit for bit by
+// construction.
+class CycleRule {
+ public:
+  // `design` and `table` must outlive the rule. Throws on an invalid or
+  // unsized design.
+  CycleRule(const interconnect::BusDesign& design, const lut::DelayEnergyTable& table);
+
+  const interconnect::BusDesign& design() const { return design_; }
+  const WireClassifier& classifier() const { return classifier_; }
+  const razor::FlopTiming& timing() const { return timing_; }
+  const GroupLayout& layout() const { return layout_; }
+
+  // Derives point `p` of `tables` (throws on a non-positive supply): the
+  // table slice at the effective (IR-drooped) supply, the rail energy
+  // scale, leakage per cycle, the per-class arrays and, for tabulatable
+  // layouts, the combo rows at combo * stride + p.
+  void build_point(PointTables& tables, std::size_t p, const OperatingPoint& point) const;
+
+  // One non-idle cycle of point `p`, whose receivers hold `line`. Picks the
+  // kernel: general when the layout is untabulatable; table at zero jitter
+  // with the receiver in sync and combo_ok; jitter otherwise.
+  CycleOutcome evaluate(const PointTables& tables, std::size_t p, CyclePattern& pattern,
+                        const BusWord& line, double jitter) const;
+
+ private:
+  // One lookup per shield group (jitter-free, receiver in sync).
+  CycleOutcome table_kernel(const PointTables& tables, std::size_t p, const BusWord& prev,
+                            const BusWord& word) const;
+  // Energy from the combo rows; verdicts re-derived per present class.
+  CycleOutcome jitter_kernel(const PointTables& tables, std::size_t p,
+                             CyclePattern& pattern, const BusWord& line,
+                             double jitter) const;
+  // Per-wire fallback for groups too wide to tabulate.
+  CycleOutcome general_kernel(const PointTables& tables, std::size_t p,
+                              CyclePattern& pattern, const BusWord& line,
+                              double jitter) const;
+
+  const interconnect::BusDesign& design_;
+  const lut::DelayEnergyTable& table_;
+  tech::LeakageModel leakage_;
+  WireClassifier classifier_;
+  razor::FlopTiming timing_;
+  GroupLayout layout_;
 };
 
 }  // namespace detail
@@ -168,7 +296,7 @@ class BusSimulator {
   // smooths the otherwise pattern-class-quantised error onset.
   void set_timing_jitter(double sigma_seconds, std::uint64_t seed = 0x7a5e11u);
 
-  const interconnect::BusDesign& design() const { return design_; }
+  const interconnect::BusDesign& design() const { return rule_.design(); }
   const tech::PvtCorner& environment() const { return environment_; }
 
   // Drive the next word; returns this cycle's outcome.
@@ -182,29 +310,11 @@ class BusSimulator {
   RunningTotals run(const std::vector<BusWord>& words) {
     return run(words.data(), words.size());
   }
-  // Legacy 32-bit spans (tests and hand-rolled drivers): converted up
-  // front, then identical to the BusWord path cycle for cycle.
-  RunningTotals run(const std::uint32_t* words, std::size_t n);
-  RunningTotals run(const std::vector<std::uint32_t>& words) {
-    return run(words.data(), words.size());
-  }
-  // Drain a streaming trace (DESIGN.md §12) through a fixed block buffer
-  // of `block_cycles` words: resident trace memory stays O(block) no
-  // matter how long the stream runs, and because run() accumulates totals
-  // with the same per-cycle operation sequence at any span split, the
-  // result is bit-identical to one run() over the materialized words.
-  // Rejects streams wider than the bus (the high lanes would be dropped).
-  RunningTotals run(trace::TraceSource& source,
-                    std::size_t block_cycles = trace::kDefaultBlockCycles);
 
   // Reset bus/flop state and totals (keeps the operating point and mode).
   void reset(const BusWord& initial_word = BusWord());
 
   const RunningTotals& totals() const { return totals_; }
-
-  // Energy one cycle would consume at the CURRENT operating point if the
-  // given word were driven — without mutating state. Used by tests.
-  double peek_cycle_energy(const BusWord& word) const;
 
   // Reference energy per cycle of the conventional bus: same environment,
   // supply fixed at nominal. Used to normalise gains.
@@ -212,84 +322,25 @@ class BusSimulator {
                                      const lut::DelayEnergyTable& table,
                                      tech::PvtCorner environment,
                                      const std::vector<BusWord>& words);
-  static RunningTotals run_reference(const interconnect::BusDesign& design,
-                                     const lut::DelayEnergyTable& table,
-                                     tech::PvtCorner environment,
-                                     const std::vector<std::uint32_t>& words);
 
  private:
-  using Verdict = detail::Verdict;
-
-  struct CycleOutcome {
-    double dynamic_energy = 0.0;
-    double worst_delay = 0.0;
-    BusWord error_mask;
-    BusWord shadow_mask;
-    BusWord line_update;
-  };
-
   void refresh_operating_point();
-  Verdict classify_arrival(double arrival) const;
-
-  void rebuild_group_tables();
-
+  double draw_jitter();
   CycleResult step_reference(const BusWord& word);
   CycleResult step_bit_parallel(const BusWord& word);
-  // Combo-table cycle kernel for jitter-free cycles (the common case).
-  CycleOutcome table_kernel(const BusWord& prev, const BusWord& word) const;
-  // Bit-parallel per-class kernel for jittered cycles: energy still comes
-  // from the combo tables; verdicts are re-derived per present class.
-  CycleOutcome jitter_kernel(const BusWord& prev, const BusWord& word,
-                             const BusWord& line, double jitter) const;
-  // Per-wire fallback for the cases the table kernels cannot serve: groups
-  // too wide to tabulate, or receiver state diverged from the bus
-  // (line != prev after a pathological arrival <= 0 hold).
-  CycleOutcome general_kernel(const BusWord& prev, const BusWord& word,
-                              const BusWord& line, double jitter);
   void run_bit_parallel(const BusWord* words, std::size_t n);
   void account_idle(CycleResult& out);
 
-  const interconnect::BusDesign& design_;
-  const lut::DelayEnergyTable& table_;
+  detail::CycleRule rule_;
   tech::PvtCorner environment_;
-  razor::RecoveryCostModel recovery_;
-  tech::LeakageModel leakage_;
-  WireClassifier classifier_;
   razor::FlopBank bank_;
-  razor::FlopTiming timing_;
+  detail::PointTables tables_;  // the one operating point (stride 1)
+  double cycle_overhead_;
+  double error_overhead_;
   EngineMode mode_ = EngineMode::bit_parallel;
-
   double supply_ = 0.0;
-  lut::TableSlice slice_{};
-  double leakage_energy_per_cycle_ = 0.0;
-  double energy_scale_ = 1.0;  // rail-vs-effective voltage correction (IR drop)
-  double cycle_overhead_ = 0.0;
-  double error_overhead_ = 0.0;
   double jitter_sigma_ = 0.0;
   Rng jitter_rng_{0x7a5e11u};
-
-  // Per-class operating-point precomputation (refreshed on supply change):
-  // energy already scaled to the rail voltage, the class arrival time at
-  // zero jitter, and the zero-jitter capture verdict. With jitter enabled
-  // the verdict is re-derived per cycle from arrival = delay + jitter with
-  // exactly the comparison chain of DoubleSamplingFlop::clock, so the
-  // engines stay bit-identical (the verdict flips where delay + jitter
-  // crosses a capture limit).
-  double scaled_energy_[lut::PatternClass::kCount] = {};
-  double class_delay_[lut::PatternClass::kCount] = {};
-  Verdict class_verdict_[lut::PatternClass::kCount] = {};
-
-  // Shield-group structure (see detail::GroupLayout). Combo tables are
-  // built per operating point when layout_.tabulatable.
-  detail::GroupLayout layout_;
-  // False when some tabulated verdict is "held" (arrival <= 0), which the
-  // toggle-update table path cannot express; zero-jitter cycles then go
-  // through the per-class kernel instead.
-  bool combo_zero_jitter_ok_ = true;
-  std::vector<double> combo_energy_;
-  std::vector<double> combo_worst_;
-  std::vector<std::uint8_t> combo_error_;
-  std::vector<std::uint8_t> combo_shadow_;
 
   BusWord prev_word_;
   // Value stably latched on each wire as the receiver sees it. Equals
@@ -304,45 +355,29 @@ class BusSimulator {
 
 // ------------------------------------------------------------- multi-point
 
-// One operating point of a batched run: the regulator rail voltage plus
-// the process/temperature/IR environment — exactly the axes BusSimulator
-// fixes per instance (set_supply + the constructor's PvtCorner).
-struct OperatingPoint {
-  double supply = 0.0;
-  tech::PvtCorner environment{};
-};
-
-struct MultiPointConfig {
-  razor::RecoveryCostModel recovery{};
-  // Common-mode arrival jitter, as BusSimulator::set_timing_jitter: one
-  // draw per non-idle cycle. The draw sequence depends only on the trace
-  // (which cycles are idle), never on the operating point, so a single
-  // shared generator reproduces what N scalar shards — each re-seeded
-  // with the same seed — would each draw.
-  double timing_jitter_sigma = 0.0;
-  std::uint64_t jitter_seed = 0x7a5e11u;
-  BusWord initial_word{};
-};
-
 // Evaluates N operating points against ONE trace in a single pass
 // (DESIGN.md §13). Per-cycle pattern work (idle detection, group combo
-// indices, class masks) is shared across points; the per-point
-// delay/energy/verdict evaluation is laid out structure-of-arrays — the
-// combo tables hold rows of N energies/error-bytes per (prev, cur)
-// combination — and the hot zero-jitter path reduces those rows with the
-// util/simd.hpp kernels. Per-point totals are bit-identical to running
-// BusSimulator (bit_parallel) once per point over the same trace: the
-// per-cycle IEEE operation sequence of every point is preserved exactly
-// (group-order energy sub-sums, one `+= dynamic + leakage` per cycle,
-// the scalar engine's own per-point kernel selection).
+// indices, class masks) is shared across points. The per-point tables are
+// structure-of-arrays rows (detail::PointTables), and a cycle on which
+// every point takes the table kernel reduces whole rows with the
+// util/simd.hpp kernels; any other cycle walks the points through
+// BusSimulator's own detail::CycleRule. Per-point totals are therefore
+// bit-identical to running BusSimulator (bit_parallel) once per point over
+// the same trace (group-order energy sub-sums, one `+= dynamic + leakage`
+// per cycle).
 class MultiPointEngine {
  public:
   // `design` and `table` must outlive the engine. Throws on an empty
-  // point list or a non-positive supply.
+  // point list, a non-positive supply or a negative jitter sigma.
+  // `timing_jitter_sigma` is BusSimulator::set_timing_jitter's common-mode
+  // arrival jitter at its default seed: one draw per non-idle cycle. The
+  // draw sequence depends only on the trace (which cycles are idle), never
+  // on the operating point, so one shared generator reproduces what N
+  // scalar simulators would each draw.
   MultiPointEngine(const interconnect::BusDesign& design,
                    const lut::DelayEnergyTable& table,
                    const std::vector<OperatingPoint>& points,
-                   const MultiPointConfig& config = {});
+                   double timing_jitter_sigma = 0.0);
 
   std::size_t n_points() const { return n_points_; }
 
@@ -351,50 +386,26 @@ class MultiPointEngine {
   // with bit-identical totals, same contract as BusSimulator::run.
   void run(const BusWord* words, std::size_t n);
   void run(const std::vector<BusWord>& words) { run(words.data(), words.size()); }
-  // Drain a streaming trace through a fixed block buffer (same width
-  // check and block semantics as BusSimulator::run(TraceSource&)).
-  void run(trace::TraceSource& source,
-           std::size_t block_cycles = trace::kDefaultBlockCycles);
 
   // Totals of one point (cycles are shared: every point saw every cycle).
   RunningTotals totals(std::size_t point) const;
-  std::vector<RunningTotals> all_totals() const;
 
   // Reset bus/receiver state and totals (keeps the operating points).
   void reset(const BusWord& initial_word = BusWord());
 
  private:
-  void build_point(std::size_t p, const OperatingPoint& point);
   void fast_cycle(const BusWord& word);
   void mixed_cycle(const BusWord& word, double jitter);
 
-  const interconnect::BusDesign& design_;
-  const lut::DelayEnergyTable& table_;
-  tech::LeakageModel leakage_;
-  WireClassifier classifier_;
-  razor::FlopTiming timing_;
-  detail::GroupLayout layout_;
-
-  std::size_t n_points_ = 0;
-  std::size_t stride_ = 0;  // n_points_ padded to the SIMD row granule
-  double cycle_overhead_ = 0.0;
-  double cycle_error_overhead_ = 0.0;  // cycle + error overhead, pre-added
-  double jitter_sigma_ = 0.0;
+  detail::CycleRule rule_;
+  std::size_t n_points_;
+  // Rows padded to the SIMD granule; padding slots stay zero and never
+  // reach the totals.
+  detail::PointTables tables_;
+  double cycle_overhead_;
+  double cycle_error_overhead_;  // cycle + error overhead, pre-added
+  double jitter_sigma_;
   Rng jitter_rng_{0x7a5e11u};
-
-  // Per-point operating tables, structure-of-arrays. Row-major over the
-  // point index: combo_* arrays hold one stride_-wide row per (group
-  // table offset, prev, cur) combination so the fast path reduces whole
-  // rows; the per-class arrays are point-major ([p * kCount + cls]) since
-  // the scalar fallback kernels walk one point at a time.
-  std::vector<double> leak_;                   // [stride_]
-  std::vector<double> combo_energy_;           // [combo][stride_]
-  std::vector<std::uint8_t> combo_error_;      // [combo][stride_]
-  std::vector<std::uint8_t> combo_shadow_;     // [combo][stride_]
-  std::vector<double> scaled_energy_;          // [point][kCount]
-  std::vector<double> class_delay_;            // [point][kCount]
-  std::vector<detail::Verdict> class_verdict_; // [point][kCount]
-  std::vector<std::uint8_t> combo_ok_;         // per point: zero-jitter ok
   bool all_combo_ok_ = false;
 
   // Cycle state. While every point rides the fast table path their
@@ -408,27 +419,14 @@ class MultiPointEngine {
   std::uint64_t cycles_ = 0;
   std::vector<std::uint64_t> errors_;           // [n_points_]
   std::vector<std::uint64_t> shadow_failures_;  // [n_points_]
-  std::vector<double> bus_energy_;              // [stride_]
-  std::vector<double> overhead_energy_;         // [stride_]
+  std::vector<double> bus_energy_;              // [stride]
+  std::vector<double> overhead_energy_;         // [stride]
 
-  // Per-cycle scratch rows (fast path).
+  // Per-cycle scratch rows (fast path) and per-wire classes (mixed path).
   std::vector<double> dyn_;
   std::vector<std::uint8_t> errb_;
   std::vector<std::uint8_t> shadowb_;
   std::vector<int> classes_;
 };
-
-// One-shot convenience wrappers: build the engine, run the trace, return
-// per-point totals in point order.
-std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design,
-                                           const lut::DelayEnergyTable& table,
-                                           const std::vector<OperatingPoint>& points,
-                                           const BusWord* words, std::size_t n,
-                                           const MultiPointConfig& config = {});
-std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design,
-                                           const lut::DelayEnergyTable& table,
-                                           const std::vector<OperatingPoint>& points,
-                                           const std::vector<BusWord>& words,
-                                           const MultiPointConfig& config = {});
 
 }  // namespace razorbus::bus

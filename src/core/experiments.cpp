@@ -100,9 +100,8 @@ std::vector<SweepPoint> sweep_points_batched(const DvsBusSystem& system,
     for (std::size_t s = lo; s < hi; ++s) points.push_back({supplies[s], environment});
     std::vector<SweepPoint> out;
     if (points.empty()) return out;
-    bus::MultiPointConfig config;
-    config.timing_jitter_sigma = timing_jitter_sigma;
-    bus::MultiPointEngine engine(system.design(), system.table(), points, config);
+    bus::MultiPointEngine engine(system.design(), system.table(), points,
+                                 timing_jitter_sigma);
     StreamCursor cursor(source, stream.block_cycles);
     cursor.drain([&](const BusWord* words, std::size_t n) { engine.run(words, n); });
     cursor.account(shard);

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "lut/point_store.hpp"
+#include "util/binary_io.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -25,6 +26,9 @@ constexpr char kMagic[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '2'};
 constexpr char kMagicAdaptive[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '3'};
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr std::size_t kClassCount = static_cast<std::size_t>(PatternClass::kCount);
+// Largest supply grid a serialized table may claim (the paper grid has 28
+// points; this bound only stops a corrupt header from sizing a runaway grid).
+constexpr double kMaxGridPoints = 1 << 20;
 
 const tech::SupplyBreakpoints kEmptyAxis{};
 
@@ -731,6 +735,12 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
   is.read(reinterpret_cast<char*>(&n_corners), sizeof(n_corners));
   if (!is || n_temps == 0 || n_temps > 16 || n_corners == 0 || n_corners > 8)
     return std::nullopt;
+  // The header can carry the right magic and hash but a corrupt grid: reject
+  // it before SupplyGrid would throw, and bound the grid size so no claimed
+  // payload below is sized from a runaway count.
+  if (!std::isfinite(vmin) || !std::isfinite(vmax) || !std::isfinite(step) ||
+      !(step > 0.0) || vmax < vmin || !((vmax - vmin) / step < kMaxGridPoints))
+    return std::nullopt;
 
   DelayEnergyTable table;
   table.grid_ = tech::SupplyGrid(vmin, vmax, step);
@@ -749,7 +759,9 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
     const std::uint64_t expected_values =
         n_corners * n_temps * table.grid_.size() *
         static_cast<std::uint64_t>(PatternClass::kCount);
-    if (!is || n_values != expected_values) return std::nullopt;
+    if (!is || n_values != expected_values ||
+        !util::claim_fits_stream(is, n_values, 2 * sizeof(double)))
+      return std::nullopt;
     table.delays_.resize(n_values);
     table.energies_.resize(n_values);
     is.read(reinterpret_cast<char*>(table.delays_.data()),
@@ -765,7 +777,9 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
     std::uint64_t n_points = 0;
     is.read(reinterpret_cast<char*>(&n_points), sizeof(n_points));
     // A band cannot hold more breakpoints than the reference grid.
-    if (!is || n_points == 0 || n_points > table.grid_.size()) return std::nullopt;
+    if (!is || n_points == 0 || n_points > table.grid_.size() ||
+        !util::claim_fits_stream(is, n_points, (1 + 2 * kClassCount) * sizeof(double)))
+      return std::nullopt;
     std::vector<double> voltages(n_points);
     is.read(reinterpret_cast<char*>(voltages.data()),
             static_cast<std::streamsize>(n_points * sizeof(double)));

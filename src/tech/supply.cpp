@@ -7,7 +7,8 @@ namespace razorbus::tech {
 
 SupplyGrid::SupplyGrid(double vmin, double vmax, double step)
     : vmin_(vmin), vmax_(vmax), step_(step) {
-  if (step <= 0.0 || vmax < vmin)
+  // Negated compares so a NaN in any field is rejected too.
+  if (!(step > 0.0) || !(vmin <= vmax))
     throw std::invalid_argument("SupplyGrid: bad range/step");
   count_ = static_cast<std::size_t>(std::floor((vmax - vmin) / step + 1e-9)) + 1;
   vmax_ = vmin_ + step_ * static_cast<double>(count_ - 1);

@@ -44,9 +44,9 @@ const core::DvsBusSystem& parity_system() {
   return system;
 }
 
-std::vector<std::uint32_t> pattern_trace(const std::string& kind, std::size_t cycles,
-                                         std::uint64_t seed) {
-  std::vector<std::uint32_t> words;
+std::vector<BusWord> pattern_trace(const std::string& kind, std::size_t cycles,
+                                   std::uint64_t seed) {
+  std::vector<BusWord> words;
   words.reserve(cycles);
   Rng rng(seed);
   if (kind == "random") {
@@ -86,6 +86,9 @@ void expect_totals_identical(const RunningTotals& a, const RunningTotals& b,
 struct ParityCounts {
   std::uint64_t errors = 0;
   std::uint64_t shadow_failures = 0;
+  // Non-idle cycles on which every arrival was <= 0: the receivers held
+  // their old values, so line and bus diverge (the desynced-receiver case).
+  std::uint64_t held_cycles = 0;
 };
 
 // Step both engines cycle-for-cycle and compare every per-cycle output,
@@ -93,7 +96,7 @@ struct ParityCounts {
 // irregular chunks. `seen` (optional) accumulates what the run produced so
 // sweeps can assert they actually exercised error/shadow territory.
 void check_parity(const tech::PvtCorner& env, double supply, double jitter_sigma,
-                  const std::vector<std::uint32_t>& words, const std::string& what,
+                  const std::vector<BusWord>& words, const std::string& what,
                   ParityCounts* seen = nullptr) {
   BusSimulator fast = parity_system().make_simulator(env);
   BusSimulator ref = parity_system().make_simulator(env);
@@ -113,6 +116,8 @@ void check_parity(const tech::PvtCorner& env, double supply, double jitter_sigma
     ASSERT_EQ(f.bus_energy, r.bus_energy) << what << " cycle " << i;
     ASSERT_EQ(f.overhead_energy, r.overhead_energy) << what << " cycle " << i;
     ASSERT_EQ(f.worst_delay, r.worst_delay) << what << " cycle " << i;
+    const bool idle = words[i] == (i > 0 ? words[i - 1] : BusWord());
+    if (seen && !idle && r.worst_delay <= 0.0) ++seen->held_cycles;
   }
   expect_totals_identical(fast.totals(), ref.totals(), what + " [step totals]");
 
@@ -134,7 +139,7 @@ void check_parity(const tech::PvtCorner& env, double supply, double jitter_sigma
 }
 
 TEST(EngineParity, AcrossCornersTemperaturesAndSupplies) {
-  const std::vector<std::uint32_t> random_words = pattern_trace("random", 1200, 11);
+  const std::vector<BusWord> random_words = pattern_trace("random", 1200, 11);
   ParityCounts seen;
   for (const auto process : {tech::ProcessCorner::slow, tech::ProcessCorner::typical,
                              tech::ProcessCorner::fast}) {
@@ -164,15 +169,20 @@ TEST(EngineParity, TracePatternsAtMarginalSupply) {
 TEST(EngineParity, WithCommonModeJitter) {
   // Jitter draws one normal per non-idle cycle from the same seeded RNG in
   // both engines; verdicts must still match bit for bit because both
-  // compare arrival = delay + jitter against the same limits.
-  const std::vector<std::uint32_t> words = pattern_trace("random", 2000, 31);
+  // compare arrival = delay + jitter against the same limits. A sigma
+  // comparable to the class delays drives arrivals to <= 0: held captures
+  // and receivers out of sync with the bus.
+  const std::vector<BusWord> words = pattern_trace("random", 2000, 31);
+  ParityCounts seen;
   for (const auto process : {tech::ProcessCorner::slow, tech::ProcessCorner::typical}) {
     const tech::PvtCorner env{process, 100.0, 0.0};
     for (const double supply : {0.98, 1.06})
-      for (const double sigma : {2e-12, 8e-12})
+      for (const double sigma : {2e-12, 8e-12, 300e-12})
         check_parity(env, supply, sigma, words,
-                     env.name() + " jitter " + std::to_string(sigma));
+                     env.name() + " jitter " + std::to_string(sigma * 1e12) + " ps",
+                     &seen);
   }
+  EXPECT_GT(seen.held_cycles, 0u);
 }
 
 TEST(EngineParity, IrDroppedEnvironment) {

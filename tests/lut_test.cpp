@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "interconnect/elmore.hpp"
 #include "lut/cache.hpp"
@@ -279,6 +282,48 @@ TEST_F(TableTest, LoadRejectsTruncated) {
   data.resize(data.size() / 2);
   std::stringstream half(data);
   EXPECT_FALSE(DelayEnergyTable::load(half, 7).has_value());
+}
+
+// A header with the right magic and hash but a corrupt supply grid is "not
+// a valid table": load returns empty, never throws or sizes a runaway grid.
+TEST_F(TableTest, LoadRejectsCorruptGridHeader) {
+  std::stringstream buffer;
+  table_->save(buffer, 5);
+  const std::string valid = buffer.str();
+  ASSERT_FALSE(table_->adaptive());
+  // Layout: magic, hash, vmin, vmax, step, n_temps, n_corners, temps,
+  // int32 corners, then the dense payload's n_values.
+  constexpr std::size_t kVmax = 24;
+  constexpr std::size_t kStep = 32;
+  const std::size_t n_values_at =
+      56 + 8 * table_->temps().size() + 4 * table_->corners().size();
+  const auto patched = [&](std::string bytes, std::size_t offset, auto value) {
+    std::memcpy(&bytes[offset], &value, sizeof(value));
+    return bytes;
+  };
+  const tech::SupplyGrid& grid = table_->grid();
+  // A grid of 4097 points whose payload claim matches it but overruns the
+  // bytes left in the stream.
+  const double fine_step = (grid.vmax() - grid.vmin()) / 4096.0;
+  const std::uint64_t fine_values = table_->corners().size() * table_->temps().size() *
+                                    4097 * PatternClass::kCount;
+  const std::pair<const char*, std::string> cases[] = {
+      {"zero step", patched(valid, kStep, 0.0)},
+      {"negative step", patched(valid, kStep, -0.02)},
+      {"vmax below vmin", patched(valid, kVmax, grid.vmin() - 0.1)},
+      {"NaN step", patched(valid, kStep, std::nan(""))},
+      {"huge grid", patched(valid, kStep, 1e-15)},
+      {"payload beyond the stream",
+       patched(patched(valid, kStep, fine_step), n_values_at, fine_values)},
+  };
+  for (const auto& [what, bytes] : cases) {
+    std::stringstream in(bytes);
+    std::optional<DelayEnergyTable> loaded;
+    EXPECT_NO_THROW(loaded = DelayEnergyTable::load(in, 5)) << what;
+    EXPECT_FALSE(loaded.has_value()) << what;
+  }
+  std::stringstream intact(valid);
+  EXPECT_TRUE(DelayEnergyTable::load(intact, 5).has_value());
 }
 
 TEST_F(TableTest, MinShadowSafeVoltageIsConsistent) {

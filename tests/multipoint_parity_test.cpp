@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bus/simulator.hpp"
+#include "core/closed_loop.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "test_support.hpp"
@@ -93,9 +94,7 @@ void expect_batch_matches_scalar(const interconnect::BusDesign& design,
                                  double sigma,
                                  const std::vector<std::vector<BusWord>>& traces,
                                  const std::string& what) {
-  bus::MultiPointConfig config;
-  config.timing_jitter_sigma = sigma;
-  bus::MultiPointEngine engine(design, table, points, config);
+  bus::MultiPointEngine engine(design, table, points, sigma);
   for (const auto& words : traces) engine.run(words);
   for (std::size_t p = 0; p < points.size(); ++p) {
     expect_totals_identical(
@@ -104,16 +103,41 @@ void expect_batch_matches_scalar(const interconnect::BusDesign& design,
   }
 }
 
+// Non-idle cycles on which one scalar simulator saw every arrival <= 0:
+// held captures, after which its receivers are out of sync with the bus.
+std::uint64_t held_cycles(const interconnect::BusDesign& design,
+                          const lut::DelayEnergyTable& table,
+                          const bus::OperatingPoint& point, double sigma,
+                          const std::vector<BusWord>& words) {
+  bus::BusSimulator sim(design, table, point.environment);
+  sim.set_timing_jitter(sigma);
+  sim.set_supply(point.supply);
+  std::uint64_t held = 0;
+  BusWord prev;
+  for (const BusWord& word : words) {
+    if (sim.step(word).worst_delay <= 0.0 && word != prev) ++held;
+    prev = word;
+  }
+  return held;
+}
+
 TEST(MultiPoint, MatchesScalarAcrossWidthsAndJitter) {
+  // 300 ps is comparable to the class delays: it reaches the held verdict
+  // and the jitter kernel on desynced receivers.
+  constexpr double kHeldSigma = 300e-12;
   for (const int width : {16, 32, 64, 128}) {
     const auto& system = system_at(width);
     const trace::Trace trace =
         trace::generate_synthetic(trace_config(width, 1500, 0x5eedu + width), "mp");
-    for (const double sigma : {0.0, 5e-12}) {
+    for (const double sigma : {0.0, 5e-12, kHeldSigma}) {
       expect_batch_matches_scalar(
           system.design(), system.table(), point_grid(), sigma, {trace.words},
           "width " + std::to_string(width) + " sigma " + std::to_string(sigma));
     }
+    EXPECT_GT(held_cycles(system.design(), system.table(), point_grid().front(),
+                          kHeldSigma, trace.words),
+              0u)
+        << "width " << width;
   }
 }
 
@@ -128,7 +152,7 @@ TEST(MultiPoint, AccumulatesAcrossTraces) {
                               {a.words, b.words}, "two traces");
 }
 
-// Streamed input: draining a TraceSource through the block buffer must be
+// Streamed input: draining a TraceSource through core::StreamCursor must be
 // bit-identical to one run over the materialized words (any block split),
 // and both must match the scalar loop.
 TEST(MultiPoint, StreamedMatchesMaterialized) {
@@ -137,16 +161,15 @@ TEST(MultiPoint, StreamedMatchesMaterialized) {
     const auto cfg = trace_config(width, 2000, 0xbeefu + width);
     const trace::Trace materialized = trace::generate_synthetic(cfg, "mp_stream");
     for (const double sigma : {0.0, 5e-12}) {
-      bus::MultiPointConfig config;
-      config.timing_jitter_sigma = sigma;
       const std::vector<bus::OperatingPoint> points = point_grid();
 
-      bus::MultiPointEngine batch(system.design(), system.table(), points, config);
+      bus::MultiPointEngine batch(system.design(), system.table(), points, sigma);
       batch.run(materialized.words);
 
       const auto source = trace::make_synthetic_source(cfg, "mp_stream");
-      bus::MultiPointEngine streamed(system.design(), system.table(), points, config);
-      streamed.run(*source, 256);
+      bus::MultiPointEngine streamed(system.design(), system.table(), points, sigma);
+      core::StreamCursor cursor(*source, 256);
+      cursor.drain([&](const BusWord* words, std::size_t n) { streamed.run(words, n); });
 
       for (std::size_t p = 0; p < points.size(); ++p) {
         const std::string what = "width " + std::to_string(width) + " sigma " +
@@ -188,20 +211,6 @@ TEST(MultiPoint, GeneralKernelParityOnUntabulatableLayout) {
                                 "untabulatable sigma " + std::to_string(sigma));
 }
 
-// The one-shot wrappers return per-point totals in point order.
-TEST(MultiPoint, RunWrapperMatchesEngine) {
-  const auto& system = system_at(32);
-  const trace::Trace trace = trace::generate_synthetic(trace_config(32, 600, 41), "w");
-  const std::vector<bus::OperatingPoint> points = point_grid();
-  const auto totals =
-      bus::multi_point_run(system.design(), system.table(), points, trace.words);
-  ASSERT_EQ(totals.size(), points.size());
-  bus::MultiPointEngine engine(system.design(), system.table(), points);
-  engine.run(trace.words);
-  for (std::size_t p = 0; p < points.size(); ++p)
-    expect_totals_identical(totals[p], engine.totals(p), "wrapper " + std::to_string(p));
-}
-
 TEST(MultiPoint, RejectsBadInputs) {
   const auto& system = system_at(32);
   EXPECT_THROW(bus::MultiPointEngine(system.design(), system.table(), {}),
@@ -210,13 +219,11 @@ TEST(MultiPoint, RejectsBadInputs) {
                    system.design(), system.table(),
                    {{-1.0, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0}}}),
                std::invalid_argument);
-  // Streams wider than the bus are rejected loudly, not truncated.
-  const auto& narrow = system_at(16);
-  const auto wide_source = trace::make_synthetic_source(trace_config(32, 100, 5), "w32");
-  bus::MultiPointEngine engine(
-      narrow.design(), narrow.table(),
-      {{1.14, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0}}});
-  EXPECT_THROW(engine.run(*wide_source), std::invalid_argument);
+  EXPECT_THROW(bus::MultiPointEngine(
+                   system.design(), system.table(),
+                   {{1.14, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0}}},
+                   -1e-12),
+               std::invalid_argument);
 }
 
 // "simd" is a first-class engine-mode name, and on a single simulator it

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bus/businvert.hpp"
+#include "core/closed_loop.hpp"
 #include "core/experiments.hpp"
 #include "cpu/kernels.hpp"
 #include "dvs/oracle.hpp"
@@ -227,15 +228,15 @@ TEST(StreamSimulator, RunSourceMatchesRunWords) {
 
   bus::BusSimulator on_stream = system.make_simulator(corner);
   auto source = trace::make_trace_view_source(t);
-  const bus::RunningTotals b = on_stream.run(*source, kOddBlock);
-  expect_totals_eq(a, b);
+  core::StreamCursor cursor(*source, kOddBlock);
+  cursor.drain([&](const BusWord* words, std::size_t n) { on_stream.run(words, n); });
+  expect_totals_eq(a, on_stream.totals());
 }
 
 TEST(StreamSimulator, RejectsStreamsWiderThanTheBus) {
-  bus::BusSimulator sim = small_system().make_simulator(tech::typical_corner());
   const auto wide = trace::make_synthetic_source(
       synth_config(10, 1, trace::SyntheticStyle::uniform, 64), "wide");
-  EXPECT_THROW(sim.run(*wide), std::invalid_argument);
+  EXPECT_THROW(core::check_width(small_system(), *wide), std::invalid_argument);
 }
 
 // ------------------------------------- experiment drivers (parity suite)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tech/corner.hpp"
 #include "tech/device.hpp"
 #include "tech/leakage.hpp"
@@ -276,6 +278,7 @@ TEST(SupplyGrid, RejectsBadRanges) {
   EXPECT_THROW(SupplyGrid(1.0, 0.9, 0.02), std::invalid_argument);
   EXPECT_THROW(SupplyGrid(0.9, 1.2, 0.0), std::invalid_argument);
   EXPECT_THROW(SupplyGrid(0.9, 1.2, -0.02), std::invalid_argument);
+  EXPECT_THROW(SupplyGrid(0.9, 1.2, std::nan("")), std::invalid_argument);
 }
 
 TEST(SupplyGrid, OutOfRangeVoltageIndexThrows) {
