@@ -1,8 +1,11 @@
-// Declarative scenario-campaign runner (DESIGN.md §11) — a thin client
-// over the campaign service (docs/campaignd.md).
+// The campaign front end (DESIGN.md §11, docs/campaign-service.md): one
+// CLI over the campaign service.
 //
-//   campaign run <campaign.json> [--out=DIR] [--jobs=N] [--cache=DIR]
-//                [--force] [--dry_run] [--json=PATH]
+//   campaign run <campaign.json> [--out=DIR] [--cache=DIR] [--workers=N]
+//                [--force] [--max_jobs=N] [--shard=K/N] [--json=PATH]
+//   campaign worker [--out=DIR] [--cache=DIR] [--workers=N] [--max_jobs=N]
+//   campaign status [--out=DIR]
+//   campaign manifest <campaign.json> --shards=N [--out=DIR]
 //   campaign list [<campaign.json>]
 //   campaign run-one <job.spec.json> --json=PATH   (internal)
 //
@@ -12,27 +15,37 @@
 // resumable after any kill, and the content-hash result cache under
 // <out>/cache (shareable via --cache) replays previously-completed jobs'
 // BENCH_<job>.json byte-for-byte without simulating. Each executed job is
-// a `campaign run-one` subprocess (--jobs at a time) whose stdout/stderr
-// land in <out>/<job>.log; per-job reports aggregate into one consolidated
-// BENCH_campaign.json. A half-written report or queue record from an
-// interrupted run fails its parse and reruns — the same torn-file
-// tolerance lut::PointStore applies. Jobs referencing a registered bench
-// scenario run the exact legacy harness code path, so their reports are
-// byte-identical to the standalone binaries' (modulo wall-clock fields) —
-// enforced by tests/campaign_test.cpp. `campaignd` drives the same
-// service with workers, shard manifests and a status surface.
+// a `campaign run-one` subprocess of this same binary (--workers at a
+// time) whose stdout/stderr land in <out>/<job>.log; per-job reports
+// aggregate into one consolidated <out>/BENCH_campaign.json. A
+// half-written report or queue record from an interrupted run fails its
+// parse and reruns — the same torn-file tolerance lut::PointStore
+// applies. `worker` attaches another process to a running queue (the
+// link(2) claim protocol makes them steal work safely), `manifest` splits
+// a campaign across hosts by content hash for `run --shard=K/N` against a
+// shared cache, and `status` prints the live <out>/status.json snapshot.
+// Jobs referencing a registered bench scenario run the exact legacy
+// harness code path, so their reports are byte-identical to the
+// standalone binaries' (modulo wall-clock fields) — enforced by
+// tests/campaign_test.cpp.
+#include <unistd.h>
+
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 
 #include "bus/businvert.hpp"
+#include "core/job_hash.hpp"
 #include "core/scenario_spec.hpp"
+#include "lut/point_store.hpp"
 #include "scenario_registry.hpp"
 #include "svc/fsio.hpp"
 #include "svc/service.hpp"
@@ -184,7 +197,6 @@ sys::SystemRunConfig loop_config(const core::ScenarioSpec& spec, std::size_t cyc
   cfg.controller = spec.controllers.at(0).threshold;
   cfg.engine = spec.engine;
   cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-  cfg.lut_tolerance = spec.lut_tolerance;
   cfg.arbitration = spec.arbitration;
   cfg.drift = sys::schedule_from_spec(spec.drift, cycles);
   return cfg;
@@ -431,60 +443,209 @@ int run_one(const std::string& spec_path, const std::string& json_flag) {
   return run_scenario(static_cast<int>(argv.size()), argv.data(), scenario);
 }
 
-// --------------------------------------------------------------------- run
+// ------------------------------------------------------------- service CLI
 
-int run_campaign(const std::string& self, const std::string& campaign_path,
-                 CliFlags& flags) {
-  const core::CampaignSpec campaign = core::CampaignSpec::from_file(campaign_path);
-  std::vector<core::ScenarioJob> jobs = core::expand_campaign(campaign);
+struct Expanded {
+  core::CampaignSpec campaign;
+  std::vector<core::ScenarioJob> jobs;
+};
+
+Expanded expand(const std::string& campaign_path) {
+  Expanded out;
+  out.campaign = core::CampaignSpec::from_file(campaign_path);
+  out.jobs = core::expand_campaign(out.campaign);
   // Fail-fast contract (DESIGN.md §11): a typo'd bench name must surface
   // now, not after the jobs ahead of it have burned their budgets.
-  for (const auto& job : jobs)
+  for (const auto& job : out.jobs)
     if (job.spec.kind == core::ScenarioSpec::Kind::bench)
       scenario_by_name(job.spec.bench);  // throws, listing the known names
+  return out;
+}
 
+// The flags `run` and `worker` share. Jobs always execute as `run-one`
+// children of this binary. Out-of-range counts are rejected, not clamped.
+svc::ServiceConfig service_config(const char* self, const CliFlags& flags,
+                                  const std::string& default_out) {
   svc::ServiceConfig config;
-  config.out_dir = flags.get("out", "campaign_out/" + campaign.name);
+  config.out_dir = flags.get("out", default_out);
   config.cache_dir = flags.get("cache", "");
-  config.runner = self;  // jobs execute as `campaign run-one` children
-  config.workers = static_cast<unsigned>(
-      std::max<std::int64_t>(1, flags.get_int("jobs", 1)));
+  config.runner = self;
+  // Each worker is a thread of this process; the cap keeps a typo from
+  // spawning a runaway pool.
+  const std::int64_t workers = flags.get_int("workers", 1);
+  if (workers < 1 || workers > 1024)
+    throw std::invalid_argument("flag --workers expects 1 <= N <= 1024, got " +
+                                std::to_string(workers));
+  const std::int64_t max_jobs = flags.get_int("max_jobs", 0);
+  if (max_jobs < 0)
+    throw std::invalid_argument("flag --max_jobs expects N >= 0, got " +
+                                std::to_string(max_jobs));
+  config.workers = static_cast<unsigned>(workers);
+  config.max_jobs = static_cast<std::size_t>(max_jobs);
+  return config;
+}
+
+// --shard=K/N: this host runs hash-assigned shard K of N, 0 <= K < N.
+void parse_shard(const std::string& text, svc::ServiceConfig& config) {
+  const auto is_count = [](const std::string& s) {
+    return !s.empty() && s.size() <= 9 &&
+           std::all_of(s.begin(), s.end(),
+                       [](unsigned char c) { return std::isdigit(c) != 0; });
+  };
+  const auto slash = text.find('/');
+  const std::string k = text.substr(0, slash);
+  const std::string n = slash == std::string::npos ? "" : text.substr(slash + 1);
+  if (!is_count(k) || !is_count(n) || std::stoi(k) >= std::stoi(n))
+    throw std::invalid_argument("flag --shard expects K/N with 0 <= K < N, got '" +
+                                text + "'");
+  config.shard_index = std::stoi(k);
+  config.shard_count = std::stoi(n);
+}
+
+void print_summary(const std::string& name, const svc::CampaignService::Summary& s,
+                   const std::string& wrote) {
+  const auto cached = s.cached_prior + static_cast<std::size_t>(s.cache_hits);
+  std::printf("\n[%s: %zu job(s), %zu cached (%llu cache hit(s)), %zu executed, "
+              "%zu failed, %.2f s]%s%s\n",
+              name.c_str(), s.jobs_total, cached,
+              static_cast<unsigned long long>(s.cache_hits), s.executed, s.failed,
+              s.wall_seconds, wrote.empty() ? "" : " wrote ", wrote.c_str());
+}
+
+int run(const char* self, const std::string& campaign_path, const CliFlags& flags) {
+  Expanded ex = expand(campaign_path);
+  svc::ServiceConfig config =
+      service_config(self, flags, "campaign_out/" + ex.campaign.name);
   config.force = flags.get_bool("force", false);
-  const bool dry_run = flags.get_bool("dry_run", false);
-  const std::string consolidated = flags.get("json", "BENCH_campaign.json");
+  const std::string shard = flags.get("shard", "");
+  if (!shard.empty()) parse_shard(shard, config);
+  const std::string consolidated = flags.get(
+      "json", (fs::path(config.out_dir) / "BENCH_campaign.json").string());
   flags.reject_unused();
 
-  std::printf("campaign '%s': %zu scenario(s) -> %zu job(s)\n", campaign.name.c_str(),
-              campaign.scenarios.size(), jobs.size());
-  if (dry_run) {
-    for (const auto& job : jobs) std::printf("  %s\n", job.name.c_str());
-    return 0;
-  }
+  std::printf("campaign '%s': %zu scenario(s) -> %zu job(s)%s\n",
+              ex.campaign.name.c_str(), ex.campaign.scenarios.size(), ex.jobs.size(),
+              shard.empty() ? "" : (" (shard " + shard + ")").c_str());
 
-  // All the heavy lifting — durable queue reconciliation (resume), the
-  // content-hash result cache, worker scheduling, status snapshots — is
-  // the shared service; this client keeps the PR-4 CLI and output shape.
-  svc::CampaignService service(campaign, std::move(jobs), std::move(config));
+  const std::string name = ex.campaign.name;
+  svc::CampaignService service(std::move(ex.campaign), std::move(ex.jobs),
+                               std::move(config));
   service.prepare();
-  const svc::CampaignService::Summary summary = service.run();
-
+  const auto summary = service.run();
   svc::write_file_atomic(consolidated, service.aggregate().dump(2) + "\n");
-  const std::size_t cached =
-      summary.cached_prior + static_cast<std::size_t>(summary.cache_hits);
-  std::printf("\n[%s: %zu job(s), %zu cached, %zu failed, %.2f s] wrote %s\n",
-              campaign.name.c_str(), summary.jobs_total, cached, summary.failed,
-              summary.wall_seconds, consolidated.c_str());
+  print_summary(name, summary, consolidated);
+  if (!summary.drained)
+    std::printf("queue not drained (max_jobs budget or external claims): resume "
+                "with `campaign run` or attach `campaign worker`\n");
   return summary.failed == 0 ? 0 : 1;
 }
 
-int list_scenarios(const CliFlags& flags) {
-  if (!flags.positional().empty() && flags.positional().size() >= 2) {
-    const core::CampaignSpec campaign =
-        core::CampaignSpec::from_file(flags.positional()[1]);
-    std::printf("campaign '%s': %zu scenario(s)\n", campaign.name.c_str(),
-                campaign.scenarios.size());
-    for (const auto& job : core::expand_campaign(campaign))
-      std::printf("  %s\n", job.name.c_str());
+int worker(const char* self, const CliFlags& flags) {
+  svc::ServiceConfig config = service_config(self, flags, "campaign_out");
+  // A worker's status snapshots must not clobber the owning scheduler's.
+  config.status_path =
+      (fs::path(config.out_dir) / ("status.worker" + std::to_string(::getpid()) +
+                                   ".json")).string();
+  flags.reject_unused();
+
+  svc::CampaignService service(std::move(config));
+  if (service.queue().jobs().empty()) {
+    std::printf("campaign worker: nothing queued under %s\n",
+                service.config().out_dir.c_str());
+    return 0;
+  }
+  const auto summary = service.run();
+  print_summary("worker", summary, "");
+  return summary.failed == 0 ? 0 : 1;
+}
+
+int status(const CliFlags& flags) {
+  const std::string out_dir = flags.get("out", "campaign_out");
+  flags.reject_unused();
+  const std::string path = (fs::path(out_dir) / "status.json").string();
+  Json status_json;
+  try {
+    status_json = Json::parse_file(path);
+  } catch (const std::exception&) {
+    std::printf("campaign: no status at %s (has a campaign run here?)\n", path.c_str());
+    return 1;
+  }
+  const auto count = [&](const char* key) {
+    const Json* v = status_json.find(key);
+    return v != nullptr && v->is_number() ? v->as_double() : 0.0;
+  };
+  std::printf("campaign '%s' (%s)\n", status_json.at("campaign").as_string().c_str(),
+              out_dir.c_str());
+  std::printf("  jobs: %.0f total, %.0f pending, %.0f running, %.0f done, "
+              "%.0f failed\n",
+              count("jobs_total"), count("pending"), count("running"), count("done"),
+              count("failed"));
+  std::printf("  cache: %.0f hit(s), %.0f miss(es), hit rate %.0f%%, "
+              "%.0f resumed-as-done\n",
+              count("cache_hits"), count("cache_misses"),
+              100.0 * count("cache_hit_rate"), count("cached_prior"));
+  std::printf("  throughput: %.0f executed (%.0f simulated cycles), %.2f s, "
+              "%.2f jobs/s\n",
+              count("executed"), count("executed_cycles"), count("wall_seconds"),
+              count("jobs_per_second"));
+  if (const Json* jobs = status_json.find("jobs"); jobs != nullptr && jobs->is_object())
+    for (const auto& [name, state] : jobs->members())
+      std::printf("    %-40s %s\n", name.c_str(), state.as_string().c_str());
+  return 0;
+}
+
+int manifest(const std::string& campaign_path, const CliFlags& flags) {
+  Expanded ex = expand(campaign_path);
+  const std::int64_t requested = flags.get_int("shards", 0);
+  if (requested < 1 || requested > std::numeric_limits<int>::max())
+    throw std::invalid_argument("manifest wants --shards=N (N >= 1)");
+  const auto shards = static_cast<int>(requested);
+  const std::string out_dir = flags.get("out", "campaign_out/" + ex.campaign.name);
+  flags.reject_unused();
+
+  fs::create_directories(out_dir);
+  std::vector<Json> lists;
+  for (int s = 0; s < shards; ++s) lists.push_back(Json::array());
+  for (const auto& job : ex.jobs) {
+    const auto shard = static_cast<int>(core::job_content_hash(job) %
+                                        static_cast<std::uint64_t>(shards));
+    Json entry = Json::object();
+    entry.set("name", job.name);
+    entry.set("hash", core::job_hash_hex(job));
+    lists[static_cast<std::size_t>(shard)].push(std::move(entry));
+  }
+  for (int s = 0; s < shards; ++s) {
+    Json doc = Json::object();
+    doc.set("campaign", ex.campaign.name);
+    doc.set("shard", s);
+    doc.set("shards", shards);
+    doc.set("hash_scheme", static_cast<long long>(core::kJobHashSchemeVersion));
+    doc.set("jobs", std::move(lists[static_cast<std::size_t>(s)]));
+    const std::string path =
+        (fs::path(out_dir) / ("shard_" + std::to_string(s) + "_of_" +
+                              std::to_string(shards) + ".json")).string();
+    svc::write_file_atomic(path, doc.dump(2) + "\n");
+    std::printf("  shard %d/%d: %zu job(s) -> %s\n", s, shards,
+                doc.at("jobs").size(), path.c_str());
+  }
+  std::printf("run each shard with `campaign run %s --shard=K/%d` against a "
+              "shared --cache directory\n",
+              campaign_path.c_str(), shards);
+  return 0;
+}
+
+// Without a file: the registered bench scenarios. With one: its expanded
+// jobs, each with the content hash that keys the result cache.
+int list(const std::vector<std::string>& positional) {
+  if (positional.size() == 2) {
+    const Expanded ex = expand(positional[1]);
+    std::printf("campaign '%s': %zu scenario(s) -> %zu job(s)\n",
+                ex.campaign.name.c_str(), ex.campaign.scenarios.size(),
+                ex.jobs.size());
+    std::printf("hash scheme v%u, simulator v%u\n", core::kJobHashSchemeVersion,
+                lut::kSimulatorVersion);
+    for (const auto& job : ex.jobs)
+      std::printf("  %s  %s\n", core::job_hash_hex(job).c_str(), job.name.c_str());
     return 0;
   }
   std::printf("registered bench scenarios (usable as \"bench\" spec entries):\n");
@@ -493,6 +654,15 @@ int list_scenarios(const CliFlags& flags) {
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: campaign run <campaign.json> [--out=DIR] [--cache=DIR] [--workers=N] "
+    "[--force] [--max_jobs=N] [--shard=K/N] [--json=PATH]\n"
+    "       campaign worker [--out=DIR] [--cache=DIR] [--workers=N] [--max_jobs=N]\n"
+    "       campaign status [--out=DIR]\n"
+    "       campaign manifest <campaign.json> --shards=N [--out=DIR]\n"
+    "       campaign list [<campaign.json>]\n"
+    "       campaign run-one <job.spec.json> --json=PATH";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -500,29 +670,25 @@ int main(int argc, char** argv) {
     CliFlags flags(argc, argv);
     const auto& positional = flags.positional();
     const std::string command = positional.empty() ? "" : positional[0];
+    // Each subcommand's positional arity: run, manifest and run-one take a
+    // file; list takes an optional one.
+    const bool one_file = positional.size() == 2;
+    const bool no_file = positional.size() == 1;
 
-    if (command == "list") {
-      const int rc = list_scenarios(flags);
+    if (command == "run" && one_file) return run(argv[0], positional[1], flags);
+    if (command == "worker" && no_file) return worker(argv[0], flags);
+    if (command == "status" && no_file) return status(flags);
+    if (command == "manifest" && one_file) return manifest(positional[1], flags);
+    if (command == "list" && (no_file || one_file)) {
       flags.reject_unused();
-      return rc;
+      return list(positional);
     }
-    if (command == "run") {
-      if (positional.size() != 2)
-        throw std::invalid_argument("usage: campaign run <campaign.json> [--out=DIR] "
-                                    "[--jobs=N] [--force] [--dry_run] [--json=PATH]");
-      return run_campaign(argv[0], positional[1], flags);
-    }
-    if (command == "run-one") {
-      if (positional.size() != 2)
-        throw std::invalid_argument("usage: campaign run-one <job.spec.json> "
-                                    "[--json=PATH]");
+    if (command == "run-one" && one_file) {
       const std::string json_flag = "--json=" + flags.get("json", "true");
       flags.reject_unused();
       return run_one(positional[1], json_flag);
     }
-    throw std::invalid_argument(
-        "usage: campaign run <campaign.json> | campaign list [<campaign.json>] | "
-        "campaign run-one <job.spec.json>");
+    throw std::invalid_argument(kUsage);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign: %s\n", e.what());
     return 2;

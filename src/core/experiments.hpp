@@ -157,10 +157,6 @@ struct DvsRunConfig {
   // Cycle engine for the run. Results are bit-identical either way
   // (DESIGN.md §5); scenario specs select `reference` to cross-check.
   bus::EngineMode engine = bus::EngineMode::bit_parallel;
-  // Provenance: adaptive characterization tolerance of the system's table
-  // (0 = dense). The run itself only reads the table; campaign drivers use
-  // this to build the system via lut_config_for_tolerance().
-  double lut_tolerance = 0.0;
 };
 
 struct DvsRunReport {

@@ -1,10 +1,10 @@
-// Content-addressed identity of a campaign job (docs/campaignd.md).
+// Content-addressed identity of a campaign job (docs/campaign-service.md).
 //
 // A campaign job is a pure function of its resolved spec, the bytes of any
 // trace file it reads, and the simulation code version: results are
 // bit-identical across thread counts, hosts and reruns (DESIGN.md §9), so
 // two jobs with equal identity produce byte-identical BENCH reports. The
-// job hash therefore keys the campaignd result cache — a completed job
+// job hash therefore keys the campaign result cache — a completed job
 // with the same hash is replayed from the cache verbatim instead of
 // simulated — and the CI `campaign-cache` leg keys its cache restore on
 // the scheme version below.
@@ -31,7 +31,8 @@ constexpr std::uint32_t kJobHashSchemeVersion = 1;
 // spec (field order is fixed by ScenarioSpec::to_json), and — for file
 // traces — a content hash of the trace file bytes (an unreadable file
 // contributes a marker, so hashing never fails before the job itself
-// would). Exposed for tests and for `campaignd hash` debugging output.
+// would). Exposed for tests; `campaign list <campaign.json>` prints the
+// resulting hash of every job.
 std::string job_identity(const ScenarioJob& job);
 
 // FNV-1a of job_identity(): the result-cache key. Any field change in the

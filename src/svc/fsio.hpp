@@ -1,12 +1,12 @@
-// Filesystem primitives shared by the campaign service (docs/campaignd.md).
+// Filesystem primitives shared by the campaign service (docs/campaign-service.md).
 //
-// Everything campaignd persists — queue records, claims, done records,
+// Everything the service persists — queue records, claims, done records,
 // cache entries, status snapshots, replayed reports — goes through
 // write_file_atomic: a private temp file renamed over the final path, the
 // same crash/concurrency contract as the LUT table cache and point store.
 // A reader therefore sees either the previous complete file or the new
 // complete file, never a torn one; torn files can only be left by a crash
-// BEFORE the rename, and every campaignd reader tolerates those by
+// BEFORE the rename, and every service reader tolerates those by
 // treating an unparseable file as absent.
 #pragma once
 

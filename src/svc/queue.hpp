@@ -1,4 +1,4 @@
-// Durable on-disk job queue for the campaign service (docs/campaignd.md).
+// Durable on-disk job queue for the campaign service (docs/campaign-service.md).
 //
 // The queue is a directory of small JSON files — no daemon state, no locks
 // held across crashes — organised so that every transition is one atomic
@@ -24,7 +24,7 @@
 //
 // Liveness probing is per-host (kill(pid, 0)), so one queue directory
 // serves the workers of ONE host. Multi-host splits partition jobs by
-// content hash instead (`campaignd manifest`) — hosts share the result
+// content hash instead (`campaign manifest`) — hosts share the result
 // cache, not the queue.
 #pragma once
 

@@ -1,5 +1,5 @@
 // Content-addressed cache of completed campaign-job reports
-// (docs/campaignd.md).
+// (docs/campaign-service.md).
 //
 // Entries are keyed by core::job_content_hash — a hash of the resolved
 // spec JSON, any trace-file bytes, the simulator version and the hash

@@ -173,7 +173,8 @@ CampaignService::Summary CampaignService::run() {
       if (!job) {
         if (queue_.all_done()) break;
         // Jobs remain but are claimed by live workers (this process's
-        // other lanes or attached campaignd workers): wait for outcomes.
+        // other lanes or attached `campaign worker` processes): wait for
+        // outcomes.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         continue;
       }

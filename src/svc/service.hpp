@@ -1,5 +1,5 @@
-// campaignd's scheduler: durable queue + content-hash result cache over
-// the core::CampaignSpec job expansion (docs/campaignd.md).
+// The campaign scheduler: durable queue + content-hash result cache over
+// the core::CampaignSpec job expansion (docs/campaign-service.md).
 //
 // CampaignService turns a campaign's expanded ScenarioJobs into queue
 // records keyed by core::job_content_hash, then drives worker lanes that
@@ -8,7 +8,7 @@
 // cycles, byte-identical BENCH_<job>.json); a miss shells out to the
 // runner binary's `run-one`, records the fresh report and inserts it into
 // the cache. All queue and cache state lives on disk, so a killed worker
-// resumes without re-running completed jobs, additional `campaignd
+// resumes without re-running completed jobs, additional `campaign
 // worker` processes can attach to the same queue and steal work, and CI
 // runs share results through the cache directory.
 //
@@ -36,14 +36,14 @@ struct ServiceConfig {
   std::string cache_dir;   // default <out_dir>/cache
   std::string status_path; // default <out_dir>/status.json
   // Binary whose `run-one <spec> --json=<report>` executes one job (the
-  // `campaign` client passes itself; campaignd defaults to its sibling).
+  // `campaign` front end passes itself).
   std::string runner;
   unsigned workers = 1;    // claim loops (ThreadPool lanes) in this process
   bool force = false;      // ignore done records AND cache entries
   std::size_t max_jobs = 0;  // stop after claiming this many jobs (0 = all)
   // Shard-manifest mode for multi-host splits: keep only jobs with
   // hash % shard_count == shard_index. Hosts share the result cache (rsync
-  // or a shared mount), not the queue (docs/campaignd.md).
+  // or a shared mount), not the queue (docs/campaign-service.md).
   int shard_index = -1;
   int shard_count = 0;
   bool verbose = true;     // per-job progress lines on stdout
@@ -69,7 +69,7 @@ class CampaignService {
   CampaignService(core::CampaignSpec campaign, std::vector<core::ScenarioJob> jobs,
                   ServiceConfig config);
 
-  // Attach mode (`campaignd worker`): joins the queue another process
+  // Attach mode (`campaign worker`): joins the queue another process
   // prepared and steals work from it. No campaign spec, no prepare().
   explicit CampaignService(ServiceConfig config);
 
@@ -93,7 +93,7 @@ class CampaignService {
   // Full mode only.
   Json aggregate() const;
 
-  // The machine-readable status surface (docs/campaignd.md): per-job
+  // The machine-readable status surface (docs/campaign-service.md): per-job
   // states plus cache hit rate and throughput. Also written atomically to
   // `status_path` while running.
   Json status_json() const;

@@ -69,7 +69,11 @@ bool CliFlags::get_bool(const std::string& name, bool fallback) const {
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw std::invalid_argument("flag --" + name + " expects true or false, got '" + v +
+                              "'");
 }
 
 std::vector<std::string> CliFlags::unused() const {

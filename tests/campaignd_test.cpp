@@ -1,18 +1,21 @@
-// Campaign service (docs/campaignd.md): content-hash job identity, the
-// durable link(2) claim queue, the verbatim result cache, and campaignd end
-// to end.
+// Campaign service (docs/campaign-service.md): content-hash job identity,
+// the durable link(2) claim queue, the verbatim result cache, and the
+// `campaign` front end over them end to end.
 //
 // The in-process tests drive src/svc directly (the concurrency ones run
 // under the TSan CI leg); the end-to-end tests spawn the sibling
-// `campaignd` binary from the build directory, like ctest and CI do, and
+// `campaign` binary from the build directory, like ctest and CI do, and
 // assert the acceptance contract: a warm rerun of a campaign performs
-// zero simulations and emits byte-identical per-job reports, and a worker
-// killed mid-campaign resumes without re-running completed jobs.
+// zero simulations and emits byte-identical per-job reports, a worker
+// killed mid-campaign resumes without re-running completed jobs, attached
+// workers and hash shards run every job exactly once, and malformed
+// service flags fail before any work.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +37,23 @@ namespace {
 namespace fs = std::filesystem;
 
 int run_cmd(const std::string& cmd) { return std::system(cmd.c_str()); }
+
+// Starts `cmd` under /bin/sh without waiting for it.
+pid_t spawn_cmd(const std::string& cmd) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  return pid;
+}
+
+// The exit code of a spawn_cmd child, or -1 if it did not exit normally.
+int wait_cmd(pid_t pid) {
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -363,7 +383,7 @@ TEST(ResultCache, VerbatimRoundTripAndTornEntryTolerance) {
 class CampaigndEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!std::ifstream("./campaignd") || !std::ifstream("./campaign"))
+    if (!std::ifstream("./campaign"))
       GTEST_SKIP() << "bench binaries not in the working directory; run from build/";
     fs::create_directories("campaignd_test_out");
     std::ofstream spec("campaignd_test_out/tiny.json");
@@ -390,7 +410,7 @@ TEST_F(CampaigndEndToEnd, WarmRerunIsAllCacheHitsAndByteIdentical) {
   const std::string warm = "campaignd_test_out/warm";
   fs::remove_all(cold);
   fs::remove_all(warm);
-  ASSERT_EQ(run_cmd("./campaignd run campaignd_test_out/tiny.json --out=" + cold +
+  ASSERT_EQ(run_cmd("./campaign run campaignd_test_out/tiny.json --out=" + cold +
                     " --workers=2 > " + cold + ".log 2>&1"),
             0);
   const Json cold_status = status_of(cold);
@@ -398,7 +418,7 @@ TEST_F(CampaigndEndToEnd, WarmRerunIsAllCacheHitsAndByteIdentical) {
   EXPECT_EQ(cold_status.at("cache_hits").as_int(), 0);
 
   // Fresh out dir, shared cache: everything replays.
-  ASSERT_EQ(run_cmd("./campaignd run campaignd_test_out/tiny.json --out=" + warm +
+  ASSERT_EQ(run_cmd("./campaign run campaignd_test_out/tiny.json --out=" + warm +
                     " --cache=" + cold + "/cache > " + warm + ".log 2>&1"),
             0);
   const Json warm_status = status_of(warm);
@@ -414,7 +434,7 @@ TEST_F(CampaigndEndToEnd, WarmRerunIsAllCacheHitsAndByteIdentical) {
   }
 
   // The status subcommand reads the same snapshot.
-  ASSERT_EQ(run_cmd("./campaignd status --out=" + warm + " > " + warm +
+  ASSERT_EQ(run_cmd("./campaign status --out=" + warm + " > " + warm +
                     "_status.log 2>&1"),
             0);
   const std::string printed = slurp(warm + "_status.log");
@@ -426,13 +446,13 @@ TEST_F(CampaigndEndToEnd, WarmRerunIsAllCacheHitsAndByteIdentical) {
 TEST_F(CampaigndEndToEnd, InterruptedCampaignResumesWithoutRerunning) {
   const std::string out = "campaignd_test_out/resume";
   fs::remove_all(out);
-  ASSERT_EQ(run_cmd("./campaignd run campaignd_test_out/tiny.json --out=" + out +
+  ASSERT_EQ(run_cmd("./campaign run campaignd_test_out/tiny.json --out=" + out +
                     " --max_jobs=1 > " + out + ".log 2>&1"),
             0);
   EXPECT_EQ(status_of(out).at("executed").as_int(), 1);
   EXPECT_NE(slurp(out + ".log").find("queue not drained"), std::string::npos);
 
-  ASSERT_EQ(run_cmd("./campaignd run campaignd_test_out/tiny.json --out=" + out +
+  ASSERT_EQ(run_cmd("./campaign run campaignd_test_out/tiny.json --out=" + out +
                     " > " + out + "2.log 2>&1"),
             0);
   const std::string log = slurp(out + "2.log");
@@ -456,7 +476,7 @@ TEST_F(CampaigndEndToEnd, SystemAndDriftCampaignsColdThenWarm) {
     const std::string warm = "campaignd_test_out/" + campaign + "_warm";
     fs::remove_all(cold);
     fs::remove_all(warm);
-    ASSERT_EQ(run_cmd("./campaignd run " + file + " --out=" + cold +
+    ASSERT_EQ(run_cmd("./campaign run " + file + " --out=" + cold +
                       " --workers=2 > " + cold + ".log 2>&1"),
               0)
         << campaign;
@@ -466,7 +486,7 @@ TEST_F(CampaigndEndToEnd, SystemAndDriftCampaignsColdThenWarm) {
     EXPECT_EQ(cold_status.at("executed").as_int(), jobs) << campaign;
     EXPECT_EQ(cold_status.at("cache_hits").as_int(), 0) << campaign;
 
-    ASSERT_EQ(run_cmd("./campaignd run " + file + " --out=" + warm +
+    ASSERT_EQ(run_cmd("./campaign run " + file + " --out=" + warm +
                       " --cache=" + cold + "/cache > " + warm + ".log 2>&1"),
               0)
         << campaign;
@@ -489,28 +509,150 @@ TEST_F(CampaigndEndToEnd, SystemAndDriftCampaignsColdThenWarm) {
   }
 }
 
-// `campaignd manifest` splits jobs across shards by content hash:
-// exhaustive, disjoint, and stable.
-TEST_F(CampaigndEndToEnd, ManifestPartitionsJobsByHash) {
-  const std::string out = "campaignd_test_out/manifest";
+// A `campaign worker` attached to a running queue steals work from the
+// owning `run`: every job runs exactly once between the two processes, so
+// the `executed` counts of their status files sum to the job count.
+TEST_F(CampaigndEndToEnd, AttachedWorkerRunsEachJobExactlyOnce) {
+  const std::string out = "campaignd_test_out/attach";
   fs::remove_all(out);
-  ASSERT_EQ(run_cmd("./campaignd manifest campaignd_test_out/tiny.json --shards=2 "
-                    "--out=" + out + " > " + out + ".log 2>&1"),
+  constexpr int kJobs = 8;
+  {
+    std::ofstream spec("campaignd_test_out/attach.json");
+    spec << R"({"name": "attach", "defaults": {"cycles": 20000, "threads": 1},
+      "scenarios": [)";
+    for (int i = 0; i < kJobs; ++i)
+      spec << (i ? "," : "") << R"({"name": "s)" << i
+           << R"(", "experiment": "closed_loop", "trace": {"source": "synthetic",
+               "style": "uniform", "seed": )"
+           << i + 1 << "}}";
+    spec << "]}";
+  }
+  const pid_t owner = spawn_cmd("./campaign run campaignd_test_out/attach.json --out=" +
+                                out + " > " + out + ".log 2>&1");
+  ASSERT_GT(owner, 0);
+  // The owner writes status.json once it has enqueued every job; attach
+  // from then on.
+  for (int i = 0; i < 6000 && !fs::exists(out + "/status.json"); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const int worker_rc = run_cmd("./campaign worker --out=" + out + " > " + out +
+                                "_worker.log 2>&1");
+  ASSERT_EQ(wait_cmd(owner), 0) << slurp(out + ".log");
+  ASSERT_EQ(worker_rc, 0) << slurp(out + "_worker.log");
+
+  // status.json is the owner's; the worker writes status.worker<pid>.json.
+  long long executed = 0;
+  long long worker_executed = -1;
+  int status_files = 0;
+  for (const auto& entry : fs::directory_iterator(out)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("status", 0) != 0 || entry.path().extension() != ".json") continue;
+    const Json status = Json::parse(slurp(entry.path().string()));
+    EXPECT_EQ(status.at("cache_hits").as_int(), 0) << name;
+    executed += status.at("executed").as_int();
+    if (name != "status.json") worker_executed = status.at("executed").as_int();
+    ++status_files;
+  }
+  EXPECT_EQ(status_files, 2);
+  EXPECT_EQ(executed, kJobs);
+  // Each job takes about 0.1 s and the worker attaches right after the
+  // queue fills, so it must have stolen some of them.
+  EXPECT_GE(worker_executed, 1);
+  svc::JobQueue queue(out + "/queue");
+  EXPECT_TRUE(queue.all_done());
+  EXPECT_EQ(queue.done_count(), static_cast<std::size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i)
+    EXPECT_TRUE(fs::exists(out + "/BENCH_s" + std::to_string(i) + ".json")) << i;
+}
+
+// `manifest --shards=2` partitions the jobs by content hash, and both
+// `run --shard=K/2` against one cache run exactly the campaign's jobs
+// between them, each in the shard its manifest names. An unsharded run
+// against that cache then executes nothing and writes byte-identical
+// per-job reports.
+TEST_F(CampaigndEndToEnd, ShardedRunsCoverTheCampaignExactlyOnce) {
+  const std::string root = "campaignd_test_out/sharded";
+  const std::string cache = root + "/cache";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  ASSERT_EQ(run_cmd("./campaign manifest campaignd_test_out/tiny.json --shards=2 "
+                    "--out=" + root + "/manifest > " + root + "/manifest.log 2>&1"),
             0);
-  std::set<std::string> names;
-  std::size_t total = 0;
-  for (int s = 0; s < 2; ++s) {
-    const Json shard = Json::parse(
-        slurp(out + "/shard_" + std::to_string(s) + "_of_2.json"));
-    EXPECT_EQ(shard.at("campaign").as_string(), "tiny");
-    EXPECT_EQ(shard.at("shards").as_int(), 2);
-    for (const auto& entry : shard.at("jobs").items()) {
-      EXPECT_TRUE(names.insert(entry.at("name").as_string()).second);
-      ++total;
+  std::set<std::string> ran;
+  long long executed = 0;
+  for (int k = 0; k < 2; ++k) {
+    const std::string out = root + "/shard" + std::to_string(k);
+    ASSERT_EQ(run_cmd("./campaign run campaignd_test_out/tiny.json --shard=" +
+                      std::to_string(k) + "/2 --out=" + out + " --cache=" + cache +
+                      " > " + out + ".log 2>&1"),
+              0)
+        << slurp(out + ".log");
+    const Json status = status_of(out);
+    executed += status.at("executed").as_int();
+    EXPECT_EQ(status.at("cache_hits").as_int(), 0);
+
+    std::set<std::string> listed;
+    const Json manifest = Json::parse(
+        slurp(root + "/manifest/shard_" + std::to_string(k) + "_of_2.json"));
+    EXPECT_EQ(manifest.at("campaign").as_string(), "tiny");
+    EXPECT_EQ(manifest.at("shards").as_int(), 2);
+    for (const auto& entry : manifest.at("jobs").items())
+      listed.insert(entry.at("name").as_string());
+    std::set<std::string> shard_jobs;
+    for (const auto& [name, state] : status.at("jobs").members()) {
+      EXPECT_EQ(state.as_string(), "done") << name;
+      shard_jobs.insert(name);
+      EXPECT_TRUE(ran.insert(name).second) << name << " ran in both shards";
+    }
+    EXPECT_EQ(shard_jobs, listed) << "shard " << k;
+  }
+  EXPECT_EQ(ran, (std::set<std::string>{"uni_threshold", "uni_fixed_vs", "sweep"}));
+  EXPECT_EQ(executed, 3);
+
+  const std::string whole = root + "/whole";
+  ASSERT_EQ(run_cmd("./campaign run campaignd_test_out/tiny.json --out=" + whole +
+                    " --cache=" + cache + " > " + whole + ".log 2>&1"),
+            0);
+  EXPECT_EQ(status_of(whole).at("executed").as_int(), 0);
+  for (int k = 0; k < 2; ++k) {
+    const std::string out = root + "/shard" + std::to_string(k);
+    const Json status = status_of(out);
+    for (const auto& [name, state] : status.at("jobs").members()) {
+      const std::string file = "/BENCH_" + name + ".json";
+      EXPECT_EQ(slurp(out + file), slurp(whole + file)) << name;
     }
   }
-  EXPECT_EQ(total, 3u);
-  EXPECT_EQ(names.count("sweep"), 1u);
+}
+
+// Malformed service flags fail before any work, with an error that names
+// the flag; nothing is clamped or silently read as a default.
+TEST_F(CampaigndEndToEnd, MalformedServiceFlagsFailBeforeAnyWork) {
+  const std::string out = "campaignd_test_out/bad_flags";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--shard=0/1x", "flag --shard expects"},
+      {"--shard=0/", "flag --shard expects"},
+      {"--shard=/2", "flag --shard expects"},
+      {"--shard=2/2", "flag --shard expects"},
+      {"--shard=-1/2", "flag --shard expects"},
+      {"--shard=1", "flag --shard expects"},
+      {"--workers=-3", "flag --workers expects"},
+      {"--workers=0", "flag --workers expects"},
+      {"--workers=5000", "flag --workers expects"},
+      {"--max_jobs=-1", "flag --max_jobs expects"},
+      {"--force=ture", "flag --force expects true or false"},
+  };
+  for (const auto& [flag, message] : cases) {
+    fs::remove_all(out);
+    const int rc = run_cmd("./campaign run campaignd_test_out/tiny.json --out=" + out +
+                           " " + flag + " > " + out + ".log 2>&1");
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << flag;
+    const std::string log = slurp(out + ".log");
+    EXPECT_NE(log.find(message), std::string::npos) << flag << ": " << log;
+    EXPECT_FALSE(fs::exists(out)) << flag << " started work";
+  }
+  EXPECT_NE(run_cmd("./campaign worker --out=" + out + " --workers=0 > " + out +
+                    ".log 2>&1"),
+            0);
+  EXPECT_NE(slurp(out + ".log").find("flag --workers expects"), std::string::npos);
 }
 
 }  // namespace

@@ -362,6 +362,26 @@ TEST(CliFlags, RejectUnusedPassesWhenAllQueried) {
   EXPECT_NO_THROW(flags.reject_unused());
 }
 
+// A misspelled boolean must fail loudly: `--force=ture` reading as false
+// would silently run without the requested behaviour.
+TEST(CliFlags, GetBoolIsStrict) {
+  auto args = argv_of({"--a=yes", "--b=1", "--c=no", "--d=0", "--e=false",
+                       "--force=ture", "--f="});
+  CliFlags flags(static_cast<int>(args.size()), args.data());
+  EXPECT_TRUE(flags.get_bool("a", false));
+  EXPECT_TRUE(flags.get_bool("b", false));
+  EXPECT_FALSE(flags.get_bool("c", true));
+  EXPECT_FALSE(flags.get_bool("d", true));
+  EXPECT_FALSE(flags.get_bool("e", true));
+  try {
+    flags.get_bool("force", false);
+    ADD_FAILURE() << "--force=ture was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --force expects true or false, got 'ture'");
+  }
+  EXPECT_THROW(flags.get_bool("f", false), std::invalid_argument);
+}
+
 TEST(CliFlags, GetDoubleParses) {
   auto args = argv_of({"--jitter=4e-12"});
   CliFlags flags(static_cast<int>(args.size()), args.data());
