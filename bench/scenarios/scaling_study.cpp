@@ -37,7 +37,7 @@ Scenario make_scaling_study_scenario() {
         design.n_segments = segments;
         design.repeater_size = 0.0;
         try {
-          interconnect::size_repeaters(design, driver, tech::worst_case_corner());
+          lut::size_repeaters_from_store(design, driver, tech::worst_case_corner());
           break;
         } catch (const std::runtime_error&) {
           if (segments == 12) throw;  // even 12 repeaters cannot make timing

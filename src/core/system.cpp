@@ -8,8 +8,12 @@ namespace razorbus::core {
 DvsBusSystem::DvsBusSystem(interconnect::BusDesign design, const SystemOptions& options)
     : design_(std::move(design)), driver_(design_.node) {
   design_.validate();
-  if (design_.repeater_size <= 0.0)
-    interconnect::size_repeaters(design_, driver_, options.sizing_corner);
+  if (design_.repeater_size <= 0.0) {
+    if (options.use_cache)
+      lut::size_repeaters_from_store(design_, driver_, options.sizing_corner);
+    else
+      interconnect::size_repeaters(design_, driver_, options.sizing_corner);
+  }
 
   if (options.use_cache)
     table_ = lut::build_or_load(design_, driver_, options.lut_config, options.progress);

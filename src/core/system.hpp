@@ -32,7 +32,8 @@ struct SystemOptions {
   lut::LutConfig lut_config{};
   // Corner the repeaters are sized at (the paper's worst case).
   tech::PvtCorner sizing_corner = tech::worst_case_corner();
-  // Use the on-disk characterization cache (recommended).
+  // Use the on-disk characterization cache for the tables and the repeater
+  // sizing (recommended).
   bool use_cache = true;
   // Progress callback for characterization (done, total).
   std::function<void(int, int)> progress{};

@@ -171,8 +171,7 @@ ClusterResult ClusterCharacterizer::run(const ClusterSpec& spec) const {
   return out;
 }
 
-double ClusterCharacterizer::worst_case_delay(double vdd, tech::ProcessCorner corner,
-                                              double temp_c) const {
+ClusterSpec worst_case_spec(double vdd, tech::ProcessCorner corner, double temp_c) {
   ClusterSpec spec;
   spec.victim = WireActivity::rise;
   spec.left = WireActivity::fall;
@@ -180,36 +179,44 @@ double ClusterCharacterizer::worst_case_delay(double vdd, tech::ProcessCorner co
   spec.vdd = vdd;
   spec.corner = corner;
   spec.temp_c = temp_c;
-  const ClusterResult r = run(spec);
+  return spec;
+}
+
+double ClusterCharacterizer::worst_case_delay(double vdd, tech::ProcessCorner corner,
+                                              double temp_c) const {
+  const ClusterResult r = run(worst_case_spec(vdd, corner, temp_c));
   if (r.delay < 0.0) throw std::runtime_error("worst_case_delay: victim never switched");
   return r.delay;
 }
 
 double ClusterCharacterizer::best_case_delay(double vdd, tech::ProcessCorner corner,
                                              double temp_c) const {
-  ClusterSpec spec;
-  spec.victim = WireActivity::rise;
+  ClusterSpec spec = worst_case_spec(vdd, corner, temp_c);
   spec.left = WireActivity::rise;
   spec.right = WireActivity::rise;
-  spec.vdd = vdd;
-  spec.corner = corner;
-  spec.temp_c = temp_c;
   const ClusterResult r = run(spec);
   if (r.delay < 0.0) throw std::runtime_error("best_case_delay: victim never switched");
   return r.delay;
 }
 
-double size_repeaters(BusDesign& design, const tech::DriverModel& driver,
+double size_repeaters(BusDesign& design, const ClusterRunner& run,
                       const tech::PvtCorner& sizing_corner, double lo, double hi) {
   design.validate();
+  // The bracket doubles from lo: lo <= 0 would never grow.
+  if (!(lo > 0.0) || !(hi > lo))
+    throw std::invalid_argument("size_repeaters: need 0 < lo < hi");
   const double target = design.main_capture_limit();
-  const double vdd = sizing_corner.effective_supply(design.node.vdd_nominal);
+  const ClusterSpec spec =
+      worst_case_spec(sizing_corner.effective_supply(design.node.vdd_nominal),
+                      sizing_corner.process, sizing_corner.temp_c);
 
   auto delay_for = [&](double size) {
     BusDesign candidate = design;
     candidate.repeater_size = size;
-    const ClusterCharacterizer chr(candidate, driver);
-    return chr.worst_case_delay(vdd, sizing_corner.process, sizing_corner.temp_c);
+    const ClusterResult r = run(candidate, spec);
+    if (r.delay < 0.0)
+      throw std::runtime_error("size_repeaters: victim never switched");
+    return r.delay;
   };
 
   // Find a bracket [lo_size (too slow), hi_size (fast enough)].
@@ -238,6 +245,15 @@ double size_repeaters(BusDesign& design, const tech::DriverModel& driver,
   }
   design.repeater_size = hi_size;
   return hi_size;
+}
+
+double size_repeaters(BusDesign& design, const tech::DriverModel& driver,
+                      const tech::PvtCorner& sizing_corner, double lo, double hi) {
+  const ClusterRunner simulate = [&driver](const BusDesign& candidate,
+                                           const ClusterSpec& spec) {
+    return ClusterCharacterizer(candidate, driver).run(spec);
+  };
+  return size_repeaters(design, simulate, sizing_corner, lo, hi);
 }
 
 }  // namespace razorbus::interconnect

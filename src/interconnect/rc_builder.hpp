@@ -8,6 +8,8 @@
 // same quantities the paper tabulates with HSPICE.
 #pragma once
 
+#include <functional>
+
 #include "interconnect/bus_design.hpp"
 #include "spice/netlist.hpp"
 #include "spice/transient.hpp"
@@ -67,11 +69,27 @@ class ClusterCharacterizer {
   tech::DriverModel driver_;
 };
 
+// The worst-case switching pattern (victim rises, both neighbors fall) at
+// the given conditions: the pattern repeater sizing targets.
+ClusterSpec worst_case_spec(double vdd, tech::ProcessCorner corner, double temp_c);
+
+// Runs `spec` on a candidate design: the transient simulation itself, or
+// an answer from a store of earlier runs (lut::size_repeaters_from_store).
+using ClusterRunner =
+    std::function<ClusterResult(const BusDesign& candidate, const ClusterSpec& spec)>;
+
 // Sizes `design.repeater_size` (in place) so that the worst-case in-to-out
 // delay equals `design.main_capture_limit()` at the worst-case corner and
 // nominal supply (net of the corner's IR drop), reproducing the paper's
-// sizing philosophy. Returns the chosen size. Throws std::runtime_error if
-// no size in [lo, hi] meets the target.
+// sizing philosophy: a doubling bracket from `lo`, then a bisection, each
+// step one `run` of the worst_case_spec on a candidate size. Returns the
+// chosen size. Throws std::invalid_argument unless 0 < lo < hi, and
+// std::runtime_error if no size in [lo, hi] meets the target.
+double size_repeaters(BusDesign& design, const ClusterRunner& run,
+                      const tech::PvtCorner& sizing_corner, double lo = 8.0,
+                      double hi = 512.0);
+
+// The same sizing, simulating every candidate directly.
 double size_repeaters(BusDesign& design, const tech::DriverModel& driver,
                       const tech::PvtCorner& sizing_corner, double lo = 8.0,
                       double hi = 512.0);

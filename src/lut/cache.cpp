@@ -5,12 +5,15 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <system_error>
 #include <utility>
 
+#include "lut/pattern.hpp"
 #include "lut/point_store.hpp"
+#include "util/file_lock.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace razorbus::lut {
@@ -108,19 +111,27 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   const std::shared_ptr<PointStore> store =
       PointStore::open(dir, design_content_hash(design));
 
-  {
+  const auto load = [&]() -> std::optional<DelayEnergyTable> {
     std::ifstream in(path, std::ios::binary);
-    if (in) {
-      if (auto table = DelayEnergyTable::load(in, hash)) {
-        table->attach_refiner(design, driver, store);  // no-op for dense tables
-        util::MutexLock lock(g_memo_mutex);
-        // emplace keeps the incumbent if another thread raced us here; both
-        // tables are bit-identical (same key), so either copy is the answer.
-        return g_memo.emplace(key, *std::move(table)).first->second;
-      }
-    }
-  }
+    if (!in) return std::nullopt;
+    auto table = DelayEnergyTable::load(in, hash);
+    if (!table) return std::nullopt;
+    table->attach_refiner(design, driver, store);  // no-op for dense tables
+    util::MutexLock lock(g_memo_mutex);
+    // emplace keeps the incumbent if another thread raced us here; both
+    // tables are bit-identical (same key), so either copy is the answer.
+    return g_memo.emplace(key, *std::move(table)).first->second;
+  };
+  if (auto table = load()) return *std::move(table);
 
+  // Cold: one builder per design across processes and threads. Waiters
+  // block here until the holder has published, then load its file (same
+  // key) or build from its points (another grid or corner set of the
+  // design). The lock dies with a crashed holder; the next waiter builds
+  // instead.
+  const util::FileLock build_lock(store->build_lock_path());
+  if (auto table = load()) return *std::move(table);
+  store->refresh();  // points a previous holder simulated
   DelayEnergyTable table =
       DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
   store->flush();
@@ -128,6 +139,39 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   write_cache_file(path, table, hash);
   util::MutexLock lock(g_memo_mutex);
   return g_memo.emplace(key, std::move(table)).first->second;
+}
+
+double size_repeaters_from_store(interconnect::BusDesign& design,
+                                 const tech::DriverModel& driver,
+                                 const tech::PvtCorner& sizing_corner) {
+  interconnect::BusDesign unsized = design;
+  unsized.repeater_size = 0.0;
+  const std::shared_ptr<PointStore> store =
+      PointStore::open(cache_directory(), design_content_hash(unsized));
+  // One sizing of this design at a time across processes and threads: a
+  // waiter finds every candidate the holder simulated and reruns none.
+  const util::FileLock build_lock(store->build_lock_path());
+  store->refresh();
+
+  const int worst = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
+                                         NeighborActivity::fall);
+  CostCounters counters;
+  const interconnect::ClusterRunner run = [&](const interconnect::BusDesign& candidate,
+                                              const interconnect::ClusterSpec& spec) {
+    // size_repeaters runs only interconnect::worst_case_spec, whose class
+    // is `worst`.
+    return simulate_or_fetch(interconnect::ClusterCharacterizer(candidate, driver), spec,
+                             worst, store.get(), design_content_hash(candidate),
+                             counters);
+  };
+  try {
+    const double size = interconnect::size_repeaters(design, run, sizing_corner);
+    store->flush();
+    return size;
+  } catch (...) {
+    store->flush();  // a failed sizing's candidates are still worth keeping
+    throw;
+  }
 }
 
 }  // namespace razorbus::lut

@@ -9,7 +9,7 @@
 #include <system_error>
 #include <utility>
 
-#include "interconnect/rc_builder.hpp"
+#include "util/file_lock.hpp"
 
 namespace razorbus::lut {
 
@@ -94,6 +94,7 @@ std::shared_ptr<PointStore> PointStore::open(const std::string& dir,
 }
 
 void PointStore::load_file() {
+  persisted_ = 0;
   std::ifstream in(path_, std::ios::binary);
   if (!in) return;  // cold store
   char magic[sizeof(kMagic)];
@@ -111,9 +112,16 @@ void PointStore::load_file() {
     if (!in) {  // truncated tail: keep the complete prefix
       break;
     }
+    // emplace keeps a point this process already holds: both copies came
+    // from the same deterministic simulation, so they are bit-identical.
     points_.emplace(key, point);
+    ++persisted_;
   }
-  persisted_ = points_.size();
+}
+
+void PointStore::refresh() {
+  util::MutexLock lock(mutex_);
+  load_file();
 }
 
 std::optional<StoredPoint> PointStore::lookup(std::uint64_t key) {
@@ -138,6 +146,11 @@ void PointStore::insert(std::uint64_t key, StoredPoint point) {
 void PointStore::flush() {
   util::MutexLock lock(mutex_);
   if (points_.size() == persisted_) return;  // nothing new since last flush
+  // Serialise writers across processes and merge what they published, so
+  // the rename below cannot drop a peer's points.
+  const util::FileLock file_lock(path_ + ".lock");
+  load_file();
+  if (points_.size() == persisted_) return;  // the file already has them all
 
   // Publish atomically: private temp file, then rename over the final
   // path — a crash or a concurrent second writer can never leave a torn
@@ -172,6 +185,30 @@ void PointStore::flush() {
     return;
   }
   persisted_ = points_.size();
+}
+
+interconnect::ClusterResult simulate_or_fetch(
+    const interconnect::ClusterCharacterizer& characterizer,
+    const interconnect::ClusterSpec& spec, int cls, PointStore* store,
+    std::uint64_t design_hash, CostCounters& counters) {
+  if (store) {
+    const std::uint64_t key =
+        point_key(design_hash, spec.corner, spec.temp_c, spec.vdd, cls);
+    if (const auto hit = store->lookup(key)) {
+      ++counters.store_hits;
+      interconnect::ClusterResult r;
+      r.delay = hit->delay;
+      r.victim_energy = hit->energy;
+      r.settled = true;
+      return r;
+    }
+    const interconnect::ClusterResult r = characterizer.run(spec);
+    ++counters.transient_sims;
+    store->insert(key, {r.delay, r.victim_energy});
+    return r;
+  }
+  ++counters.transient_sims;
+  return characterizer.run(spec);
 }
 
 PointStore::Stats PointStore::stats() const {

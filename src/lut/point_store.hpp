@@ -20,6 +20,7 @@
 // table-policy-free.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,6 +28,7 @@
 #include <string>
 
 #include "interconnect/bus_design.hpp"
+#include "interconnect/rc_builder.hpp"
 #include "tech/corner.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -74,7 +76,8 @@ struct StoredPoint {
 // Thread-safe, process-shared point store for one design in one cache
 // directory. All state is guarded by one mutex; values are pure functions
 // of their key, so concurrent access can never perturb simulation results
-// (DESIGN.md §9) — the only race is benign duplicated work.
+// (DESIGN.md §9). Builders that must not duplicate work across processes
+// serialise on a file lock and refresh() under it (DESIGN.md §3).
 class PointStore {
  public:
   struct Stats {
@@ -93,9 +96,16 @@ class PointStore {
   std::optional<StoredPoint> lookup(std::uint64_t key);
   void insert(std::uint64_t key, StoredPoint point);
 
+  // Merges the points other processes have persisted since this store last
+  // read its file (a truncated file: its complete prefix; a foreign file:
+  // nothing).
+  void refresh();
+
   // Persists the current contents via the atomic temp+rename path (same
-  // crash/concurrency contract as the table cache files). Best-effort: a
-  // failed write only costs a later process re-simulation.
+  // crash/concurrency contract as the table cache files). Writers take an
+  // flock(2) on `<path>.lock` and merge the file first, so two processes
+  // flushing different points both keep theirs. Best-effort: a failed
+  // write only costs a later process re-simulation.
   void flush();
 
   Stats stats() const;
@@ -103,6 +113,11 @@ class PointStore {
 
   // Test hook: path of the backing file.
   const std::string& path() const { return path_; }
+  // The lock every characterization that fills this store holds for its
+  // whole run (util::FileLock), so that one process simulates and the
+  // others wait, refresh() and hit: the table builds of build_or_load and
+  // the sizing of size_repeaters_from_store (DESIGN.md §3).
+  std::string build_lock_path() const { return path_ + ".build.lock"; }
 
  private:
   PointStore(std::string path);
@@ -113,8 +128,26 @@ class PointStore {
   mutable util::Mutex mutex_;
   // std::map: deterministic iteration order for the persisted file bytes.
   std::map<std::uint64_t, StoredPoint> points_ GUARDED_BY(mutex_);
-  std::uint64_t persisted_ GUARDED_BY(mutex_) = 0;  // entries already on disk
+  std::uint64_t persisted_ GUARDED_BY(mutex_) = 0;  // entries the file last held
   Stats stats_ GUARDED_BY(mutex_);
 };
+
+// Cost counters of one characterization: runs of the transient solver vs
+// answers from the point store.
+struct CostCounters {
+  std::atomic<std::uint64_t> transient_sims{0};
+  std::atomic<std::uint64_t> store_hits{0};
+};
+
+// One raw cluster result of pattern class `cls`: answered by `store` when
+// it holds the key, otherwise simulated and inserted. Stored values came
+// from the identical deterministic simulation (the key covers everything
+// the result depends on), so consulting the store never changes a result,
+// only skips work. `design_hash` is design_content_hash of the
+// characterizer's design; `store` may be null (always simulate).
+interconnect::ClusterResult simulate_or_fetch(
+    const interconnect::ClusterCharacterizer& characterizer,
+    const interconnect::ClusterSpec& spec, int cls, PointStore* store,
+    std::uint64_t design_hash, CostCounters& counters);
 
 }  // namespace razorbus::lut

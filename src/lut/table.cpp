@@ -59,40 +59,6 @@ struct ClassPoint {
   double energy[PatternClass::kCount];
 };
 
-struct CostCounters {
-  std::atomic<std::uint64_t> transient_sims{0};
-  std::atomic<std::uint64_t> store_hits{0};
-};
-
-// One class's raw result: answered by the point store when it already
-// holds the key, otherwise simulated and inserted. Stored values came
-// from the identical deterministic simulation (the key covers everything
-// the result depends on), so consulting the store can never change table
-// contents — only skip work.
-interconnect::ClusterResult simulate_or_fetch(
-    const interconnect::ClusterCharacterizer& characterizer,
-    const interconnect::ClusterSpec& spec, int cls, PointStore* store,
-    std::uint64_t design_hash, CostCounters& counters) {
-  if (store) {
-    const std::uint64_t key =
-        point_key(design_hash, spec.corner, spec.temp_c, spec.vdd, cls);
-    if (const auto hit = store->lookup(key)) {
-      ++counters.store_hits;
-      interconnect::ClusterResult r;
-      r.delay = hit->delay;
-      r.victim_energy = hit->energy;
-      r.settled = true;
-      return r;
-    }
-    const interconnect::ClusterResult r = characterizer.run(spec);
-    ++counters.transient_sims;
-    store->insert(key, {r.delay, r.victim_energy});
-    return r;
-  }
-  ++counters.transient_sims;
-  return characterizer.run(spec);
-}
-
 // Characterise every pattern class at one (corner, temp, voltage): the
 // same per-class policy as the dense builder — quiet canonical classes
 // get zero energy, non-conducting points get infinite delay with no

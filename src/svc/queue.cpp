@@ -1,8 +1,6 @@
 #include "svc/queue.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +9,7 @@
 #include <system_error>
 
 #include "svc/fsio.hpp"
+#include "util/file_lock.hpp"
 
 namespace razorbus::svc {
 
@@ -140,20 +139,14 @@ bool JobQueue::steal_stale_claim(const std::string& claim_path) const {
   // place. Stealers therefore serialise on an flock(2) of claims/.steal —
   // which the kernel drops if the holder dies — re-read the claim under it,
   // and rename it to a unique tombstone only while it is still stale.
-  const std::string lock_path = (fs::path(claims_dir_) / ".steal").string();
-  const int lock = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-  if (lock < 0) return false;
-  bool stolen = false;
-  if (::flock(lock, LOCK_EX) == 0 && claim_is_stale(claim_path)) {
-    const std::string tomb = unique_sibling(claim_path, "tomb");
-    if (::rename(claim_path.c_str(), tomb.c_str()) == 0) {
-      std::error_code ec;
-      fs::remove(tomb, ec);
-    }
-    stolen = true;  // the stale claim is gone (or was released meanwhile)
+  const util::FileLock lock((fs::path(claims_dir_) / ".steal").string());
+  if (!lock.held() || !claim_is_stale(claim_path)) return false;
+  const std::string tomb = unique_sibling(claim_path, "tomb");
+  if (::rename(claim_path.c_str(), tomb.c_str()) == 0) {
+    std::error_code ec;
+    fs::remove(tomb, ec);
   }
-  ::close(lock);
-  return stolen;
+  return true;  // the stale claim is gone (or was released meanwhile)
 }
 
 void JobQueue::complete(const std::string& name, const Json& record) {

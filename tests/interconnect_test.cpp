@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "interconnect/bus_design.hpp"
 #include "interconnect/elmore.hpp"
@@ -374,6 +375,21 @@ TEST(SizeRepeaters, InfeasibleTargetThrows) {
   const tech::DriverModel driver(bus.node);
   EXPECT_THROW(size_repeaters(bus, driver, tech::worst_case_corner()),
                std::runtime_error);
+}
+
+TEST(SizeRepeaters, RejectsAnEmptyOrNonPositiveRange) {
+  // lo <= 0 used to spin forever: the bracket doubles from lo.
+  const tech::DriverModel driver(BusDesign::paper_bus().node);
+  const double nan = std::nan("");
+  for (const auto& [lo, hi] : {std::pair{0.0, 512.0}, std::pair{-8.0, 512.0},
+                               std::pair{8.0, 8.0}, std::pair{64.0, 8.0},
+                               std::pair{nan, 512.0}, std::pair{8.0, nan}}) {
+    BusDesign bus = BusDesign::paper_bus();
+    EXPECT_THROW(size_repeaters(bus, driver, tech::worst_case_corner(), lo, hi),
+                 std::invalid_argument)
+        << "lo=" << lo << " hi=" << hi;
+    EXPECT_EQ(bus.repeater_size, 0.0);  // left unsized
+  }
 }
 
 }  // namespace

@@ -1,20 +1,33 @@
 // The LUT cache stack: the in-memory memo behind build_or_load, the
-// RAZORBUS_CACHE_DIR disk cache with its key-hash check, and the
-// incremental content-addressed point store that makes overlapping
-// characterizations free (docs/characterization.md).
+// RAZORBUS_CACHE_DIR disk cache with its key-hash check, the incremental
+// content-addressed point store that makes overlapping characterizations
+// free (docs/characterization.md), the repeater sizing served from it, and
+// the file locks that make racing cold processes build each entry once.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
+#include "interconnect/rc_builder.hpp"
 #include "lut/cache.hpp"
 #include "lut/pattern.hpp"
 #include "lut/point_store.hpp"
 #include "lut/table.hpp"
 #include "test_support.hpp"
+#include "util/bits.hpp"
+#include "util/file_lock.hpp"
+
+extern char** environ;
 
 namespace razorbus::lut {
 namespace {
@@ -239,6 +252,38 @@ TEST(PointStoreTest, GarbageFileStartsColdAndIsReplaced) {
   std::filesystem::remove_all(dir_check);
 }
 
+// Two store instances over one file model two processes: "dir" and
+// "dir/." name the same directory but are different registry keys.
+TEST(PointStoreTest, FlushMergesAndRefreshSeesAPeersPoints) {
+  const std::string dir = "./.razorbus_pts_merge_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::uint64_t design_hash = 0x5eed;
+  const std::uint64_t key_a =
+      point_key(design_hash, tech::ProcessCorner::fast, 25.0, 1.0, 3);
+  const std::uint64_t key_b =
+      point_key(design_hash, tech::ProcessCorner::slow, 25.0, 1.0, 3);
+
+  const auto first = PointStore::open(dir, design_hash);
+  const auto second = PointStore::open(dir + "/.", design_hash);
+  ASSERT_NE(first.get(), second.get());
+  first->insert(key_a, {1e-10, 1e-13});
+  first->flush();
+  second->insert(key_b, {2e-10, 2e-13});
+  second->flush();  // must keep the point `first` published
+
+  const auto reader = PointStore::open(dir + "/./.", design_hash);
+  EXPECT_EQ(reader->size(), 2u);
+  EXPECT_TRUE(reader->lookup(key_a).has_value());
+  EXPECT_TRUE(reader->lookup(key_b).has_value());
+
+  EXPECT_FALSE(first->lookup(key_b).has_value());
+  first->refresh();
+  EXPECT_TRUE(first->lookup(key_b).has_value());
+
+  std::filesystem::remove_all(dir);
+}
+
 // TSan-facing hammer (build_or_load is called from sharded
 // characterization, so the store must take concurrent lookup/insert/flush
 // traffic). Values are pure functions of the key, so whatever the
@@ -276,6 +321,266 @@ TEST(PointStoreTest, ConcurrentLookupInsertFlush) {
   }
 
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------ sizing from the store
+
+std::uint64_t bits(double v) { return bit_cast<std::uint64_t>(v); }
+
+// A directory name no earlier test of this process has used: the point
+// store registry is process-wide, so a reused name would reopen a warm
+// in-memory store (and --gtest_repeat reuses names).
+std::string fresh_dir(const std::string& base) {
+  // razorlint: allow(no-mutable-static): test-local name counter; names
+  // only, never simulation state.
+  static int serial = 0;
+  return base + "_" + std::to_string(serial++) + "_test";
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// The sizing store: the point store of the unsized paper bus.
+std::shared_ptr<PointStore> sizing_store() {
+  return PointStore::open(cache_directory(),
+                          design_content_hash(interconnect::BusDesign::paper_bus()));
+}
+
+double size_paper_bus_from_store() {
+  interconnect::BusDesign bus = interconnect::BusDesign::paper_bus();
+  return size_repeaters_from_store(bus, tech::DriverModel(bus.node),
+                                   tech::worst_case_corner());
+}
+
+// The direct bisection's size, simulated once per process.
+double raw_paper_size() {
+  static const double size = [] {
+    interconnect::BusDesign bus = interconnect::BusDesign::paper_bus();
+    return interconnect::size_repeaters(bus, tech::DriverModel(bus.node),
+                                        tech::worst_case_corner());
+  }();
+  return size;
+}
+
+TEST(SizingStore, MatchesTheRawBisectionAndWarmCallsOnlyHit) {
+  CacheDirGuard guard(fresh_dir("./.razorbus_cache_sizing"));
+  interconnect::BusDesign bus = interconnect::BusDesign::paper_bus();
+  const double size = size_repeaters_from_store(bus, tech::DriverModel(bus.node),
+                                                tech::worst_case_corner());
+  EXPECT_EQ(bits(size), bits(raw_paper_size()));
+  EXPECT_EQ(bits(bus.repeater_size), bits(size));
+
+  const auto store = sizing_store();
+  const PointStore::Stats cold = store->stats();
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_GT(cold.misses, 0u);
+  EXPECT_EQ(cold.inserts, cold.misses);  // one simulated point per candidate
+
+  // A second sizing replays the same candidates: all hits, nothing new.
+  EXPECT_EQ(bits(size_paper_bus_from_store()), bits(size));
+  const PointStore::Stats warm = store->stats();
+  EXPECT_EQ(warm.hits - cold.hits, cold.misses);
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.inserts, cold.inserts);
+}
+
+TEST(SizingStore, DamagedStoreFileResimulatesTheSameSize) {
+  std::string name;
+  std::string bytes;
+  {
+    CacheDirGuard guard(fresh_dir("./.razorbus_cache_sizing_src"));
+    size_paper_bus_from_store();
+    const auto store = sizing_store();
+    name = std::filesystem::path(store->path()).filename().string();
+    bytes = slurp(store->path());
+  }
+  constexpr std::size_t kHeader = 16;  // magic + count
+  constexpr std::size_t kRecord = 24;  // key, delay, energy
+  ASSERT_GT(bytes.size(), kHeader + 2 * kRecord);
+  const std::uint64_t points = (bytes.size() - kHeader) / kRecord;
+
+  struct Case {
+    const char* what;
+    std::string file;
+    std::uint64_t hits;  // candidates the damaged file still answers
+  };
+  const Case cases[] = {
+      {"intact", bytes, points},
+      {"truncated mid-record", bytes.substr(0, kHeader + 2 * kRecord + 5), 2},
+      {"garbage", "not a point store" + std::string(200, '\x5a'), 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    CacheDirGuard guard(fresh_dir("./.razorbus_cache_sizing_damaged"));
+    write_bytes(cache_directory() + "/" + name, c.file);
+    EXPECT_EQ(bits(size_paper_bus_from_store()), bits(raw_paper_size()));
+    const PointStore::Stats stats = sizing_store()->stats();
+    EXPECT_EQ(stats.hits, c.hits);
+    EXPECT_EQ(stats.misses, points - c.hits);
+    // The re-simulated points were published over the damaged file.
+    EXPECT_EQ(slurp(cache_directory() + "/" + name), bytes);
+  }
+}
+
+// ---------------------------------------------- cold races between processes
+//
+// The race tests run builders as separate processes. The parent's thread
+// pool cannot survive fork(), so each builder re-executes this binary for
+// the LutCacheRace.Child test alone, which finds its report path in
+// kChildOutEnv and the cache directory in the inherited RAZORBUS_CACHE_DIR.
+
+constexpr const char* kChildOutEnv = "RAZORBUS_RACE_CHILD_OUT";
+constexpr int kBuilders = 4;
+
+LutConfig race_config() { return tiny_config(1.16); }
+
+// Starts one builder; it writes its table build's transient_sims and its
+// sizing's point-store misses to `out`, the bytes of the table it got to
+// `out + ".lut"` and its console output to `out + ".log"`. Everything is
+// allocated before fork(): the child only redirects and execs.
+pid_t spawn_builder(const std::string& out) {
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) env.emplace_back(*e);
+  env.push_back(std::string(kChildOutEnv) + "=" + out);
+  std::vector<char*> envp;
+  for (std::string& entry : env) envp.push_back(entry.data());
+  envp.push_back(nullptr);
+  std::string self = "lut_cache_test";
+  std::string filter = "--gtest_filter=LutCacheRace.Child";
+  char* argv[] = {self.data(), filter.data(), nullptr};
+  const int log = ::open((out + ".log").c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  const pid_t pid = fork();
+  if (pid == 0) {
+    ::dup2(log, STDOUT_FILENO);
+    ::dup2(log, STDERR_FILENO);
+    execve("/proc/self/exe", argv, envp.data());
+    _exit(127);
+  }
+  ::close(log);
+  return pid;
+}
+
+// Exit status of `pid`, waiting at most about a minute (then it is killed
+// and reported as -1): a stalled builder fails the test instead of hanging.
+int wait_bounded(pid_t pid) {
+  int status = 0;
+  for (int i = 0; i < 6000; ++i) {
+    if (waitpid(pid, &status, WNOHANG) == pid)
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  kill(pid, SIGKILL);
+  waitpid(pid, &status, 0);
+  return -1;
+}
+
+// Exactly one builder simulated table points, `sizers` builders simulated
+// sizing points, and every builder holds the bytes of the one table file
+// in the cache.
+void expect_built_once(const std::string& dir, const std::vector<std::string>& outs,
+                       int sizers) {
+  std::vector<std::string> tables;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    EXPECT_EQ(file.find(".tmp."), std::string::npos) << "leftover " << file;
+    if (file.rfind("lut_", 0) == 0 && entry.path().extension() == ".bin")
+      tables.push_back(entry.path().string());
+  }
+  ASSERT_EQ(tables.size(), 1u);
+  const std::string table = slurp(tables[0]);
+  int builders = 0;
+  int sizing_builders = 0;
+  for (const std::string& out : outs) {
+    std::uint64_t sims = 0;
+    std::uint64_t sizing_misses = 0;
+    std::ifstream(out) >> sims >> sizing_misses;
+    if (sims > 0) ++builders;
+    if (sizing_misses > 0) ++sizing_builders;
+    EXPECT_EQ(slurp(out + ".lut"), table) << out;
+  }
+  EXPECT_EQ(builders, 1);
+  EXPECT_EQ(sizing_builders, sizers);
+}
+
+TEST(LutCacheRace, Child) {
+  const char* out = std::getenv(kChildOutEnv);
+  if (out == nullptr) GTEST_SKIP() << "runs only as a builder of the race tests";
+  BuildStats stats;
+  const DelayEnergyTable table = build_or_load(
+      sized_paper_bus(), tech::DriverModel(sized_paper_bus().node), race_config(), {},
+      &stats);
+  std::ofstream lut(std::string(out) + ".lut", std::ios::binary);
+  table.save(lut, table_key_hash(sized_paper_bus(), race_config()));
+  std::ofstream(out) << stats.transient_sims << " " << sizing_store()->stats().misses
+                     << "\n";
+}
+
+TEST(LutCacheRace, ColdBuildersCharacteriseOnce) {
+  CacheDirGuard guard(fresh_dir("./.razorbus_cache_race"));
+  const std::string dir = cache_directory();
+  const std::string outs_dir = dir + "_outs";
+  std::filesystem::create_directories(outs_dir);
+  std::vector<std::string> outs;
+  std::vector<pid_t> builders;
+  for (int i = 0; i < kBuilders; ++i) {
+    outs.push_back(outs_dir + "/builder" + std::to_string(i));
+    builders.push_back(spawn_builder(outs.back()));
+  }
+  for (const pid_t pid : builders) EXPECT_EQ(wait_bounded(pid), 0);
+  expect_built_once(dir, outs, 1);
+  std::filesystem::remove_all(outs_dir);
+}
+
+TEST(LutCacheRace, KilledLockHolderDoesNotStallBuilders) {
+  CacheDirGuard guard(fresh_dir("./.razorbus_cache_race_kill"));
+  const std::string dir = cache_directory();
+  const std::string outs_dir = dir + "_outs";
+  std::filesystem::create_directories(outs_dir);
+  // Sized here first, so the builders race for the table only.
+  size_paper_bus_from_store();
+  const std::string lock_path =
+      PointStore::open(dir, design_content_hash(sized_paper_bus()))->build_lock_path();
+  const std::string ready = outs_dir + "/holder_ready";
+
+  // The holder takes the design's build lock the way a builder does, says
+  // so, and then hangs until it is killed.
+  const pid_t holder = fork();
+  if (holder == 0) {
+    const util::FileLock lock(lock_path);
+    if (lock.held()) ::close(::open(ready.c_str(), O_CREAT | O_WRONLY, 0644));
+    for (;;) ::pause();
+  }
+  ASSERT_GT(holder, 0);
+  for (int i = 0; i < 3000 && !std::filesystem::exists(ready); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(std::filesystem::exists(ready));
+
+  std::vector<std::string> outs;
+  std::vector<pid_t> builders;
+  for (int i = 0; i < kBuilders; ++i) {
+    outs.push_back(outs_dir + "/builder" + std::to_string(i));
+    builders.push_back(spawn_builder(outs.back()));
+  }
+  // While the holder lives, no builder can get past the lock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (const pid_t pid : builders) {
+    int status = 0;
+    EXPECT_EQ(waitpid(pid, &status, WNOHANG), 0) << "a builder finished under the lock";
+  }
+  kill(holder, SIGKILL);
+  waitpid(holder, nullptr, 0);
+  for (const pid_t pid : builders) EXPECT_EQ(wait_bounded(pid), 0);
+  expect_built_once(dir, outs, 0);
+  std::filesystem::remove_all(outs_dir);
 }
 
 }  // namespace

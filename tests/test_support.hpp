@@ -10,7 +10,7 @@
 
 #include "core/system.hpp"
 #include "interconnect/bus_design.hpp"
-#include "interconnect/rc_builder.hpp"
+#include "lut/cache.hpp"
 #include "lut/table.hpp"
 #include "tech/device.hpp"
 
@@ -25,12 +25,13 @@ inline lut::LutConfig small_lut_config() {
   return config;
 }
 
-// Paper bus with repeaters sized at the worst-case corner.
+// Paper bus with repeaters sized at the worst-case corner (from the point
+// store of the cache directory current at the first call).
 inline const interconnect::BusDesign& sized_paper_bus() {
   static const interconnect::BusDesign bus = [] {
     interconnect::BusDesign b = interconnect::BusDesign::paper_bus();
     const tech::DriverModel driver(b.node);
-    interconnect::size_repeaters(b, driver, tech::worst_case_corner());
+    lut::size_repeaters_from_store(b, driver, tech::worst_case_corner());
     return b;
   }();
   return bus;
