@@ -13,14 +13,18 @@
 #include <vector>
 
 #include "bus/simulator.hpp"
+#include "core/closed_loop.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
+#include "drift/schedule.hpp"
 #include "dvs/proportional.hpp"
 #include "dvs/regulator.hpp"
 #include "interconnect/bus_design.hpp"
 #include "lut/pattern.hpp"
 #include "test_support.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace razorbus::bus {
@@ -82,6 +86,10 @@ void expect_totals_identical(const RunningTotals& a, const RunningTotals& b,
   EXPECT_EQ(a.bus_energy, b.bus_energy) << what;
   EXPECT_EQ(a.overhead_energy, b.overhead_energy) << what;
 }
+
+// Bit pattern of a double: exact-equality checks that also tell -0.0 from
+// 0.0 and print both sides as integers on failure.
+std::uint64_t bits_of(double x) { return razorbus::bit_cast<std::uint64_t>(x); }
 
 struct ParityCounts {
   std::uint64_t errors = 0;
@@ -245,97 +253,11 @@ TEST(EngineParity, ResetSeedsReceiversWithInitialWord) {
   }
 }
 
-// The window-batched closed-loop driver must make exactly the decisions the
-// historical per-cycle driver made, under either window-count controller:
-// replicate that driver here (step + one observe_cycle/advance per cycle,
-// threshold steps or proportional deltas) against the reference engine and
-// compare with core::run_closed_loop / run_closed_loop_proportional.
-TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
-  const auto& system = parity_system();
-  const tech::PvtCorner env = tech::typical_corner();
-  trace::SyntheticConfig cfg;
-  cfg.cycles = 60000;
-  cfg.load_rate = 0.5;
-  cfg.seed = 9;
-  const trace::Trace trace = trace::generate_synthetic(cfg, "closed_loop");
-  const std::uint64_t window = 4000;
-  const std::uint64_t delay = 1500;  // lands mid-window on purpose
-
-  for (const auto kind :
-       {dvs::ControllerKind::threshold, dvs::ControllerKind::proportional}) {
-    SCOPED_TRACE(dvs::to_string(kind));
-    const bool threshold = kind == dvs::ControllerKind::threshold;
-    core::DvsRunConfig run_cfg;
-    run_cfg.controller.window_cycles = window;
-    run_cfg.regulator_delay_cycles = delay;
-    run_cfg.record_series = true;
-    core::ProportionalRunConfig prop_cfg;
-    prop_cfg.controller.window_cycles = window;
-    prop_cfg.regulator_delay_cycles = delay;
-    const core::DvsRunReport batched =
-        threshold ? core::run_closed_loop(system, env, trace, run_cfg)
-                  : core::run_closed_loop_proportional(system, env, trace, prop_cfg);
-
-    bus::BusSimulator sim = system.make_simulator(env);
-    sim.set_engine_mode(EngineMode::reference);
-    dvs::VoltageRegulator regulator(system.design().node.vdd_nominal,
-                                    system.dvs_floor(env.process),
-                                    system.design().node.vdd_nominal, delay);
-    dvs::ThresholdController controller(run_cfg.controller);
-    dvs::ProportionalController proportional(prop_cfg.controller);
-    sim.set_supply(regulator.voltage());
-
-    std::vector<core::WindowSample> series;
-    std::uint64_t prev_windows = 0;
-    std::uint64_t supply_changes = 0;
-    double supply_sum = 0.0;
-    std::uint64_t cycle = 0;
-    for (const auto word : trace.words) {
-      sim.set_supply(regulator.advance(cycle));
-      const CycleResult r = sim.step(word);
-      supply_sum += sim.supply();
-      double delta = 0.0;
-      if (threshold) {
-        const dvs::VoltageDecision decision = controller.observe_cycle(r.error);
-        if (decision == dvs::VoltageDecision::step_down)
-          delta = -run_cfg.controller.voltage_step;
-        else if (decision == dvs::VoltageDecision::step_up)
-          delta = +run_cfg.controller.voltage_step;
-        if (controller.windows_completed() != prev_windows) {
-          prev_windows = controller.windows_completed();
-          series.push_back(
-              {cycle + 1, sim.supply(), controller.last_window_error_rate()});
-        }
-      } else {
-        delta = proportional.observe_cycle(r.error);
-      }
-      // razorlint: allow(float-eq): both controllers return literal 0.0 for
-      // "no step".
-      if (delta != 0.0 && regulator.request_change(delta, cycle)) ++supply_changes;
-      ++cycle;
-    }
-    // The run must actually move the supply, or the comparison is vacuous.
-    EXPECT_GT(supply_changes, 0u);
-
-    expect_totals_identical(batched.totals, sim.totals(), "closed loop vs per-cycle");
-    // average_supply is accumulated as supply*span_length in the batched
-    // driver vs one add per cycle here: same value up to summation order.
-    EXPECT_NEAR(batched.average_supply,
-                supply_sum / static_cast<double>(trace.words.size()), 1e-9);
-    ASSERT_EQ(batched.series.size(), series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      EXPECT_EQ(batched.series[i].end_cycle, series[i].end_cycle) << "window " << i;
-      EXPECT_EQ(batched.series[i].supply, series[i].supply) << "window " << i;
-      EXPECT_EQ(batched.series[i].error_rate, series[i].error_rate) << "window " << i;
-    }
-  }
-}
-
 // A bus with no internal shields has one 12-wire group — too wide for the
 // combo tables — so the bit-parallel engine must take its per-wire
-// fallback kernel. Parity must hold there too, with and without jitter.
-TEST(EngineParity, WideShieldGroupFallback) {
-  static const core::DvsBusSystem wide_system = [] {
+// fallback kernel. Characterised at the slow corner and 100 C only.
+const core::DvsBusSystem& wide_group_system() {
+  static const core::DvsBusSystem system = [] {
     interconnect::BusDesign design = test_support::sized_paper_bus();
     design.n_bits = 12;
     design.shield_group = 12;
@@ -346,6 +268,206 @@ TEST(EngineParity, WideShieldGroupFallback) {
     options.lut_config.corners = {tech::ProcessCorner::slow};
     return core::DvsBusSystem(design, options);
   }();
+  return system;
+}
+
+// One closed-loop configuration checked against the per-cycle driver.
+struct LoopCase {
+  std::string name;
+  const core::DvsBusSystem* system = nullptr;
+  tech::PvtCorner env{};
+  EngineMode engine = EngineMode::bit_parallel;
+  double jitter_sigma = 0.0;
+  drift::Schedule drift{};
+  // Start at the DVS floor instead of nominal: under 300 ps of jitter the
+  // error rate never falls into the band, so only a run that starts low
+  // moves the supply (upwards).
+  bool start_at_floor = false;
+};
+
+// The window-batched closed loop must make exactly the decisions the
+// historical per-cycle driver made, under either window-count controller:
+// replicate that driver here (step + one observe_cycle/advance per cycle,
+// threshold steps or proportional deltas, the drift corner re-derived at
+// every window boundary) against the reference engine, with a separate
+// nominal-supply BusSimulator fed every word alongside, and compare with
+// core::ClosedLoop. The stream block is coprime to the window and the
+// regulator delay, so chunks straddle window ends and supply landings.
+// Returns the number of supply changes the per-cycle driver made.
+std::uint64_t check_closed_loop(const LoopCase& c, dvs::ControllerKind kind,
+                                const trace::Trace& trace) {
+  const core::DvsBusSystem& system = *c.system;
+  const tech::PvtCorner& env = c.env;
+  const double vnom = system.design().node.vdd_nominal;
+  const std::uint64_t window = 4000;
+  const std::uint64_t delay = 1500;  // lands mid-window on purpose
+  const bool threshold = kind == dvs::ControllerKind::threshold;
+
+  core::LoopConfig loop_cfg;
+  loop_cfg.controller.window_cycles = window;
+  loop_cfg.regulator_delay_cycles = delay;
+  loop_cfg.record_series = threshold;
+  loop_cfg.engine = c.engine;
+  loop_cfg.timing_jitter_sigma = c.jitter_sigma;
+  loop_cfg.drift = c.drift;
+  const double floor = system.dvs_floor(env.process);
+  loop_cfg.start_supply = c.start_at_floor ? floor : vnom;
+  dvs::ProportionalConfig prop_cfg;
+  prop_cfg.window_cycles = window;
+  core::ClosedLoop loop({{&system}}, env, loop_cfg, threshold ? nullptr : &prop_cfg);
+  const auto source = trace::make_trace_view_source(trace);
+  core::StreamConfig stream;
+  stream.block_cycles = 2999;
+  const core::DvsRunReport batched = loop.run({source.get()}, stream).front();
+  const std::vector<core::WindowSample> batched_series = loop.take_series();
+
+  BusSimulator sim = system.make_simulator(env);
+  sim.set_engine_mode(EngineMode::reference);
+  if (c.jitter_sigma > 0.0) sim.set_timing_jitter(c.jitter_sigma);
+  BusSimulator nominal(system.design(), system.table(), env);
+  nominal.set_supply(vnom);
+  dvs::VoltageRegulator regulator(loop_cfg.start_supply, floor, vnom, delay);
+  dvs::ThresholdController controller(loop_cfg.controller);
+  dvs::ProportionalController proportional(prop_cfg);
+  sim.set_supply(regulator.voltage());
+
+  std::vector<core::WindowSample> series;
+  std::uint64_t prev_windows = 0;
+  std::uint64_t supply_changes = 0;
+  double supply_sum = 0.0;
+  std::uint64_t cycle = 0;
+  for (const auto word : trace.words) {
+    if (c.drift.enabled() && cycle % window == 0) {
+      const tech::PvtCorner corner =
+          c.drift.corner_at(env, cycle, vnom, system.table().temps());
+      sim.set_environment(corner);
+      nominal.set_environment(corner);
+    }
+    sim.set_supply(regulator.advance(cycle));
+    const CycleResult r = sim.step(word);
+    nominal.step(word);
+    supply_sum += sim.supply();
+    double delta = 0.0;
+    if (threshold) {
+      const dvs::VoltageDecision decision = controller.observe_cycle(r.error);
+      if (decision == dvs::VoltageDecision::step_down)
+        delta = -loop_cfg.controller.voltage_step;
+      else if (decision == dvs::VoltageDecision::step_up)
+        delta = +loop_cfg.controller.voltage_step;
+      if (controller.windows_completed() != prev_windows) {
+        prev_windows = controller.windows_completed();
+        series.push_back({cycle + 1, sim.supply(), controller.last_window_error_rate()});
+      }
+    } else {
+      delta = proportional.observe_cycle(r.error);
+    }
+    // razorlint: allow(float-eq): both controllers return literal 0.0 for
+    // "no step".
+    if (delta != 0.0 && regulator.request_change(delta, cycle)) ++supply_changes;
+    ++cycle;
+  }
+
+  expect_totals_identical(batched.totals, sim.totals(), "closed loop vs per-cycle");
+  EXPECT_EQ(bits_of(batched.baseline_bus_energy), bits_of(nominal.totals().bus_energy))
+      << "baseline vs separate nominal simulator";
+  // average_supply is accumulated as supply*span_length in the batched
+  // driver vs one add per cycle here: same value up to summation order.
+  EXPECT_NEAR(batched.average_supply,
+              supply_sum / static_cast<double>(trace.words.size()), 1e-9);
+  EXPECT_EQ(loop.env_updates() > 0, c.drift.enabled());
+  EXPECT_EQ(batched_series.size(), series.size());
+  for (std::size_t i = 0; i < std::min(series.size(), batched_series.size()); ++i) {
+    EXPECT_EQ(batched_series[i].end_cycle, series[i].end_cycle) << "window " << i;
+    EXPECT_EQ(batched_series[i].supply, series[i].supply) << "window " << i;
+    EXPECT_EQ(batched_series[i].error_rate, series[i].error_rate) << "window " << i;
+  }
+  return supply_changes;
+}
+
+TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
+  trace::SyntheticConfig cfg;
+  cfg.cycles = 60000;
+  cfg.load_rate = 0.5;
+  cfg.seed = 9;
+  const trace::Trace paper_trace = trace::generate_synthetic(cfg, "closed_loop");
+  cfg.n_bits = 12;
+  const trace::Trace wide_trace = trace::generate_synthetic(cfg, "closed_loop_wide");
+
+  const tech::PvtCorner typical = tech::typical_corner();
+  const tech::PvtCorner slow{tech::ProcessCorner::slow, 100.0, 0.0};
+  // 100 C down to 25 C with 30 mV of aging: a new corner every window.
+  const drift::Schedule ramp = drift::Schedule::linear(cfg.cycles, 100.0, 25.0, 0.0, 0.03);
+  const std::vector<LoopCase> cases = {
+      {"table kernel", &parity_system(), typical, EngineMode::bit_parallel, 0.0, {}},
+      {"reference engine", &parity_system(), typical, EngineMode::reference, 0.0, {}},
+      {"jitter kernel", &parity_system(), typical, EngineMode::bit_parallel, 300e-12, {},
+       true},
+      {"reference + jitter", &parity_system(), typical, EngineMode::reference, 300e-12, {},
+       true},
+      {"general kernel", &wide_group_system(), slow, EngineMode::bit_parallel, 0.0, {}},
+      {"general + jitter", &wide_group_system(), slow, EngineMode::bit_parallel, 300e-12,
+       {}, true},
+      {"drift ramp", &parity_system(), typical, EngineMode::bit_parallel, 0.0, ramp},
+      {"drift + reference", &parity_system(), typical, EngineMode::reference, 0.0, ramp},
+  };
+  for (const LoopCase& c : cases) {
+    for (const auto kind :
+         {dvs::ControllerKind::threshold, dvs::ControllerKind::proportional}) {
+      SCOPED_TRACE(c.name + " / " + dvs::to_string(kind));
+      const trace::Trace& trace = c.system == &parity_system() ? paper_trace : wide_trace;
+      const std::uint64_t changes = check_closed_loop(c, kind, trace);
+      // The supply must actually move mid-run, or the comparison is vacuous.
+      EXPECT_GT(changes, 0u);
+    }
+  }
+}
+
+// Each leg of a consecutive run reports the energy of the nominal-supply
+// bus over that leg's words alone: a fresh sum whose first cycle compares
+// against the zero word, exactly BusSimulator::run_reference over the leg.
+// Every leg opens on a word that is neither zero nor the previous leg's
+// last word, so a baseline that carried the bus's previous word, or that
+// differenced a running sum, would drift off by at least one cycle.
+TEST(EngineParity, ConsecutiveLegBaselinesMatchRunReference) {
+  const auto& system = parity_system();
+  const tech::PvtCorner env = tech::typical_corner();
+  std::vector<trace::Trace> legs;
+  for (std::uint64_t seed : {41u, 42u, 43u, 44u}) {
+    trace::SyntheticConfig cfg;
+    cfg.cycles = 7000 + 1000 * (seed % 3);
+    cfg.load_rate = 0.5;
+    cfg.seed = seed;
+    legs.push_back(trace::generate_synthetic(cfg, "leg"));
+    legs.back().words.front() = static_cast<std::uint32_t>(0x5A5A5A5Au + seed);
+  }
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    ASSERT_NE(legs[i].words.front(), BusWord());
+    if (i > 0) {
+      ASSERT_NE(legs[i].words.front(), legs[i - 1].words.back());
+    }
+  }
+
+  for (const auto engine : {EngineMode::bit_parallel, EngineMode::reference}) {
+    SCOPED_TRACE(to_string(engine));
+    core::DvsRunConfig cfg;
+    cfg.engine = engine;
+    cfg.controller.window_cycles = 2000;
+    cfg.regulator_delay_cycles = 700;
+    const core::ConsecutiveRunReport r = core::run_consecutive(system, env, legs, cfg);
+    ASSERT_EQ(r.per_trace.size(), legs.size());
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      const RunningTotals expected =
+          BusSimulator::run_reference(system.design(), system.table(), env, legs[i].words);
+      EXPECT_EQ(bits_of(r.per_trace[i].baseline_bus_energy), bits_of(expected.bus_energy))
+          << "leg " << i;
+    }
+  }
+}
+
+// The per-wire fallback kernel of wide_group_system(): parity must hold
+// there too, with and without jitter.
+TEST(EngineParity, WideShieldGroupFallback) {
+  const core::DvsBusSystem& wide_system = wide_group_system();
 
   const tech::PvtCorner env{tech::ProcessCorner::slow, 100.0, 0.0};
   const auto words = pattern_trace("random", 1500, 61);

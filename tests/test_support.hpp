@@ -47,7 +47,10 @@ inline const core::DvsBusSystem& small_system() {
 }
 
 inline const core::DvsBusSystem& paper_system() {
-  static const core::DvsBusSystem system{interconnect::BusDesign::paper_bus()};
+  static const core::DvsBusSystem system = [] {
+    const core::SystemOptions options;
+    return core::DvsBusSystem(interconnect::BusDesign::paper_bus(), options);
+  }();
   return system;
 }
 
