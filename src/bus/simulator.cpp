@@ -68,6 +68,19 @@ inline std::size_t combo_index(const detail::WireGroup& g, const BusWord& prev,
   return g.table_offset + static_cast<std::size_t>((pm << g.width) | cm);
 }
 
+// Dynamic energy of one cycle from per-wire classes: one sub-sum per shield
+// group, groups summed in order (the operation sequence of every kernel).
+double grouped_energy(const detail::GroupLayout& layout, const double* energy,
+                      const int* classes) {
+  double sum = 0.0;
+  for (const auto& g : layout.groups) {
+    double sub = 0.0;
+    for (int bit = g.start; bit < g.start + g.width; ++bit) sub += energy[classes[bit]];
+    sum += sub;
+  }
+  return sum;
+}
+
 // One (prev, cur) combination of a `w`-wide shield group at one operating
 // point: the per-bit chain in ascending bit order — the exact operation
 // sequence every kernel uses for this group's energy sub-sum — plus the
@@ -220,43 +233,54 @@ void CycleRule::build_point(PointTables& t, std::size_t p,
   t.combo_ok[p] = any_held ? 0 : 1;
 }
 
+template <bool kMeter>
 CycleOutcome CycleRule::evaluate(const PointTables& t, std::size_t p,
                                  CyclePattern& pattern, const BusWord& line,
-                                 double jitter) const {
-  if (!layout_.tabulatable) return general_kernel(t, p, pattern, line, jitter);
+                                 double jitter, double* nominal) const {
+  if (!layout_.tabulatable) return general_kernel<kMeter>(t, p, pattern, line, jitter, nominal);
   const bool in_sync = ((line ^ pattern.prev()) & classifier_.bits_mask()).none();
   // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
   // the combo-table path is only valid for that exact case (DESIGN.md §5).
   if (jitter == 0.0 && in_sync && t.combo_ok[p])
-    return table_kernel(t, p, pattern.prev(), pattern.word());
-  return jitter_kernel(t, p, pattern, line, jitter);
+    return table_kernel<kMeter>(t, p, pattern.prev(), pattern.word(), nominal);
+  return jitter_kernel<kMeter>(t, p, pattern, line, jitter, nominal);
 }
 
+template <bool kMeter>
 CycleOutcome CycleRule::table_kernel(const PointTables& t, std::size_t p,
-                                     const BusWord& prev, const BusWord& word) const {
+                                     const BusWord& prev, const BusWord& word,
+                                     double* nominal) const {
   // Every toggling wire captures (cleanly or not), so the line update is
   // simply the toggle mask.
   CycleOutcome out;
+  double meter = 0.0;
   for (const auto& g : layout_.groups) {
     const std::size_t at = combo_index(g, prev, word) * t.stride + p;
     out.dynamic_energy += t.combo_energy[at];
+    if constexpr (kMeter) meter += t.combo_energy[at + 1];
     out.worst_delay = std::max(out.worst_delay, t.combo_worst[at]);
     out.error_mask |= BusWord(t.combo_error[at]) << g.start;
     out.shadow_mask |= BusWord(t.combo_shadow[at]) << g.start;
   }
   out.line_update = (prev ^ word) & classifier_.bits_mask();
+  if constexpr (kMeter) *nominal = meter;
   return out;
 }
 
+template <bool kMeter>
 CycleOutcome CycleRule::jitter_kernel(const PointTables& t, std::size_t p,
                                       CyclePattern& pattern, const BusWord& line,
-                                      double jitter) const {
+                                      double jitter, double* nominal) const {
   CycleOutcome out;
   // Energy and the per-group sub-sum order are jitter-independent: reuse
   // the combo tables.
-  for (const auto& g : layout_.groups)
-    out.dynamic_energy +=
-        t.combo_energy[combo_index(g, pattern.prev(), pattern.word()) * t.stride + p];
+  double meter = 0.0;
+  for (const auto& g : layout_.groups) {
+    const std::size_t at = combo_index(g, pattern.prev(), pattern.word()) * t.stride + p;
+    out.dynamic_energy += t.combo_energy[at];
+    if constexpr (kMeter) meter += t.combo_energy[at + 1];
+  }
+  if constexpr (kMeter) *nominal = meter;
 
   // Verdicts shift with the common-mode jitter: re-derive them per present
   // switching class (all wires of a class share one arrival), comparing
@@ -283,9 +307,10 @@ CycleOutcome CycleRule::jitter_kernel(const PointTables& t, std::size_t p,
   return out;
 }
 
+template <bool kMeter>
 CycleOutcome CycleRule::general_kernel(const PointTables& t, std::size_t p,
                                        CyclePattern& pattern, const BusWord& line,
-                                       double jitter) const {
+                                       double jitter, double* nominal) const {
   // Classify every wire, keep the group-wise energy accounting, and apply
   // the class verdict per wire.
   CycleOutcome out;
@@ -307,6 +332,9 @@ CycleOutcome CycleRule::general_kernel(const PointTables& t, std::size_t p,
     }
     out.dynamic_energy += sub;
   }
+  if constexpr (kMeter)
+    *nominal =
+        grouped_energy(layout_, &t.scaled_energy[(p + 1) * lut::PatternClass::kCount], classes);
   return out;
 }
 
@@ -319,7 +347,7 @@ BusSimulator::BusSimulator(const interconnect::BusDesign& design,
     : rule_(design, table),
       environment_(environment),
       bank_(design.n_bits, rule_.timing()),
-      tables_(rule_.layout(), 1, 1),
+      tables_(rule_.layout(), 2, 2),
       cycle_overhead_(recovery.cycle_overhead(design.n_bits)),
       error_overhead_(recovery.error_overhead(design.n_bits)),
       arrivals_(static_cast<std::size_t>(design.n_bits), -1.0),
@@ -347,10 +375,33 @@ void BusSimulator::set_environment(const tech::PvtCorner& environment) {
   if (environment == environment_) return;
   environment_ = environment;
   refresh_operating_point();
+  if (meter_) refresh_nominal_row();
 }
 
 void BusSimulator::refresh_operating_point() {
   rule_.build_point(tables_, 0, OperatingPoint{supply_, environment_});
+}
+
+void BusSimulator::refresh_nominal_row() {
+  rule_.build_point(tables_, 1, OperatingPoint{design().node.vdd_nominal, environment_});
+}
+
+void BusSimulator::set_nominal_meter(bool on) {
+  meter_ = on;
+  meter_energy_ = 0.0;
+  meter_prev_ = BusWord();
+  if (meter_) refresh_nominal_row();
+}
+
+// The meter's cycle priced on its own, against its own previous word: the
+// first cycle after it starts, when that zero word differs from the bus's.
+double BusSimulator::nominal_cycle_energy(const BusWord& word) {
+  const double leak = tables_.leak[1];
+  if (word == meter_prev_) return leak;
+  rule_.classifier().classify_all(meter_prev_, word, classes_.data());
+  return grouped_energy(rule_.layout(), &tables_.scaled_energy[lut::PatternClass::kCount],
+                        classes_.data()) +
+         leak;
 }
 
 std::string to_string(EngineMode mode) {
@@ -393,30 +444,36 @@ double BusSimulator::draw_jitter() {
   return jitter_sigma_ > 0.0 ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
 }
 
-void BusSimulator::account_idle(CycleResult& out) {
+void BusSimulator::account_idle(CycleResult& out, bool meter) {
   // Idle bus: nothing switches, no flop can err, no dynamic energy.
   out.bus_energy = tables_.leak[0];
   out.overhead_energy = cycle_overhead_;
   ++totals_.cycles;
   totals_.bus_energy += out.bus_energy;
   totals_.overhead_energy += out.overhead_energy;
+  if (meter) meter_energy_ += tables_.leak[1];
 }
 
 CycleResult BusSimulator::step(const BusWord& word) {
+  // A meter out of step with the bus prices this cycle on its own; in step,
+  // it rides the engine's cycle.
+  const bool ride = meter_ && meter_prev_ == prev_word_;
+  if (meter_ && !ride) meter_energy_ += nominal_cycle_energy(word);
+  meter_prev_ = word;
   // simd is a driver-level scheduling mode; on a single simulator it IS
   // the bit-parallel engine.
-  return mode_ == EngineMode::reference ? step_reference(word)
-                                        : step_bit_parallel(word);
+  return mode_ == EngineMode::reference ? step_reference(word, ride)
+                                        : step_bit_parallel(word, ride);
 }
 
 // --------------------------------------------------------------- reference
 
-CycleResult BusSimulator::step_reference(const BusWord& word) {
+CycleResult BusSimulator::step_reference(const BusWord& word, bool meter) {
   CycleResult out;
 
   if (word == prev_word_) {
     bank_.tick_hold();
-    account_idle(out);
+    account_idle(out, meter);
     return out;
   }
 
@@ -439,13 +496,13 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
   // groups summed in order): the exact operation sequence of the
   // bit-parallel engine's precomputed group tables, so the engines'
   // energy totals match bit for bit.
-  double dynamic_energy = 0.0;
-  for (const auto& g : rule_.layout().groups) {
-    double sub = 0.0;
-    for (int bit = g.start; bit < g.start + g.width; ++bit)
-      sub += tables_.scaled_energy[classes_[static_cast<std::size_t>(bit)]];
-    dynamic_energy += sub;
-  }
+  const double dynamic_energy =
+      grouped_energy(rule_.layout(), tables_.scaled_energy.data(), classes_.data());
+  if (meter)
+    meter_energy_ += grouped_energy(rule_.layout(),
+                                    &tables_.scaled_energy[lut::PatternClass::kCount],
+                                    classes_.data()) +
+                     tables_.leak[1];
 
   const razor::BankCycleResult bank = bank_.clock(word, arrivals_);
   line_word_ = bank.captured;
@@ -467,17 +524,21 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
 
 // ------------------------------------------------------------ bit-parallel
 
-CycleResult BusSimulator::step_bit_parallel(const BusWord& word) {
+CycleResult BusSimulator::step_bit_parallel(const BusWord& word, bool meter) {
   CycleResult out;
 
   if (word == prev_word_) {
-    account_idle(out);
+    account_idle(out, meter);
     return out;
   }
 
   const double jitter = draw_jitter();
   detail::CyclePattern pattern(rule_.classifier(), prev_word_, word, classes_.data());
-  const detail::CycleOutcome k = rule_.evaluate(tables_, 0, pattern, line_word_, jitter);
+  double nominal = 0.0;
+  const detail::CycleOutcome k =
+      meter ? rule_.evaluate<true>(tables_, 0, pattern, line_word_, jitter, &nominal)
+            : rule_.evaluate(tables_, 0, pattern, line_word_, jitter);
+  if (meter) meter_energy_ += nominal + tables_.leak[1];
 
   line_word_ = (line_word_ & ~k.line_update) | (word & k.line_update);
   out.error = k.error_mask.any();
@@ -496,19 +557,23 @@ CycleResult BusSimulator::step_bit_parallel(const BusWord& word) {
   return out;
 }
 
+template <bool kMeter>
 void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
   // Totals accumulate in registers across the whole span; the per-cycle
   // operation sequence (one `+= dynamic + leakage` per cycle, etc.) is
   // kept identical to step(), so batching never changes a single bit.
+  // kMeter: the meter is on and in step with the bus, and rides along.
   std::uint64_t cycles = totals_.cycles;
   std::uint64_t errors = totals_.errors;
   std::uint64_t shadow_failures = totals_.shadow_failures;
   double bus_energy = totals_.bus_energy;
   double overhead_energy = totals_.overhead_energy;
+  double meter_energy = meter_energy_;
   BusWord prev = prev_word_;
   BusWord line = line_word_;
 
   const double leak = tables_.leak[0];
+  const double meter_leak = tables_.leak[1];
   const double cycle_ovh = cycle_overhead_;
   const double error_ovh = error_overhead_;
 
@@ -518,11 +583,15 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
       ++cycles;
       bus_energy += leak;
       overhead_energy += cycle_ovh;
+      if constexpr (kMeter) meter_energy += meter_leak;
       continue;
     }
     const double jitter = draw_jitter();
     detail::CyclePattern pattern(rule_.classifier(), prev, word, classes_.data());
-    const detail::CycleOutcome k = rule_.evaluate(tables_, 0, pattern, line, jitter);
+    double nominal = 0.0;
+    const detail::CycleOutcome k =
+        rule_.evaluate<kMeter>(tables_, 0, pattern, line, jitter, &nominal);
+    if constexpr (kMeter) meter_energy += nominal + meter_leak;
 
     line = (line & ~k.line_update) | (word & k.line_update);
     prev = word;
@@ -543,6 +612,10 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
   totals_.overhead_energy = overhead_energy;
   prev_word_ = prev;
   line_word_ = line;
+  if constexpr (kMeter) {
+    meter_energy_ = meter_energy;
+    meter_prev_ = prev;
+  }
 }
 
 // ------------------------------------------------------------------ shared
@@ -550,9 +623,17 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
 RunningTotals BusSimulator::run(const BusWord* words, std::size_t n) {
   const RunningTotals before = totals_;
   if (mode_ == EngineMode::reference) {
-    for (std::size_t i = 0; i < n; ++i) step_reference(words[i]);
+    for (std::size_t i = 0; i < n; ++i) step(words[i]);
+  } else if (meter_) {
+    // The meter's first cycle compares against its own zero word: step it
+    // alone, then the meter rides the batched kernel.
+    if (n > 0 && meter_prev_ != prev_word_) {
+      step(*words++);
+      --n;
+    }
+    run_bit_parallel<true>(words, n);
   } else {
-    run_bit_parallel(words, n);
+    run_bit_parallel<false>(words, n);
   }
   RunningTotals delta;
   delta.cycles = totals_.cycles - before.cycles;
@@ -568,6 +649,8 @@ void BusSimulator::reset(const BusWord& initial_word) {
   line_word_ = initial_word & rule_.classifier().bits_mask();
   totals_ = RunningTotals{};
   bank_ = razor::FlopBank(design().n_bits, rule_.timing(), initial_word);
+  meter_energy_ = 0.0;
+  meter_prev_ = BusWord();
 }
 
 RunningTotals BusSimulator::run_reference(const interconnect::BusDesign& design,

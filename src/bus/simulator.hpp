@@ -215,21 +215,33 @@ class CycleRule {
   // One non-idle cycle of point `p`, whose receivers hold `line`. Picks the
   // kernel: general when the layout is untabulatable; table at zero jitter
   // with the receiver in sync and combo_ok; jitter otherwise.
+  //
+  // kMeter (BusSimulator's nominal meter) also stores in `*nominal` the
+  // dynamic energy of point p + 1 for the same (prev, cur): read from the
+  // combo row index or the wire classes the kernel already has, summed in
+  // the same group order. Energy never depends on a verdict or on jitter,
+  // so point p + 1 needs no verdicts. Without kMeter (the default, and
+  // MultiPointEngine's only use) the meter compiles away.
+  template <bool kMeter = false>
   CycleOutcome evaluate(const PointTables& tables, std::size_t p, CyclePattern& pattern,
-                        const BusWord& line, double jitter) const;
+                        const BusWord& line, double jitter,
+                        double* nominal = nullptr) const;
 
  private:
   // One lookup per shield group (jitter-free, receiver in sync).
+  template <bool kMeter>
   CycleOutcome table_kernel(const PointTables& tables, std::size_t p, const BusWord& prev,
-                            const BusWord& word) const;
+                            const BusWord& word, double* nominal) const;
   // Energy from the combo rows; verdicts re-derived per present class.
+  template <bool kMeter>
   CycleOutcome jitter_kernel(const PointTables& tables, std::size_t p,
-                             CyclePattern& pattern, const BusWord& line,
-                             double jitter) const;
+                             CyclePattern& pattern, const BusWord& line, double jitter,
+                             double* nominal) const;
   // Per-wire fallback for groups too wide to tabulate.
+  template <bool kMeter>
   CycleOutcome general_kernel(const PointTables& tables, std::size_t p,
-                              CyclePattern& pattern, const BusWord& line,
-                              double jitter) const;
+                              CyclePattern& pattern, const BusWord& line, double jitter,
+                              double* nominal) const;
 
   const interconnect::BusDesign& design_;
   const lut::DelayEnergyTable& table_;
@@ -311,10 +323,22 @@ class BusSimulator {
     return run(words.data(), words.size());
   }
 
-  // Reset bus/flop state and totals (keeps the operating point and mode).
+  // Reset bus/flop state and totals (keeps the operating point and mode);
+  // restarts the nominal meter's sum when it is on.
   void reset(const BusWord& initial_word = BusWord());
 
   const RunningTotals& totals() const { return totals_; }
+
+  // The energy-only nominal meter (DESIGN.md §5). While on, every cycle is
+  // also priced at (vdd_nominal, environment()), the second row of this
+  // simulator's tables, into a sum of its own: exactly the bus_energy of
+  // run_reference over the words driven since the meter started. `true`
+  // (re)starts it: the nominal row is built now (and again on every
+  // set_environment, never on set_supply), the sum restarts at 0.0 and its
+  // first cycle compares against the zero word, whatever the bus drove
+  // last. `false` (the default) switches it off.
+  void set_nominal_meter(bool on);
+  double nominal_bus_energy() const { return meter_energy_; }
 
   // Reference energy per cycle of the conventional bus: same environment,
   // supply fixed at nominal. Used to normalise gains.
@@ -325,16 +349,23 @@ class BusSimulator {
 
  private:
   void refresh_operating_point();
+  void refresh_nominal_row();
   double draw_jitter();
-  CycleResult step_reference(const BusWord& word);
-  CycleResult step_bit_parallel(const BusWord& word);
+  // `meter`: the nominal meter rides this cycle (it is on and in step
+  // with the bus).
+  CycleResult step_reference(const BusWord& word, bool meter);
+  CycleResult step_bit_parallel(const BusWord& word, bool meter);
+  template <bool kMeter>
   void run_bit_parallel(const BusWord* words, std::size_t n);
-  void account_idle(CycleResult& out);
+  void account_idle(CycleResult& out, bool meter);
+  double nominal_cycle_energy(const BusWord& word);
 
   detail::CycleRule rule_;
   tech::PvtCorner environment_;
   razor::FlopBank bank_;
-  detail::PointTables tables_;  // the one operating point (stride 1)
+  // Stride 2: row 0 is the operating point, row 1 the nominal meter's
+  // (energy only, built while the meter is on).
+  detail::PointTables tables_;
   double cycle_overhead_;
   double error_overhead_;
   EngineMode mode_ = EngineMode::bit_parallel;
@@ -351,6 +382,12 @@ class BusSimulator {
   RunningTotals totals_;
   std::vector<double> arrivals_;
   std::vector<int> classes_;
+
+  bool meter_ = false;
+  double meter_energy_ = 0.0;
+  // The meter's previous word: the zero word at its start, the bus's
+  // previous word from its first cycle on.
+  BusWord meter_prev_;
 };
 
 // ------------------------------------------------------------- multi-point

@@ -43,13 +43,6 @@ void check_width(const DvsBusSystem& system, const trace::TraceSource& source) {
         std::to_string(system.design().n_bits) + " wires");
 }
 
-bus::BusSimulator make_baseline_sim(const DvsBusSystem& system,
-                                    const tech::PvtCorner& environment) {
-  bus::BusSimulator sim(system.design(), system.table(), environment);
-  sim.set_supply(system.design().node.vdd_nominal);
-  return sim;
-}
-
 namespace {
 
 double loop_floor(const std::vector<LoopLane>& lanes,
@@ -108,16 +101,13 @@ std::vector<DvsRunReport> ClosedLoop::run(
                                 " traces");
   for (std::size_t l = 0; l < n_lanes; ++l) check_width(*lanes_[l].system, *sources[l]);
 
-  // Baselines are built before the stream buffers: the other order measured
-  // ~1 MB more peak RSS over repeated streamed runs (heap placement of the
-  // 1 MiB buffers).
+  // Each leg restarts every lane's nominal meter (a fresh sum from the zero
+  // word, priced at the lane's current corner), unless the caller brought
+  // the baselines. Nothing is allocated per leg but the cursors.
   std::vector<bus::RunningTotals> before;
-  baselines_.clear();
   for (std::size_t l = 0; l < n_lanes; ++l) {
     before.push_back(sims_[l].totals());
-    if (baselines != nullptr) continue;
-    baselines_.push_back(make_baseline_sim(*lanes_[l].system, environment_));
-    if (!(current_ == environment_)) baselines_.back().set_environment(current_);
+    sims_[l].set_nominal_meter(baselines == nullptr);
   }
   std::vector<StreamCursor> cursors;
   for (const trace::TraceSource* source : sources)
@@ -148,7 +138,6 @@ std::vector<DvsRunReport> ClosedLoop::run(
       if (chunk == 0) break;
       for (std::size_t l = 0; l < n_lanes; ++l) {
         window_errors_[l] += sims_[l].run(cursors[l].data(), chunk).errors;
-        if (baselines == nullptr) baselines_[l].run(cursors[l].data(), chunk);
         cursors[l].consume(chunk);
       }
       served += chunk;
@@ -175,7 +164,7 @@ std::vector<DvsRunReport> ClosedLoop::run(
     r.floor_supply = floor_;
     r.average_supply = average;
     r.baseline_bus_energy =
-        baselines != nullptr ? baselines[l] : baselines_[l].totals().bus_energy;
+        baselines != nullptr ? baselines[l] : sims_[l].nominal_bus_energy();
   }
   return reports;
 }
@@ -211,7 +200,7 @@ void ClosedLoop::close_window() {
 }
 
 // Re-derive the drift corner for the window starting now and push it into
-// every lane and its baseline. A disabled schedule never reaches a
+// every lane (its nominal meter follows). A disabled schedule never reaches a
 // set_environment call, which keeps zero-drift runs byte-identical to
 // static-corner runs.
 void ClosedLoop::apply_drift() {
@@ -223,7 +212,6 @@ void ClosedLoop::apply_drift() {
   current_ = next;
   ++env_updates_;
   for (auto& sim : sims_) sim.set_environment(next);
-  for (auto& baseline : baselines_) baseline.set_environment(next);
 }
 
 }  // namespace razorbus::core

@@ -3,9 +3,10 @@
 // Every closed-loop experiment runs through `ClosedLoop`: the single-bus
 // drivers of experiments.hpp (one lane), run_consecutive's back-to-back
 // benchmarks (one lane, one `run` per source, state carried across) and
-// sys::BusSystem (N lanes on one regulator). Each lane is a bus with its
-// own DVS simulator, its own trace source and its own lockstep
-// nominal-supply baseline; the lanes share one ramping regulator, one
+// sys::BusSystem (N lanes on one regulator). Each lane is a bus, its own
+// DVS simulator with its nominal meter (the energy of the same words on the
+// conventional bus at nominal supply, priced in the same trace pass) and
+// its own StreamCursor; the lanes share one ramping regulator, one
 // optional drift::Schedule and one window-count controller — the paper's
 // threshold controller or the proportional one it rejects. Each lane counts
 // its own errors per controller window, and dvs::fuse_window_errors fuses
@@ -79,11 +80,6 @@ class StreamCursor {
 // wires (std::invalid_argument); narrower is legal, the surplus wires hold.
 void check_width(const DvsBusSystem& system, const trace::TraceSource& source);
 
-// Nominal-supply conventional bus (default recovery model): fed the same
-// words in lockstep, its totals equal BusSimulator::run_reference's.
-bus::BusSimulator make_baseline_sim(const DvsBusSystem& system,
-                                    const tech::PvtCorner& environment);
-
 // One bus of a closed loop. `system` is non-owning; `weight` is read by
 // the `weighted` arbitration policy.
 struct LoopLane {
@@ -97,7 +93,7 @@ struct LoopConfig : DvsRunConfig {
   dvs::ArbitrationPolicy arbitration = dvs::ArbitrationPolicy::max_error;
   // Disabled (the default) = the static corner, on the exact static code
   // path. Enabled: the corner is re-derived at every window boundary and
-  // applied to every lane and its baseline.
+  // applied to every lane and its nominal meter.
   drift::Schedule drift{};
 };
 
@@ -112,10 +108,11 @@ class ClosedLoop {
 
   // One leg: lane l drains a clone of sources[l], all lanes in lockstep,
   // until the first source ends. Controller, regulator, drift and DVS
-  // simulator state carry into the next leg; the nominal baselines start
-  // fresh each leg. Returns one report per lane covering this leg: totals,
+  // simulator state carry into the next leg; the nominal meters restart
+  // each leg, so a leg's baseline is BusSimulator::run_reference over its
+  // words. Returns one report per lane covering this leg: totals,
   // cycle-weighted average supply and baseline energy — `baselines[l]`
-  // when given, in place of the lockstep baseline pass.
+  // when given, with the meters off.
   std::vector<DvsRunReport> run(const std::vector<const trace::TraceSource*>& sources,
                                 const StreamConfig& stream = {},
                                 StreamStats* stats = nullptr,
@@ -144,7 +141,6 @@ class ClosedLoop {
   LoopConfig config_;
   double floor_;
   std::vector<bus::BusSimulator> sims_;
-  std::vector<bus::BusSimulator> baselines_;  // this leg's lockstep baselines
   dvs::VoltageRegulator regulator_;
   dvs::ThresholdController threshold_;
   std::optional<dvs::ProportionalController> proportional_;

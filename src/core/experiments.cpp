@@ -272,20 +272,17 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
   sim.set_engine_mode(engine);
   if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
   sim.set_supply(supply);
+  sim.set_nominal_meter(true);
 
-  bus::BusSimulator baseline = make_baseline_sim(system, environment);
   StreamCursor cursor(source, stream.block_cycles);
-  cursor.drain([&](const BusWord* words, std::size_t n) {
-    sim.run(words, n);
-    baseline.run(words, n);
-  });
+  cursor.drain([&](const BusWord* words, std::size_t n) { sim.run(words, n); });
   cursor.account(stats);
 
   DvsRunReport report;
   report.totals = sim.totals();
   report.floor_supply = supply;
   report.average_supply = supply;
-  report.baseline_bus_energy = baseline.totals().bus_energy;
+  report.baseline_bus_energy = sim.nominal_bus_energy();
   return report;
 }
 

@@ -51,8 +51,8 @@ struct StreamConfig {
 // the stream_* metrics, docs/bench-reports.md): how much trace was pulled
 // and the largest trace buffer that was ever resident per shard — the
 // peak-RSS-relevant number a memory budget cares about. Counts cover every
-// pass the driver makes (the closed-loop baseline shares its pass; each
-// sweep supply is its own pass).
+// pass the driver makes (the closed-loop baseline is priced in the DVS
+// pass; each sweep supply is its own pass).
 struct StreamStats {
   std::size_t block_cycles = 0;       // configured block size
   std::uint64_t blocks = 0;           // next_block pulls, all shards
@@ -175,8 +175,8 @@ struct DvsRunReport {
 };
 
 // Closed-loop DVS over one trace (threshold controller + ramping
-// regulator): a single pass over a clone of `source`, with the
-// nominal-supply baseline simulator fed the same blocks in lockstep (so no
+// regulator): a single pass over a clone of `source`; the DVS simulator's
+// nominal meter prices the nominal-supply baseline in that same pass (so no
 // second pass and no materialization anywhere).
 DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const tech::PvtCorner& environment,
@@ -248,8 +248,8 @@ struct ConsecutiveRunReport {
 // The paper's headline run: one closed loop executes the sources in turn
 // with controller/regulator state carried across boundaries — the path
 // that makes billion-cycle Fig. 8 campaigns memory-feasible. Per-source
-// baselines stream in lockstep with the DVS simulator, and per-source
-// average supplies restart at each source.
+// baselines (the DVS simulator's nominal meter, restarted per source) and
+// per-source average supplies restart at each source.
 ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,

@@ -25,7 +25,7 @@
 //    so block boundaries never move a control decision.
 //  * DRIFT: an enabled drift::Schedule re-derives the operating corner at
 //    every controller-window boundary and applies it to all lanes AND
-//    their lockstep nominal baselines (the gain under drift compares the
+//    their nominal meters (the gain under drift compares the
 //    DVS bus against a conventional bus aging in the same environment).
 //    A disabled schedule executes the exact static-corner code path, so
 //    zero-drift runs are byte-identical to static runs
