@@ -165,8 +165,9 @@ double measure_seconds(Fn&& fn) {
 // Closed-loop throughput of the system layer (sys::BusSystem): lockstep
 // cycles/second of a 1-bus and a 3-bus shared-supply system, and of a
 // 1-bus run under an active drift ramp (window-granular corner
-// re-derivation). Every lane simulates its DVS bus AND the lockstep
-// nominal baseline, so these rates sit well below the raw engine numbers.
+// re-derivation). Every lane simulates its DVS bus and prices its nominal
+// baseline in the same pass, so these rates sit below the raw engine
+// numbers.
 // Tracked in BENCH_engine.json as system_*_cps and gated like the rest.
 void system_showdown(ScenarioContext& ctx) {
   const std::size_t cycles = ctx.cycles;

@@ -237,7 +237,8 @@ template <bool kMeter>
 CycleOutcome CycleRule::evaluate(const PointTables& t, std::size_t p,
                                  CyclePattern& pattern, const BusWord& line,
                                  double jitter, double* nominal) const {
-  if (!layout_.tabulatable) return general_kernel<kMeter>(t, p, pattern, line, jitter, nominal);
+  if (!layout_.tabulatable)
+    return general_kernel<kMeter>(t, p, pattern, line, jitter, nominal);
   const bool in_sync = ((line ^ pattern.prev()) & classifier_.bits_mask()).none();
   // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
   // the combo-table path is only valid for that exact case (DESIGN.md §5).
@@ -332,9 +333,10 @@ CycleOutcome CycleRule::general_kernel(const PointTables& t, std::size_t p,
     }
     out.dynamic_energy += sub;
   }
-  if constexpr (kMeter)
-    *nominal =
-        grouped_energy(layout_, &t.scaled_energy[(p + 1) * lut::PatternClass::kCount], classes);
+  if constexpr (kMeter) {
+    const double* row = &t.scaled_energy[(p + 1) * lut::PatternClass::kCount];
+    *nominal = grouped_energy(layout_, row, classes);
+  }
   return out;
 }
 
@@ -347,7 +349,7 @@ BusSimulator::BusSimulator(const interconnect::BusDesign& design,
     : rule_(design, table),
       environment_(environment),
       bank_(design.n_bits, rule_.timing()),
-      tables_(rule_.layout(), 2, 2),
+      tables_(rule_.layout(), 1, 1),
       cycle_overhead_(recovery.cycle_overhead(design.n_bits)),
       error_overhead_(recovery.error_overhead(design.n_bits)),
       arrivals_(static_cast<std::size_t>(design.n_bits), -1.0),
@@ -390,7 +392,14 @@ void BusSimulator::set_nominal_meter(bool on) {
   meter_ = on;
   meter_energy_ = 0.0;
   meter_prev_ = BusWord();
-  if (meter_) refresh_nominal_row();
+  if (!meter_) return;
+  // Stride 2 only once a meter runs: an unmetered simulator keeps the
+  // denser stride-1 rows, on which its kernels run faster.
+  if (tables_.stride == 1) {
+    tables_ = detail::PointTables(rule_.layout(), 2, 2);
+    refresh_operating_point();
+  }
+  refresh_nominal_row();
 }
 
 // The meter's cycle priced on its own, against its own previous word: the
@@ -399,9 +408,8 @@ double BusSimulator::nominal_cycle_energy(const BusWord& word) {
   const double leak = tables_.leak[1];
   if (word == meter_prev_) return leak;
   rule_.classifier().classify_all(meter_prev_, word, classes_.data());
-  return grouped_energy(rule_.layout(), &tables_.scaled_energy[lut::PatternClass::kCount],
-                        classes_.data()) +
-         leak;
+  const double* row = &tables_.scaled_energy[lut::PatternClass::kCount];
+  return grouped_energy(rule_.layout(), row, classes_.data()) + leak;
 }
 
 std::string to_string(EngineMode mode) {
@@ -455,8 +463,8 @@ void BusSimulator::account_idle(CycleResult& out, bool meter) {
 }
 
 CycleResult BusSimulator::step(const BusWord& word) {
-  // A meter out of step with the bus prices this cycle on its own; in step,
-  // it rides the engine's cycle.
+  // The meter rides the engine's cycle when its previous word is the bus's;
+  // otherwise (its first cycle) it prices this cycle on its own.
   const bool ride = meter_ && meter_prev_ == prev_word_;
   if (meter_ && !ride) meter_energy_ += nominal_cycle_energy(word);
   meter_prev_ = word;
@@ -498,11 +506,11 @@ CycleResult BusSimulator::step_reference(const BusWord& word, bool meter) {
   // energy totals match bit for bit.
   const double dynamic_energy =
       grouped_energy(rule_.layout(), tables_.scaled_energy.data(), classes_.data());
-  if (meter)
-    meter_energy_ += grouped_energy(rule_.layout(),
-                                    &tables_.scaled_energy[lut::PatternClass::kCount],
-                                    classes_.data()) +
-                     tables_.leak[1];
+  if (meter) {
+    const double* row = &tables_.scaled_energy[lut::PatternClass::kCount];
+    const double nominal = grouped_energy(rule_.layout(), row, classes_.data());
+    meter_energy_ += nominal + tables_.leak[1];
+  }
 
   const razor::BankCycleResult bank = bank_.clock(word, arrivals_);
   line_word_ = bank.captured;

@@ -363,8 +363,8 @@ class BusSimulator {
   detail::CycleRule rule_;
   tech::PvtCorner environment_;
   razor::FlopBank bank_;
-  // Stride 2: row 0 is the operating point, row 1 the nominal meter's
-  // (energy only, built while the meter is on).
+  // Row 0 is the operating point. The first set_nominal_meter(true)
+  // re-lays the table at stride 2, and row 1 holds the meter's point.
   detail::PointTables tables_;
   double cycle_overhead_;
   double error_overhead_;

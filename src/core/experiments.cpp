@@ -23,7 +23,7 @@ namespace {
 
 // One closed-loop run of one source on one bus, under the threshold
 // controller or, when given, the `proportional` one. `baseline`, when
-// given, replaces the lockstep nominal baseline (the batched PVT path).
+// given, replaces the nominal meter's baseline (the batched PVT path).
 DvsRunReport closed_loop_once(const DvsBusSystem& system,
                               const tech::PvtCorner& environment,
                               const trace::TraceSource& source,

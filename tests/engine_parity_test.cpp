@@ -396,25 +396,27 @@ TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
   const tech::PvtCorner typical = tech::typical_corner();
   const tech::PvtCorner slow{tech::ProcessCorner::slow, 100.0, 0.0};
   // 100 C down to 25 C with 30 mV of aging: a new corner every window.
-  const drift::Schedule ramp = drift::Schedule::linear(cfg.cycles, 100.0, 25.0, 0.0, 0.03);
+  const drift::Schedule ramp =
+      drift::Schedule::linear(cfg.cycles, 100.0, 25.0, 0.0, 0.03);
+  const core::DvsBusSystem* paper = &parity_system();
+  const core::DvsBusSystem* wide = &wide_group_system();
+  const EngineMode fast = EngineMode::bit_parallel;
+  const EngineMode ref = EngineMode::reference;
   const std::vector<LoopCase> cases = {
-      {"table kernel", &parity_system(), typical, EngineMode::bit_parallel, 0.0, {}},
-      {"reference engine", &parity_system(), typical, EngineMode::reference, 0.0, {}},
-      {"jitter kernel", &parity_system(), typical, EngineMode::bit_parallel, 300e-12, {},
-       true},
-      {"reference + jitter", &parity_system(), typical, EngineMode::reference, 300e-12, {},
-       true},
-      {"general kernel", &wide_group_system(), slow, EngineMode::bit_parallel, 0.0, {}},
-      {"general + jitter", &wide_group_system(), slow, EngineMode::bit_parallel, 300e-12,
-       {}, true},
-      {"drift ramp", &parity_system(), typical, EngineMode::bit_parallel, 0.0, ramp},
-      {"drift + reference", &parity_system(), typical, EngineMode::reference, 0.0, ramp},
+      {"table kernel", paper, typical, fast, 0.0, {}, false},
+      {"reference engine", paper, typical, ref, 0.0, {}, false},
+      {"jitter kernel", paper, typical, fast, 300e-12, {}, true},
+      {"reference + jitter", paper, typical, ref, 300e-12, {}, true},
+      {"general kernel", wide, slow, fast, 0.0, {}, false},
+      {"general + jitter", wide, slow, fast, 300e-12, {}, true},
+      {"drift ramp", paper, typical, fast, 0.0, ramp, false},
+      {"drift + reference", paper, typical, ref, 0.0, ramp, false},
   };
   for (const LoopCase& c : cases) {
     for (const auto kind :
          {dvs::ControllerKind::threshold, dvs::ControllerKind::proportional}) {
       SCOPED_TRACE(c.name + " / " + dvs::to_string(kind));
-      const trace::Trace& trace = c.system == &parity_system() ? paper_trace : wide_trace;
+      const trace::Trace& trace = c.system == paper ? paper_trace : wide_trace;
       const std::uint64_t changes = check_closed_loop(c, kind, trace);
       // The supply must actually move mid-run, or the comparison is vacuous.
       EXPECT_GT(changes, 0u);
@@ -430,6 +432,7 @@ TEST(EngineParity, ClosedLoopMatchesPerCycleDriver) {
 // differenced a running sum, would drift off by at least one cycle.
 TEST(EngineParity, ConsecutiveLegBaselinesMatchRunReference) {
   const auto& system = parity_system();
+  const interconnect::BusDesign& design = system.design();
   const tech::PvtCorner env = tech::typical_corner();
   std::vector<trace::Trace> legs;
   for (std::uint64_t seed : {41u, 42u, 43u, 44u}) {
@@ -457,9 +460,9 @@ TEST(EngineParity, ConsecutiveLegBaselinesMatchRunReference) {
     ASSERT_EQ(r.per_trace.size(), legs.size());
     for (std::size_t i = 0; i < legs.size(); ++i) {
       const RunningTotals expected =
-          BusSimulator::run_reference(system.design(), system.table(), env, legs[i].words);
-      EXPECT_EQ(bits_of(r.per_trace[i].baseline_bus_energy), bits_of(expected.bus_energy))
-          << "leg " << i;
+          BusSimulator::run_reference(design, system.table(), env, legs[i].words);
+      const double baseline = r.per_trace[i].baseline_bus_energy;
+      EXPECT_EQ(bits_of(baseline), bits_of(expected.bus_energy)) << "leg " << i;
     }
   }
 }
