@@ -581,7 +581,7 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
   BusWord line = line_word_;
 
   const double leak = tables_.leak[0];
-  const double meter_leak = tables_.leak[1];
+  const double meter_leak = kMeter ? tables_.leak[1] : 0.0;
   const double cycle_ovh = cycle_overhead_;
   const double error_ovh = error_overhead_;
 
