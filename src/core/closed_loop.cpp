@@ -103,7 +103,7 @@ std::vector<DvsRunReport> ClosedLoop::run(
 
   // Each leg restarts every lane's nominal meter (a fresh sum from the zero
   // word, priced at the lane's current corner), unless the caller brought
-  // the baselines. Nothing is allocated per leg but the cursors.
+  // the baselines.
   std::vector<bus::RunningTotals> before;
   for (std::size_t l = 0; l < n_lanes; ++l) {
     before.push_back(sims_[l].totals());
