@@ -38,14 +38,14 @@
 // operating-point derivation, the combo-table fill, the table / jitter /
 // general kernels and the rule that picks one per cycle, all addressing
 // one point of a detail::PointTables. BusSimulator evaluates one point
-// (stride 1). MultiPointEngine (DESIGN.md §13) evaluates N points per
-// trace pass through the same rule; it adds only the structure-of-arrays
-// row layout and a SIMD fast path for cycles on which every point takes
-// the table kernel. EngineMode::simd selects bit_parallel semantics plus
-// a promise to multi-operating-point DRIVERS (static sweeps, PVT
-// sampling) that they batch their points through MultiPointEngine — a
-// scheduling choice, never a semantic one. On a single BusSimulator, simd
-// behaves exactly like bit_parallel.
+// (row 0; row 1 is its nominal meter's, energy only). MultiPointEngine
+// (DESIGN.md §13) evaluates N points per trace pass through the same rule;
+// it adds only the structure-of-arrays row layout and a SIMD fast path for
+// cycles on which every point takes the table kernel. EngineMode::simd
+// selects bit_parallel semantics plus a promise to multi-operating-point
+// DRIVERS (static sweeps, PVT sampling) that they batch their points
+// through MultiPointEngine — a scheduling choice, never a semantic one. On
+// a single BusSimulator, simd behaves exactly like bit_parallel.
 #pragma once
 
 #include <cstdint>
