@@ -290,10 +290,13 @@ struct LoopCase {
 // replicate that driver here (step + one observe_cycle/advance per cycle,
 // threshold steps or proportional deltas, the drift corner re-derived at
 // every window boundary) against the reference engine, with a separate
-// nominal-supply BusSimulator fed every word alongside, and compare with
-// core::ClosedLoop. The stream block is coprime to the window and the
-// regulator delay, so chunks straddle window ends and supply landings.
-// Returns the number of supply changes the per-cycle driver made.
+// nominal-supply BusSimulator fed every word alongside. Static-corner cases
+// go through the public run_closed_loop_streamed /
+// run_closed_loop_proportional_streamed entry points; drift cases need
+// LoopConfig::drift, so they drive core::ClosedLoop directly. The stream
+// block is coprime to the window and the regulator delay, so chunks
+// straddle window ends and supply landings. Returns the number of supply
+// changes the per-cycle driver made.
 std::uint64_t check_closed_loop(const LoopCase& c, dvs::ControllerKind kind,
                                 const trace::Trace& trace) {
   const core::DvsBusSystem& system = *c.system;
@@ -314,12 +317,28 @@ std::uint64_t check_closed_loop(const LoopCase& c, dvs::ControllerKind kind,
   loop_cfg.start_supply = c.start_at_floor ? floor : vnom;
   dvs::ProportionalConfig prop_cfg;
   prop_cfg.window_cycles = window;
-  core::ClosedLoop loop({{&system}}, env, loop_cfg, threshold ? nullptr : &prop_cfg);
   const auto source = trace::make_trace_view_source(trace);
   core::StreamConfig stream;
   stream.block_cycles = 2999;
-  const core::DvsRunReport batched = loop.run({source.get()}, stream).front();
-  const std::vector<core::WindowSample> batched_series = loop.take_series();
+  core::DvsRunReport batched;
+  if (c.drift.enabled()) {
+    core::ClosedLoop loop({{&system}}, env, loop_cfg, threshold ? nullptr : &prop_cfg);
+    batched = loop.run({source.get()}, stream).front();
+    batched.series = loop.take_series();
+    EXPECT_GT(loop.env_updates(), 0u);
+  } else if (threshold) {
+    batched = core::run_closed_loop_streamed(system, env, *source, loop_cfg, stream);
+  } else {
+    core::ProportionalRunConfig prop_run;
+    prop_run.controller = prop_cfg;
+    prop_run.regulator_delay_cycles = delay;
+    prop_run.start_supply = loop_cfg.start_supply;
+    prop_run.timing_jitter_sigma = c.jitter_sigma;
+    prop_run.engine = c.engine;
+    batched = core::run_closed_loop_proportional_streamed(system, env, *source, prop_run,
+                                                          stream);
+  }
+  const std::vector<core::WindowSample>& batched_series = batched.series;
 
   BusSimulator sim = system.make_simulator(env);
   sim.set_engine_mode(EngineMode::reference);
@@ -374,7 +393,6 @@ std::uint64_t check_closed_loop(const LoopCase& c, dvs::ControllerKind kind,
   // driver vs one add per cycle here: same value up to summation order.
   EXPECT_NEAR(batched.average_supply,
               supply_sum / static_cast<double>(trace.words.size()), 1e-9);
-  EXPECT_EQ(loop.env_updates() > 0, c.drift.enabled());
   EXPECT_EQ(batched_series.size(), series.size());
   for (std::size_t i = 0; i < std::min(series.size(), batched_series.size()); ++i) {
     EXPECT_EQ(batched_series[i].end_cycle, series[i].end_cycle) << "window " << i;
