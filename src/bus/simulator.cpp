@@ -402,8 +402,9 @@ void BusSimulator::set_nominal_meter(bool on) {
   refresh_nominal_row();
 }
 
-// The meter's cycle priced on its own, against its own previous word: the
-// first cycle after it starts, when that zero word differs from the bus's.
+// The meter's cycle priced on its own, against its own previous word: every
+// reference-engine cycle, and the bit-parallel engine's first cycle after the
+// meter starts, when that zero word differs from the bus's.
 double BusSimulator::nominal_cycle_energy(const BusWord& word) {
   const double leak = tables_.leak[1];
   if (word == meter_prev_) return leak;
@@ -463,25 +464,27 @@ void BusSimulator::account_idle(CycleResult& out, bool meter) {
 }
 
 CycleResult BusSimulator::step(const BusWord& word) {
-  // The meter rides the engine's cycle when its previous word is the bus's;
-  // otherwise (its first cycle) it prices this cycle on its own.
-  const bool ride = meter_ && meter_prev_ == prev_word_;
+  // The reference engine always prices the meter's cycle on its own. The
+  // bit-parallel engine's meter rides its cycle when the meter's previous
+  // word is the bus's; otherwise (its first cycle) it is priced on its own.
+  const bool ride =
+      meter_ && mode_ != EngineMode::reference && meter_prev_ == prev_word_;
   if (meter_ && !ride) meter_energy_ += nominal_cycle_energy(word);
   meter_prev_ = word;
   // simd is a driver-level scheduling mode; on a single simulator it IS
   // the bit-parallel engine.
-  return mode_ == EngineMode::reference ? step_reference(word, ride)
+  return mode_ == EngineMode::reference ? step_reference(word)
                                         : step_bit_parallel(word, ride);
 }
 
 // --------------------------------------------------------------- reference
 
-CycleResult BusSimulator::step_reference(const BusWord& word, bool meter) {
+CycleResult BusSimulator::step_reference(const BusWord& word) {
   CycleResult out;
 
   if (word == prev_word_) {
     bank_.tick_hold();
-    account_idle(out, meter);
+    account_idle(out, false);
     return out;
   }
 
@@ -506,11 +509,6 @@ CycleResult BusSimulator::step_reference(const BusWord& word, bool meter) {
   // energy totals match bit for bit.
   const double dynamic_energy =
       grouped_energy(rule_.layout(), tables_.scaled_energy.data(), classes_.data());
-  if (meter) {
-    const double* row = &tables_.scaled_energy[lut::PatternClass::kCount];
-    const double nominal = grouped_energy(rule_.layout(), row, classes_.data());
-    meter_energy_ += nominal + tables_.leak[1];
-  }
 
   const razor::BankCycleResult bank = bank_.clock(word, arrivals_);
   line_word_ = bank.captured;

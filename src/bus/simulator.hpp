@@ -351,9 +351,9 @@ class BusSimulator {
   void refresh_operating_point();
   void refresh_nominal_row();
   double draw_jitter();
+  CycleResult step_reference(const BusWord& word);
   // `meter`: the nominal meter rides this cycle (it is on and in step
   // with the bus).
-  CycleResult step_reference(const BusWord& word, bool meter);
   CycleResult step_bit_parallel(const BusWord& word, bool meter);
   template <bool kMeter>
   void run_bit_parallel(const BusWord* words, std::size_t n);
