@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "interconnect/elmore.hpp"
 #include "lut/cache.hpp"
 #include "lut/pattern.hpp"
 #include "lut/table.hpp"
 #include "test_support.hpp"
+#include "util/bits.hpp"
 
 namespace razorbus::lut {
 namespace {
@@ -238,6 +242,92 @@ TEST_F(TableTest, SliceMatchesPointLookups) {
     EXPECT_DOUBLE_EQ(slice.energy[cls],
                      table_->energy(cls, tech::ProcessCorner::typical, 100.0, 1.13));
   }
+}
+
+// The dense lookup every table has always answered with, kept here as the
+// reference implementation: the segment and fraction come from the uniform
+// grid's formula, lerped over the table's raw grid values.
+double dense_reference(const tech::SupplyGrid& grid, double v,
+                       const std::function<double(std::size_t)>& at) {
+  std::size_t lo = 0, hi = 0;
+  double frac = 0.0;
+  if (v >= grid.vmax()) {
+    lo = hi = grid.size() - 1;
+  } else if (v > grid.vmin()) {
+    const double raw = (v - grid.vmin()) / grid.step();
+    lo = static_cast<std::size_t>(raw);
+    hi = std::min(lo + 1, grid.size() - 1);
+    frac = raw - static_cast<double>(lo);
+  }
+  const double a = at(lo);
+  const double b = at(hi);
+  if (std::isinf(a) || std::isinf(b)) return frac < 1.0 ? a : b;
+  return a + (b - a) * frac;
+}
+
+bool same_bits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return bit_cast<std::uint64_t>(a) == bit_cast<std::uint64_t>(b);
+}
+
+// Exact grid voltages, one-ulp neighbours, accumulated (drifting) grid
+// steps, midpoints, a fine off-grid sweep and voltages outside the grid.
+std::vector<double> parity_voltages(const tech::SupplyGrid& grid) {
+  std::vector<double> vs{0.0, grid.vmin() - grid.step(), grid.vmax() + 1e-12, 2.0};
+  double accumulated = grid.vmin();
+  for (std::size_t i = 0; i < grid.size(); ++i, accumulated += grid.step()) {
+    const double v = grid.voltage(i);
+    vs.insert(vs.end(), {v, std::nextafter(v, 0.0), std::nextafter(v, 10.0), accumulated,
+                         v + 0.5 * grid.step()});
+  }
+  for (double v = grid.vmin() - 0.03; v < grid.vmax() + 0.03; v += 0.0007) vs.push_back(v);
+  return vs;
+}
+
+// delay / energy / slice of `table` against dense_reference, bit for bit,
+// at every corner, temperature, class and parity voltage.
+void expect_dense_lookup_parity(const DelayEnergyTable& table) {
+  std::size_t lookups = 0, mismatches = 0;
+  for (std::size_t ci = 0; ci < table.corners().size(); ++ci) {
+    const tech::ProcessCorner corner = table.corners()[ci];
+    for (std::size_t ti = 0; ti < table.temps().size(); ++ti) {
+      const double temp = table.temps()[ti];
+      for (const double v : parity_voltages(table.grid())) {
+        const TableSlice s = table.slice(corner, temp, v);
+        for (int cls = 0; cls < PatternClass::kCount; ++cls) {
+          const double d = dense_reference(table.grid(), v, [&](std::size_t vi) {
+            return table.delay_at(cls, ci, ti, vi);
+          });
+          const double e = dense_reference(table.grid(), v, [&](std::size_t vi) {
+            return table.energy_at(cls, ci, ti, vi);
+          });
+          const std::pair<double, double> checks[] = {
+              {table.delay(cls, corner, temp, v), d},
+              {table.energy(cls, corner, temp, v), e},
+              {s.delay[cls], d},
+              {s.energy[cls], e}};
+          for (const auto& [got, want] : checks) {
+            ++lookups;
+            if (same_bits(got, want)) continue;
+            if (mismatches++ == 0)
+              ADD_FAILURE() << "corner " << ci << " temp " << temp << " class " << cls
+                            << " v " << v << ": " << got << " != " << want;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << lookups << " lookups";
+}
+
+TEST_F(TableTest, LookupsMatchDenseReferenceBitForBit) {
+  expect_dense_lookup_parity(*table_);
+  // Every corner and temperature axis: two of each on a shorter grid.
+  const tech::DriverModel driver(sized_paper_bus().node);
+  LutConfig cfg = small_lut_config();
+  cfg.vmin = 1.12;
+  cfg.temps = {25.0, 100.0};
+  expect_dense_lookup_parity(DelayEnergyTable::build(sized_paper_bus(), driver, cfg));
 }
 
 TEST_F(TableTest, UncharacterisedAxesThrow) {
