@@ -343,7 +343,8 @@ void parallel_showdown(ScenarioContext& ctx) {
 }
 
 // Characterization-cost trajectory (docs/characterization.md): transient
-// runs of the dense build vs the adaptive build at the default tolerance
+// runs of the tolerance-0 build, which characterises every grid voltage
+// (reported as `dense`), vs the adaptive build at the default tolerance
 // on one (corner, temperature) of the paper grid, plus a warm rebuild
 // against the populated point store — which must perform ZERO transient
 // runs, since every candidate point is already stored. Runs inside an

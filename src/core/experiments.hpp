@@ -145,7 +145,7 @@ constexpr double kDefaultLutTolerance = 0.02;
 // refinement from chasing noise where delay or energy approach zero) scale
 // with it — tol * 1e-10 s and tol * 1e-13 J, roughly `tol` relative to a
 // nominal-supply worst-class delay/energy. `tol <= 0` leaves `base`
-// untouched (dense characterization).
+// untouched (tolerance 0: every grid voltage characterised).
 lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base = {});
 
 struct DvsRunConfig {

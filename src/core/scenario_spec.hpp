@@ -160,8 +160,8 @@ struct ScenarioSpec {
   // report gains stream_* block-accounting metrics).
   bool stream = false;
   // Relative error envelope for adaptive characterization of the system's
-  // delay/energy table (docs/characterization.md). 0 keeps the dense
-  // sweep; core::kDefaultLutTolerance is the recommended opt-in value.
+  // delay/energy table (docs/characterization.md). 0 keeps every grid
+  // voltage; core::kDefaultLutTolerance is the recommended opt-in value.
   double lut_tolerance = 0.0;
 
   static ScenarioSpec from_json(const Json& json);

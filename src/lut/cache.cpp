@@ -105,9 +105,9 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   const std::string path = name.str();
 
   // The design's shared point store: loads answer nothing from it, but
-  // tables loaded from disk still attach the lazy refiner to it, and
-  // builds fetch every already-simulated point instead of re-running the
-  // transient solver.
+  // tolerance tables loaded from disk still attach the lazy refiner to it,
+  // and builds fetch every already-simulated point instead of re-running
+  // the transient solver.
   const std::shared_ptr<PointStore> store =
       PointStore::open(dir, design_content_hash(design));
 
@@ -116,7 +116,7 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
     if (!in) return std::nullopt;
     auto table = DelayEnergyTable::load(in, hash);
     if (!table) return std::nullopt;
-    table->attach_refiner(design, driver, store);  // no-op for dense tables
+    if (config.tolerance.enabled()) table->attach_refiner(design, driver, store);
     util::MutexLock lock(g_memo_mutex);
     // emplace keeps the incumbent if another thread raced us here; both
     // tables are bit-identical (same key), so either copy is the answer.
@@ -135,7 +135,7 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   DelayEnergyTable table =
       DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
   store->flush();
-  table.attach_refiner(design, driver, store);
+  if (config.tolerance.enabled()) table.attach_refiner(design, driver, store);
   write_cache_file(path, table, hash);
   util::MutexLock lock(g_memo_mutex);
   return g_memo.emplace(key, std::move(table)).first->second;

@@ -25,8 +25,8 @@ std::string cache_directory();
 //
 // Builds consult the design's incremental point store (point_store.hpp) in
 // the same cache directory, so only points no table has ever simulated cost
-// transient runs; adaptive tables additionally get the lazy refiner
-// attached for lookups below their characterised range. `stats` (optional)
+// transient runs; tables with a positive tolerance additionally get the
+// lazy refiner attached for lookups below their characterised range. `stats` (optional)
 // receives the build's cost counters — all zero on a memo or disk hit.
 DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
                                const tech::DriverModel& driver, const LutConfig& config,

@@ -1,5 +1,6 @@
 #include "lut/table.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -9,9 +10,11 @@
 #include <ostream>
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "lut/point_store.hpp"
 #include "util/binary_io.hpp"
+#include "util/bits.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -19,23 +22,31 @@ namespace razorbus::lut {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '2'};
-// Adaptive tables (non-uniform breakpoint bands) use their own magic so a
-// dense cache file and an adaptive one can never be confused for each
-// other. Dense files stay bit-identical to the RBLUT002 format.
-constexpr char kMagicAdaptive[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '3'};
+// Band storage: per (corner, temp), the kept points written as grid
+// voltages, then their per-class delays and energies. The retired RBLUT002
+// layout (flat per-voltage arrays) is a miss.
+constexpr char kMagic[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '3'};
+// Mixed into every table key. Revision 3 keyed only tolerance tables and
+// located band segments by voltage; revision 4 files are read with the
+// grid's own formula, so no older binary sharing a cache dir finds them.
+constexpr std::int64_t kFormatRevision = 4;
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr std::size_t kClassCount = static_cast<std::size_t>(PatternClass::kCount);
 // Largest supply grid a serialized table may claim (the paper grid has 28
 // points; this bound only stops a corrupt header from sizing a runaway grid).
 constexpr double kMaxGridPoints = 1 << 20;
 
-const tech::SupplyBreakpoints kEmptyAxis{};
-
-// Linear interpolation helper shared by delay() / energy() / slice().
+// Linear interpolation helper shared by every lookup and the refiner.
 double lerp(double a, double b, double f) {
   if (std::isinf(a) || std::isinf(b)) return f < 1.0 ? a : b;
   return a + (b - a) * f;
+}
+
+// One class's value between two [point][class] rows of a band.
+double lerp_class(const std::vector<double>& values, std::size_t lo, std::size_t hi,
+                  double frac, int cls) {
+  const auto c = static_cast<std::size_t>(cls);
+  return lerp(values[lo * kClassCount + c], values[hi * kClassCount + c], frac);
 }
 
 struct InterpPoint {
@@ -59,12 +70,11 @@ struct ClassPoint {
   double energy[PatternClass::kCount];
 };
 
-// Characterise every pattern class at one (corner, temp, voltage): the
-// same per-class policy as the dense builder — quiet canonical classes
-// get zero energy, non-conducting points get infinite delay with no
-// simulation, mirrors are copied — factored out so the adaptive builder
-// and the lazy refiner produce bit-identical values. `per_unit` (optional)
-// is invoked once per completed switching canonical class.
+// Characterise every pattern class at one (corner, temp, voltage): quiet
+// canonical classes get zero energy, non-conducting points get infinite
+// delay with no simulation, mirrors are copied. The builder and the lazy
+// refiner both call it, so their values are bit-identical. `per_unit`
+// (optional) is invoked once per completed switching canonical class.
 ClassPoint characterize_classes(const interconnect::ClusterCharacterizer& characterizer,
                                 const tech::DriverModel& driver,
                                 tech::ProcessCorner corner, double temp_c, double vdd,
@@ -116,12 +126,85 @@ int switching_canonical_count() {
   return n;
 }
 
+// The grid indices one band keeps at a positive tolerance: uniform seeds,
+// then recursive bisection of every interval whose simulated midpoint
+// misses the chord by more than `tol` for any switching canonical class.
+// Probed midpoints are kept either way (they were paid for). Sequential,
+// so the kept set is independent of thread count.
+std::map<std::size_t, ClassPoint> bisect_band(
+    const tech::SupplyGrid& grid, const LutTolerance& tol,
+    const std::function<ClassPoint(std::size_t)>& characterize) {
+  std::map<std::size_t, ClassPoint> pts;
+  const auto ensure = [&](std::size_t vi) {
+    if (pts.find(vi) == pts.end()) pts.emplace(vi, characterize(vi));
+  };
+
+  // Accept [lo, hi] when the simulated midpoint is inside the tolerance
+  // envelope of the chord for EVERY switching canonical class. Infinite
+  // (non-conducting) delays pass only when lo, mid and hi all agree —
+  // a finite/infinite mix means the conduction boundary is inside the
+  // interval and must be localised.
+  const auto interval_ok = [&](std::size_t lo, std::size_t mid, std::size_t hi) {
+    const ClassPoint& a = pts.at(lo);
+    const ClassPoint& m = pts.at(mid);
+    const ClassPoint& b = pts.at(hi);
+    const double v_lo = grid.voltage(lo);
+    const double f = (grid.voltage(mid) - v_lo) / (grid.voltage(hi) - v_lo);
+    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
+      if (!PatternClass::is_canonical(cls)) continue;
+      if (!PatternClass::any_switching(cls)) continue;
+      const double es = m.energy[cls];
+      const double ei = a.energy[cls] + (b.energy[cls] - a.energy[cls]) * f;
+      if (std::abs(es - ei) > tol.energy_abs_j + tol.relative * std::abs(es))
+        return false;
+      if (!PatternClass::victim_switches(cls)) continue;
+      const double dl = a.delay[cls];
+      const double dh = b.delay[cls];
+      const double dm = m.delay[cls];
+      if (std::isinf(dl) || std::isinf(dh) || std::isinf(dm)) {
+        if (!(std::isinf(dl) && std::isinf(dh) && std::isinf(dm))) return false;
+        continue;
+      }
+      const double di = dl + (dh - dl) * f;
+      if (std::abs(dm - di) > tol.delay_abs_s + tol.relative * std::abs(dm))
+        return false;
+    }
+    return true;
+  };
+
+  const std::function<void(std::size_t, std::size_t)> refine = [&](std::size_t lo,
+                                                                   std::size_t hi) {
+    if (hi - lo < 2) return;  // grid resolution reached
+    if (tol.min_step > 0.0 && grid.voltage(hi) - grid.voltage(lo) < 2.0 * tol.min_step)
+      return;
+    const std::size_t mid = lo + (hi - lo) / 2;
+    ensure(mid);
+    if (interval_ok(lo, mid, hi)) return;
+    refine(lo, mid);
+    refine(mid, hi);
+  };
+
+  const std::size_t n = grid.size();
+  const int seed_intervals = tol.seed_intervals > 0 ? tol.seed_intervals : 1;
+  std::vector<std::size_t> seeds;
+  for (int j = 0; j <= seed_intervals; ++j) {
+    const auto vi = n == 1 ? std::size_t{0}
+                           : static_cast<std::size_t>(std::llround(
+                                 static_cast<double>(j) * static_cast<double>(n - 1) /
+                                 static_cast<double>(seed_intervals)));
+    if (seeds.empty() || vi != seeds.back()) seeds.push_back(vi);
+  }
+  for (const std::size_t vi : seeds) ensure(vi);
+  for (std::size_t k = 0; k + 1 < seeds.size(); ++k) refine(seeds[k], seeds[k + 1]);
+  return pts;
+}
+
 }  // namespace
 
 // On-demand extension of an adaptive table below its characterised range.
 // Queries under the band's vmin interpolate between fixed anchor voltages
 // `vmin - j * step` (j = 1..kMaxAnchors, simulated lazily and memoised),
-// instead of clamping as dense tables do. Anchor values are pure functions
+// instead of clamping as tolerance-0 tables do. Anchor values are pure functions
 // of (corner, temp, anchor index), so results are independent of query
 // order and thread count (DESIGN.md §9).
 class LazyRefiner {
@@ -212,6 +295,7 @@ class LazyRefiner {
   CostCounters counters_;
 };
 
+
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config) {
   // Design/model/simulator content (including the n_bits / shield_group
@@ -223,11 +307,9 @@ std::uint64_t table_key_hash(const interconnect::BusDesign& design,
   for (double v : {config.vmin, config.vmax, config.vstep}) fnv.mix_double(v);
   for (double t : config.temps) fnv.mix_double(t);
   for (auto c : config.corners) fnv.mix_int(static_cast<std::int64_t>(c));
+  fnv.mix_int(kFormatRevision);
   if (config.tolerance.enabled()) {
-    // Only mixed when adaptive: dense configs keep one stable key whether
-    // or not the tolerance struct exists in this build of the library.
     const LutTolerance& tol = config.tolerance;
-    fnv.mix_int(3);  // adaptive format revision (matches RBLUT003)
     for (double v : {tol.relative, tol.delay_abs_s, tol.energy_abs_j, tol.min_step})
       fnv.mix_double(v);
     fnv.mix_int(tol.seed_intervals);
@@ -240,249 +322,69 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
                                          const LutConfig& config,
                                          const std::function<void(int, int)>& progress,
                                          PointStore* store, BuildStats* stats) {
-  if (config.tolerance.enabled())
-    return build_adaptive(design, driver, config, progress, store, stats);
-
   DelayEnergyTable table;
   table.grid_ = config.reference_grid();
   table.temps_ = config.temps;
   table.corners_ = config.corners;
-  const std::size_t total_slots =
-      table.corners_.size() * table.temps_.size() * table.grid_.size() *
-      static_cast<std::size_t>(PatternClass::kCount);
-  table.delays_.assign(total_slots, kNan);
-  table.energies_.assign(total_slots, 0.0);
-
-  const interconnect::ClusterCharacterizer characterizer(design, driver);
-  const std::uint64_t design_hash = design_content_hash(design);
-  CostCounters counters;
-
-  // Count canonical classes that need simulation (for progress reporting).
-  const int sims_per_point = switching_canonical_count();
-  const int total = static_cast<int>(table.corners_.size() * table.temps_.size() *
-                                     table.grid_.size()) *
-                    sims_per_point;
-  std::atomic<int> done{0};
-  util::Mutex progress_mutex;
-  int reported = 0;  // monotonic max of done counts already reported
-
-  // The dominant cold-start cost: thousands of independent transient runs.
-  // Sharded one (corner, temperature, voltage) grid point per shard — each
-  // point owns the contiguous per-class range [flat_index(ci,ti,vi,0),
-  // flat_index(ci,ti,vi,kCount)) of delays_/energies_, so shards write
-  // disjoint memory and the table contents are bit-identical at any thread
-  // count (DESIGN.md §9).
-  const std::size_t points_per_corner = table.temps_.size() * table.grid_.size();
-  util::global_pool().parallel_for(
-      table.corners_.size() * points_per_corner, [&](std::size_t point) {
-        const std::size_t ci = point / points_per_corner;
-        const std::size_t ti = (point % points_per_corner) / table.grid_.size();
-        const std::size_t vi = point % table.grid_.size();
-        const double vdd = table.grid_.voltage(vi);
-        const bool conducts =
-            driver.conducts(table.corners_[ci], table.temps_[ti], vdd);
-        for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-          if (!PatternClass::is_canonical(cls)) continue;
-          const std::size_t idx = table.flat_index(ci, ti, vi, cls);
-          if (!PatternClass::any_switching(cls)) {
-            table.energies_[idx] = 0.0;  // quiet cycle: no dynamic energy
-            continue;
-          }
-          if (!conducts) {
-            // Below the conduction limit the wire cannot switch in any
-            // bounded time; mark as unreachable (infinite delay).
-            if (PatternClass::victim_switches(cls))
-              table.delays_[idx] = std::numeric_limits<double>::infinity();
-            table.energies_[idx] = 0.0;
-            ++done;
-            continue;
-          }
-
-          interconnect::ClusterSpec spec;
-          spec.victim = to_wire_activity(PatternClass::victim_of(cls));
-          spec.left = to_wire_activity(PatternClass::left_of(cls));
-          spec.right = to_wire_activity(PatternClass::right_of(cls));
-          spec.vdd = vdd;
-          spec.corner = table.corners_[ci];
-          spec.temp_c = table.temps_[ti];
-          const interconnect::ClusterResult r =
-              simulate_or_fetch(characterizer, spec, cls, store, design_hash, counters);
-
-          if (PatternClass::victim_switches(cls))
-            table.delays_[idx] =
-                r.delay >= 0.0 ? r.delay : std::numeric_limits<double>::infinity();
-          table.energies_[idx] = r.victim_energy;
-          const int now_done = ++done;
-          if (progress) {
-            // Report only monotonically increasing counts: two shards can
-            // increment in one order and acquire this mutex in the other,
-            // and progress printers assume done never goes backwards. The
-            // shard that increments to `total` always reports it.
-            util::MutexLock lock(progress_mutex);
-            if (now_done > reported) {
-              reported = now_done;
-              progress(now_done, total);
-            }
-          }
-        }
-        // Mirror non-canonical classes.
-        for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-          if (PatternClass::is_canonical(cls)) continue;
-          const std::size_t src =
-              table.flat_index(ci, ti, vi, PatternClass::canonical(cls));
-          const std::size_t dst = table.flat_index(ci, ti, vi, cls);
-          table.delays_[dst] = table.delays_[src];
-          table.energies_[dst] = table.energies_[src];
-        }
-      });
-  if (stats) {
-    stats->transient_sims = counters.transient_sims.load();
-    stats->store_hits = counters.store_hits.load();
-    stats->points = table.corners_.size() * points_per_corner;
-  }
-  return table;
-}
-
-DelayEnergyTable DelayEnergyTable::build_adaptive(
-    const interconnect::BusDesign& design, const tech::DriverModel& driver,
-    const LutConfig& config, const std::function<void(int, int)>& progress,
-    PointStore* store, BuildStats* stats) {
-  DelayEnergyTable table;
-  table.grid_ = config.reference_grid();
-  table.temps_ = config.temps;
-  table.corners_ = config.corners;
+  const std::size_t n = table.grid_.size();
   const std::size_t n_bands = table.corners_.size() * table.temps_.size();
   table.bands_.resize(n_bands);
 
   const interconnect::ClusterCharacterizer characterizer(design, driver);
   const std::uint64_t design_hash = design_content_hash(design);
-  const LutTolerance& tol = config.tolerance;
   CostCounters counters;
   std::atomic<std::uint64_t> points_done{0};
 
-  // Progress is reported against the dense-grid upper bound so callers see
-  // the same scale in both modes; adaptive builds finish early and close
-  // with one final (total, total) report.
-  const int sims_per_point = switching_canonical_count();
-  const int total =
-      static_cast<int>(n_bands * table.grid_.size()) * sims_per_point;
+  // Progress is reported against the full-grid upper bound; builds with a
+  // positive tolerance finish early and close with one (total, total).
+  const int total = static_cast<int>(n_bands * n) * switching_canonical_count();
   std::atomic<int> done{0};
   util::Mutex progress_mutex;
-  int reported = 0;
-
-  const std::size_t n = table.grid_.size();
-
-  // One shard per (corner, temperature) band: each shard owns its
-  // bands_[bi] slot exclusively, and the recursion inside a band is
-  // sequential, so the chosen breakpoints and their values are
-  // bit-identical at any thread count (DESIGN.md §9).
-  util::global_pool().parallel_for(n_bands, [&](std::size_t bi) {
-    const std::size_t ci = bi / table.temps_.size();
-    const std::size_t ti = bi % table.temps_.size();
-    const tech::ProcessCorner corner = table.corners_[ci];
-    const double temp_c = table.temps_[ti];
-
-    const auto per_unit = [&]() {
-      const int now_done = ++done;
-      if (progress) {
-        util::MutexLock lock(progress_mutex);
-        if (now_done > reported) {
-          reported = now_done;
-          progress(now_done, total);
-        }
-      }
-    };
-
-    // Candidate voltages are exactly the reference grid's indices:
-    // tolerance -> 0 refines every index and reproduces the dense table
-    // bit-identically, and point-store keys match across configs whose
-    // grids share voltages.
-    std::map<std::size_t, ClassPoint> pts;
-    const auto ensure = [&](std::size_t vi) -> const ClassPoint& {
-      const auto it = pts.find(vi);
-      if (it != pts.end()) return it->second;
-      ClassPoint p =
-          characterize_classes(characterizer, driver, corner, temp_c,
-                               table.grid_.voltage(vi), store, design_hash,
-                               counters, per_unit);
-      ++points_done;
-      return pts.emplace(vi, p).first->second;
-    };
-
-    // Accept [lo, hi] when the simulated midpoint is inside the tolerance
-    // envelope of the chord for EVERY switching canonical class. Infinite
-    // (non-conducting) delays pass only when lo, mid and hi all agree —
-    // a finite/infinite mix means the conduction boundary is inside the
-    // interval and must be localised.
-    const auto interval_ok = [&](std::size_t lo, std::size_t mid, std::size_t hi) {
-      const ClassPoint& a = pts.at(lo);
-      const ClassPoint& m = pts.at(mid);
-      const ClassPoint& b = pts.at(hi);
-      const double v_lo = table.grid_.voltage(lo);
-      const double f =
-          (table.grid_.voltage(mid) - v_lo) / (table.grid_.voltage(hi) - v_lo);
-      for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-        if (!PatternClass::is_canonical(cls)) continue;
-        if (!PatternClass::any_switching(cls)) continue;
-        const double es = m.energy[cls];
-        const double ei = a.energy[cls] + (b.energy[cls] - a.energy[cls]) * f;
-        if (std::abs(es - ei) > tol.energy_abs_j + tol.relative * std::abs(es))
-          return false;
-        if (!PatternClass::victim_switches(cls)) continue;
-        const double dl = a.delay[cls];
-        const double dh = b.delay[cls];
-        const double dm = m.delay[cls];
-        if (std::isinf(dl) || std::isinf(dh) || std::isinf(dm)) {
-          if (!(std::isinf(dl) && std::isinf(dh) && std::isinf(dm))) return false;
-          continue;
-        }
-        const double di = dl + (dh - dl) * f;
-        if (std::abs(dm - di) > tol.delay_abs_s + tol.relative * std::abs(dm))
-          return false;
-      }
-      return true;
-    };
-
-    const std::function<void(std::size_t, std::size_t)> refine =
-        [&](std::size_t lo, std::size_t hi) {
-          if (hi - lo < 2) return;  // grid resolution reached
-          if (tol.min_step > 0.0 &&
-              table.grid_.voltage(hi) - table.grid_.voltage(lo) < 2.0 * tol.min_step)
-            return;
-          const std::size_t mid = lo + (hi - lo) / 2;
-          ensure(mid);  // probe cost is paid; the point is kept either way
-          if (interval_ok(lo, mid, hi)) return;
-          refine(lo, mid);
-          refine(mid, hi);
-        };
-
-    const int seed_intervals = tol.seed_intervals > 0 ? tol.seed_intervals : 1;
-    std::vector<std::size_t> seeds;
-    for (int j = 0; j <= seed_intervals; ++j) {
-      const auto vi = n == 1
-                          ? std::size_t{0}
-                          : static_cast<std::size_t>(std::llround(
-                                static_cast<double>(j) * static_cast<double>(n - 1) /
-                                static_cast<double>(seed_intervals)));
-      if (seeds.empty() || vi != seeds.back()) seeds.push_back(vi);
+  int reported = 0;  // monotonic max of done counts already reported
+  const auto per_unit = [&]() {
+    const int now_done = ++done;
+    if (!progress) return;
+    // Report only increasing counts: two shards can increment in one order
+    // and take this mutex in the other, and progress printers assume done
+    // never goes backwards.
+    util::MutexLock lock(progress_mutex);
+    if (now_done > reported) {
+      reported = now_done;
+      progress(now_done, total);
     }
-    for (const std::size_t vi : seeds) ensure(vi);
-    for (std::size_t k = 0; k + 1 < seeds.size(); ++k) refine(seeds[k], seeds[k + 1]);
+  };
+  const auto characterize = [&](std::size_t bi, std::size_t vi) {
+    ++points_done;
+    return characterize_classes(characterizer, driver,
+                                table.corners_[bi / table.temps_.size()],
+                                table.temps_[bi % table.temps_.size()],
+                                table.grid_.voltage(vi), store, design_hash, counters,
+                                per_unit);
+  };
+  const auto keep = [](Band& b, std::size_t vi, const ClassPoint& p) {
+    b.indices.push_back(vi);
+    b.delays.insert(b.delays.end(), std::begin(p.delay), std::end(p.delay));
+    b.energies.insert(b.energies.end(), std::begin(p.energy), std::end(p.energy));
+  };
 
-    Band& band = table.bands_[bi];
-    std::vector<double> voltages;
-    voltages.reserve(pts.size());
-    band.delays.reserve(pts.size() * kClassCount);
-    band.energies.reserve(pts.size() * kClassCount);
-    for (const auto& [vi, p] : pts) {  // std::map: ascending voltage order
-      voltages.push_back(table.grid_.voltage(vi));
-      for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-        band.delays.push_back(p.delay[cls]);
-        band.energies.push_back(p.energy[cls]);
-      }
-    }
-    band.points = tech::SupplyBreakpoints(std::move(voltages));
-  });
+  // Shards write disjoint slots and each band's kept set is chosen
+  // sequentially, so the table is bit-identical at any thread count
+  // (DESIGN.md §9).
+  if (!config.tolerance.enabled()) {
+    // Tolerance 0 keeps every (band, grid index) point, so the thousands of
+    // independent transient runs shard one point each.
+    std::vector<ClassPoint> pts(n_bands * n);
+    util::global_pool().parallel_for(
+        pts.size(), [&](std::size_t point) { pts[point] = characterize(point / n, point % n); });
+    for (std::size_t point = 0; point < pts.size(); ++point)
+      keep(table.bands_[point / n], point % n, pts[point]);
+  } else {
+    util::global_pool().parallel_for(n_bands, [&](std::size_t bi) {
+      const auto pts = bisect_band(table.grid_, config.tolerance,
+                                   [&](std::size_t vi) { return characterize(bi, vi); });
+      for (const auto& [vi, p] : pts) keep(table.bands_[bi], vi, p);
+    });
+  }
 
   if (progress) {
     util::MutexLock lock(progress_mutex);
@@ -508,87 +410,66 @@ std::size_t DelayEnergyTable::temp_index(double temp_c) const {
   throw std::out_of_range("DelayEnergyTable: temperature not characterised");
 }
 
-std::size_t DelayEnergyTable::flat_index(std::size_t corner, std::size_t temp,
-                                         std::size_t v, int cls) const {
-  return ((corner * temps_.size() + temp) * grid_.size() + v) *
-             static_cast<std::size_t>(PatternClass::kCount) +
-         static_cast<std::size_t>(cls);
-}
-
 const DelayEnergyTable::Band& DelayEnergyTable::band(std::size_t corner_idx,
                                                      std::size_t temp_idx) const {
   return bands_.at(corner_idx * temps_.size() + temp_idx);
 }
 
-const tech::SupplyBreakpoints& DelayEnergyTable::breakpoints(
-    std::size_t corner_idx, std::size_t temp_idx) const {
-  if (bands_.empty()) return kEmptyAxis;
-  return band(corner_idx, temp_idx).points;
+const std::vector<std::size_t>& DelayEnergyTable::breakpoints(std::size_t corner_idx,
+                                                              std::size_t temp_idx) const {
+  return band(corner_idx, temp_idx).indices;
+}
+
+// The grid's own segment and fraction, rescaled to the kept band segment
+// [indices[lo], indices[hi]] around it. With both grid neighbours kept the
+// span is 1 and the fraction is the grid's, bit for bit.
+DelayEnergyTable::Segment DelayEnergyTable::locate(const Band& b, double v) const {
+  const InterpPoint p = interp_point(grid_, v);
+  // indices.front() == 0 <= p.lo, so hi >= 1.
+  const auto hi = static_cast<std::size_t>(
+      std::upper_bound(b.indices.begin(), b.indices.end(), p.lo) - b.indices.begin());
+  const std::size_t lo = hi - 1;
+  if (p.hi == p.lo) return {lo, lo, 0.0};  // clamped to an end of the grid
+  const double span = static_cast<double>(b.indices[hi] - b.indices[lo]);
+  return {lo, hi, (static_cast<double>(p.lo - b.indices[lo]) + p.frac) / span};
 }
 
 double DelayEnergyTable::delay(int cls, tech::ProcessCorner corner, double temp_c,
                                double v) const {
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    if (refiner_ && v < b.points.vmin()) return refiner_->delay(cls, ci, ti, v);
-    const auto seg = b.points.locate(v);
-    return lerp(b.delays[seg.lo * kClassCount + static_cast<std::size_t>(cls)],
-                b.delays[seg.hi * kClassCount + static_cast<std::size_t>(cls)],
-                seg.frac);
-  }
-  const InterpPoint p = interp_point(grid_, v);
-  return lerp(delays_[flat_index(ci, ti, p.lo, cls)],
-              delays_[flat_index(ci, ti, p.hi, cls)], p.frac);
+  if (refiner_ && v < grid_.vmin()) return refiner_->delay(cls, ci, ti, v);
+  const Band& b = band(ci, ti);
+  const Segment s = locate(b, v);
+  return lerp_class(b.delays, s.lo, s.hi, s.frac, cls);
 }
 
 double DelayEnergyTable::energy(int cls, tech::ProcessCorner corner, double temp_c,
                                 double v) const {
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    if (refiner_ && v < b.points.vmin()) return refiner_->energy(cls, ci, ti, v);
-    const auto seg = b.points.locate(v);
-    return lerp(b.energies[seg.lo * kClassCount + static_cast<std::size_t>(cls)],
-                b.energies[seg.hi * kClassCount + static_cast<std::size_t>(cls)],
-                seg.frac);
-  }
-  const InterpPoint p = interp_point(grid_, v);
-  return lerp(energies_[flat_index(ci, ti, p.lo, cls)],
-              energies_[flat_index(ci, ti, p.hi, cls)], p.frac);
+  if (refiner_ && v < grid_.vmin()) return refiner_->energy(cls, ci, ti, v);
+  const Band& b = band(ci, ti);
+  const Segment s = locate(b, v);
+  return lerp_class(b.energies, s.lo, s.hi, s.frac, cls);
 }
 
 TableSlice DelayEnergyTable::slice(tech::ProcessCorner corner, double temp_c,
                                    double v) const {
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
-  TableSlice s{};
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    if (refiner_ && v < b.points.vmin()) {
-      refiner_->fill_slice(s, ci, ti, v);
-      return s;
-    }
-    const auto seg = b.points.locate(v);
-    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-      const std::size_t c = static_cast<std::size_t>(cls);
-      s.delay[cls] = lerp(b.delays[seg.lo * kClassCount + c],
-                          b.delays[seg.hi * kClassCount + c], seg.frac);
-      s.energy[cls] = lerp(b.energies[seg.lo * kClassCount + c],
-                           b.energies[seg.hi * kClassCount + c], seg.frac);
-    }
-    return s;
+  TableSlice out{};
+  if (refiner_ && v < grid_.vmin()) {
+    refiner_->fill_slice(out, ci, ti, v);
+    return out;
   }
-  const InterpPoint p = interp_point(grid_, v);
+  const Band& b = band(ci, ti);
+  const Segment s = locate(b, v);
   for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-    s.delay[cls] = lerp(delays_[flat_index(ci, ti, p.lo, cls)],
-                        delays_[flat_index(ci, ti, p.hi, cls)], p.frac);
-    s.energy[cls] = lerp(energies_[flat_index(ci, ti, p.lo, cls)],
-                         energies_[flat_index(ci, ti, p.hi, cls)], p.frac);
+    out.delay[cls] = lerp_class(b.delays, s.lo, s.hi, s.frac, cls);
+    out.energy[cls] = lerp_class(b.energies, s.lo, s.hi, s.frac, cls);
   }
-  return s;
+  return out;
 }
 
 std::optional<double> DelayEnergyTable::min_shadow_safe_voltage(
@@ -597,27 +478,16 @@ std::optional<double> DelayEnergyTable::min_shadow_safe_voltage(
   const int worst = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
                                          NeighborActivity::fall);
   const double limit = design.shadow_capture_limit();
-  const std::size_t ci = corner_index(corner);
-  const std::size_t ti = temp_index(temp_c);
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    for (std::size_t vi = 0; vi < b.points.size(); ++vi) {
-      const double d = b.delays[vi * kClassCount + static_cast<std::size_t>(worst)];
-      if (d <= limit) return b.points.voltage(vi);
-    }
-    return std::nullopt;
-  }
-  for (std::size_t vi = 0; vi < grid_.size(); ++vi) {
-    const double d = delay_at(worst, ci, ti, vi);
-    if (d <= limit) return grid_.voltage(vi);
-  }
+  const Band& b = band(corner_index(corner), temp_index(temp_c));
+  for (std::size_t k = 0; k < b.indices.size(); ++k)
+    if (b.delays[k * kClassCount + static_cast<std::size_t>(worst)] <= limit)
+      return grid_.voltage(b.indices[k]);
   return std::nullopt;
 }
 
 void DelayEnergyTable::attach_refiner(const interconnect::BusDesign& design,
                                       const tech::DriverModel& driver,
                                       std::shared_ptr<PointStore> store) {
-  if (bands_.empty()) return;  // dense tables keep clamp semantics
   refiner_ = std::make_shared<LazyRefiner>(design, driver, std::move(store), corners_,
                                            temps_, grid_.vmin(), grid_.step());
 }
@@ -628,20 +498,16 @@ std::uint64_t DelayEnergyTable::refiner_sims() const {
 
 double DelayEnergyTable::delay_at(int cls, std::size_t ci, std::size_t ti,
                                   std::size_t vi) const {
-  if (!bands_.empty())
-    return band(ci, ti).delays.at(vi * kClassCount + static_cast<std::size_t>(cls));
-  return delays_.at(flat_index(ci, ti, vi, cls));
+  return band(ci, ti).delays.at(vi * kClassCount + static_cast<std::size_t>(cls));
 }
 
 double DelayEnergyTable::energy_at(int cls, std::size_t ci, std::size_t ti,
                                    std::size_t vi) const {
-  if (!bands_.empty())
-    return band(ci, ti).energies.at(vi * kClassCount + static_cast<std::size_t>(cls));
-  return energies_.at(flat_index(ci, ti, vi, cls));
+  return band(ci, ti).energies.at(vi * kClassCount + static_cast<std::size_t>(cls));
 }
 
 void DelayEnergyTable::save(std::ostream& os, std::uint64_t key_hash) const {
-  os.write(bands_.empty() ? kMagic : kMagicAdaptive, sizeof(kMagic));
+  os.write(kMagic, sizeof(kMagic));
   os.write(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
   const double vmin = grid_.vmin();
   const double vmax = grid_.vmax();
@@ -660,20 +526,13 @@ void DelayEnergyTable::save(std::ostream& os, std::uint64_t key_hash) const {
     const std::int32_t v = static_cast<std::int32_t>(c);
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   }
-  if (bands_.empty()) {
-    const std::uint64_t n_values = delays_.size();
-    os.write(reinterpret_cast<const char*>(&n_values), sizeof(n_values));
-    os.write(reinterpret_cast<const char*>(delays_.data()),
-             static_cast<std::streamsize>(delays_.size() * sizeof(double)));
-    os.write(reinterpret_cast<const char*>(energies_.data()),
-             static_cast<std::streamsize>(energies_.size() * sizeof(double)));
-    return;
-  }
   for (const Band& b : bands_) {
-    const std::uint64_t n_points = b.points.size();
+    const std::uint64_t n_points = b.indices.size();
     os.write(reinterpret_cast<const char*>(&n_points), sizeof(n_points));
-    os.write(reinterpret_cast<const char*>(b.points.voltages().data()),
-             static_cast<std::streamsize>(n_points * sizeof(double)));
+    for (const std::size_t vi : b.indices) {
+      const double v = grid_.voltage(vi);
+      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    }
     os.write(reinterpret_cast<const char*>(b.delays.data()),
              static_cast<std::streamsize>(b.delays.size() * sizeof(double)));
     os.write(reinterpret_cast<const char*>(b.energies.data()),
@@ -684,10 +543,8 @@ void DelayEnergyTable::save(std::ostream& os, std::uint64_t key_hash) const {
 std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
                                                        std::uint64_t expected_hash) {
   char magic[sizeof(kMagic)];
-  if (!is.read(magic, sizeof(magic))) return std::nullopt;
-  const bool dense = std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-  const bool adaptive = std::memcmp(magic, kMagicAdaptive, sizeof(kMagic)) == 0;
-  if (!dense && !adaptive) return std::nullopt;
+  if (!is.read(magic, sizeof(magic)) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    return std::nullopt;
   std::uint64_t hash = 0;
   if (!is.read(reinterpret_cast<char*>(&hash), sizeof(hash)) || hash != expected_hash)
     return std::nullopt;
@@ -710,6 +567,7 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
 
   DelayEnergyTable table;
   table.grid_ = tech::SupplyGrid(vmin, vmax, step);
+  const std::size_t n = table.grid_.size();
   table.temps_.resize(n_temps);
   is.read(reinterpret_cast<char*>(table.temps_.data()),
           static_cast<std::streamsize>(n_temps * sizeof(double)));
@@ -719,31 +577,13 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
     c = static_cast<tech::ProcessCorner>(v);
   }
-  if (dense) {
-    std::uint64_t n_values = 0;
-    is.read(reinterpret_cast<char*>(&n_values), sizeof(n_values));
-    const std::uint64_t expected_values =
-        n_corners * n_temps * table.grid_.size() *
-        static_cast<std::uint64_t>(PatternClass::kCount);
-    if (!is || n_values != expected_values ||
-        !util::claim_fits_stream(is, n_values, 2 * sizeof(double)))
-      return std::nullopt;
-    table.delays_.resize(n_values);
-    table.energies_.resize(n_values);
-    is.read(reinterpret_cast<char*>(table.delays_.data()),
-            static_cast<std::streamsize>(n_values * sizeof(double)));
-    is.read(reinterpret_cast<char*>(table.energies_.data()),
-            static_cast<std::streamsize>(n_values * sizeof(double)));
-    if (!is) return std::nullopt;
-    return table;
-  }
 
   table.bands_.resize(n_corners * n_temps);
   for (Band& b : table.bands_) {
     std::uint64_t n_points = 0;
     is.read(reinterpret_cast<char*>(&n_points), sizeof(n_points));
-    // A band cannot hold more breakpoints than the reference grid.
-    if (!is || n_points == 0 || n_points > table.grid_.size() ||
+    // A band cannot hold more points than the reference grid.
+    if (!is || n_points == 0 || n_points > n ||
         !util::claim_fits_stream(is, n_points, (1 + 2 * kClassCount) * sizeof(double)))
       return std::nullopt;
     std::vector<double> voltages(n_points);
@@ -757,11 +597,17 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
     is.read(reinterpret_cast<char*>(b.energies.data()),
             static_cast<std::streamsize>(n_values * sizeof(double)));
     if (!is) return std::nullopt;
-    for (std::size_t i = 1; i < voltages.size(); ++i)
-      if (!(voltages[i - 1] < voltages[i])) return std::nullopt;
-    b.points = tech::SupplyBreakpoints(std::move(voltages));
+    // Every point must be a grid voltage, bit for bit, strictly ascending
+    // from the grid's first index to its last: locate() relies on both ends.
+    for (const double v : voltages) {
+      const std::size_t vi = table.grid_.index_of(v);
+      if (bit_cast<std::uint64_t>(table.grid_.voltage(vi)) != bit_cast<std::uint64_t>(v))
+        return std::nullopt;
+      if (!b.indices.empty() && vi <= b.indices.back()) return std::nullopt;
+      b.indices.push_back(vi);
+    }
+    if (b.indices.front() != 0 || b.indices.back() != n - 1) return std::nullopt;
   }
-  if (!is) return std::nullopt;
   return table;
 }
 

@@ -10,15 +10,16 @@
 // on disk), after which millions of bus cycles evaluate via table lookups —
 // exactly the methodology of the paper's Section 3.
 //
-// Two build modes share this type (docs/characterization.md):
-//   * dense — every uniform grid voltage is simulated (the original mode;
-//     LutConfig::tolerance disabled). Storage is flat per-voltage arrays.
-//   * adaptive — recursive bisection keeps only the grid voltages where
-//     linear interpolation misses the simulated surface by more than the
-//     configured tolerance. Storage is a non-uniform breakpoint band per
-//     (corner, temperature). Candidate voltages are exactly the dense
-//     grid's voltages, so tolerance -> 0 reproduces the dense table
-//     bit-identically and the point store gets exact key matches.
+// One storage (docs/characterization.md): a band per (corner, temperature)
+// holding a sorted subset of the uniform reference grid's indices with
+// their per-class values. LutConfig::tolerance chooses the subset:
+//   * tolerance 0 (the default) keeps every grid index;
+//   * a positive tolerance keeps only the indices where linear
+//     interpolation misses the simulated surface by more than the bound
+//     (recursive bisection per band).
+// Every lookup locates its voltage with the grid's own formula and then
+// lerps across the kept band segment around it, so a tolerance-0 table
+// answers exactly as a plain uniform-grid table would.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,6 @@
 
 #include "interconnect/bus_design.hpp"
 #include "lut/pattern.hpp"
-#include "tech/breakpoints.hpp"
 #include "tech/corner.hpp"
 #include "tech/device.hpp"
 #include "tech/supply.hpp"
@@ -47,7 +47,8 @@ class LazyRefiner;
 //     |sim - lerp(lo, hi)| <= abs + relative * |sim|
 // for both delay (abs = delay_abs_s) and energy (abs = energy_abs_j);
 // otherwise the midpoint becomes a breakpoint and both halves recurse.
-// All-zero bounds (the default) disable adaptive mode entirely.
+// All-zero bounds (the default) are tolerance 0: every grid index is kept
+// and no bisection runs.
 struct LutTolerance {
   double relative = 0.0;      // fraction of the simulated value
   double delay_abs_s = 0.0;   // absolute delay floor (seconds)
@@ -72,13 +73,13 @@ struct LutConfig {
   std::vector<double> temps{25.0, 100.0};
   std::vector<tech::ProcessCorner> corners{
       tech::ProcessCorner::slow, tech::ProcessCorner::typical, tech::ProcessCorner::fast};
-  // Disabled by default: dense characterization, bit-identical to the
-  // original builder. See lut_config_for_tolerance() in core/experiments.
+  // Tolerance 0 by default: every grid index is characterised and kept.
+  // See lut_config_for_tolerance() in core/experiments.
   LutTolerance tolerance{};
 
   // The uniform voltage axis implied by vmin/vmax/vstep. Single source of
-  // truth for the grid constants — DelayEnergyTable's default grid and the
-  // adaptive candidate set both derive from it.
+  // truth for the grid constants — DelayEnergyTable's default grid and
+  // every band's candidate indices derive from it.
   tech::SupplyGrid reference_grid() const {
     return tech::SupplyGrid(vmin, vmax, vstep);
   }
@@ -105,14 +106,12 @@ class DelayEnergyTable {
   // Empty table (no characterised values); assign from build()/load()
   // before use. Lookups on an empty table throw.
   DelayEnergyTable() : grid_(LutConfig{}.reference_grid()) {}
-  bool empty() const { return delays_.empty() && bands_.empty(); }
-  // True when built with adaptive (non-uniform breakpoint) storage.
-  bool adaptive() const { return !bands_.empty(); }
+  bool empty() const { return bands_.empty(); }
 
   // Characterise `design` (repeaters must be sized) with transient runs.
   // `progress` (optional) is called with (done, total) as sims complete;
-  // `total` is always the dense-grid upper bound, so adaptive builds
-  // finish early and report (total, total) once at the end.
+  // `total` is always the full-grid upper bound, so builds with a positive
+  // tolerance finish early and report (total, total) once at the end.
   // `store` (optional) answers already-simulated points without transient
   // runs and accumulates new ones; `stats` (optional) receives the cost
   // counters for this build.
@@ -122,15 +121,16 @@ class DelayEnergyTable {
                                 PointStore* store = nullptr,
                                 BuildStats* stats = nullptr);
 
-  // Uniform reference grid (regulators and sweeps step on this axis in
-  // both modes; adaptive storage interpolates its breakpoint bands).
+  // Uniform reference grid: regulators and sweeps step on it, and every
+  // lookup locates its voltage on it before reading the band.
   const tech::SupplyGrid& grid() const { return grid_; }
   const std::vector<double>& temps() const { return temps_; }
   const std::vector<tech::ProcessCorner>& corners() const { return corners_; }
 
-  // Breakpoint axis of one (corner, temp) band; empty axis in dense mode.
-  const tech::SupplyBreakpoints& breakpoints(std::size_t corner_idx,
-                                             std::size_t temp_idx) const;
+  // Kept reference-grid indices of one (corner, temp) band, ascending,
+  // always from 0 to grid().size() - 1 (every index at tolerance 0).
+  const std::vector<std::size_t>& breakpoints(std::size_t corner_idx,
+                                              std::size_t temp_idx) const;
 
   // Voltage-interpolated lookups (v is the driver-effective supply).
   // Delay is NaN for victim-hold classes; energy is always defined.
@@ -152,8 +152,10 @@ class DelayEnergyTable {
 
   // Attach on-demand refinement: lookups below the characterised range
   // (e.g. a drift campaign wandering under a sweep's vmin) simulate fixed
-  // extension anchors lazily instead of clamping. Adaptive tables only;
-  // results are independent of query order and thread count.
+  // extension anchors lazily instead of clamping. build_or_load attaches
+  // it only to tables built with a positive tolerance, so tolerance-0
+  // tables keep clamp semantics. Results are independent of query order
+  // and thread count.
   void attach_refiner(const interconnect::BusDesign& design,
                       const tech::DriverModel& driver,
                       std::shared_ptr<PointStore> store);
@@ -166,48 +168,45 @@ class DelayEnergyTable {
   static std::optional<DelayEnergyTable> load(std::istream& is,
                                               std::uint64_t expected_hash);
 
-  // Raw (non-interpolated) accessors used by tests. In dense mode v_idx
-  // indexes the uniform grid; in adaptive mode it indexes the band's
-  // breakpoints (see breakpoints()).
+  // Raw (non-interpolated) accessors used by tests. v_idx indexes the
+  // band's kept points: breakpoints()[v_idx] is its grid index, so at
+  // tolerance 0 v_idx is the grid index itself.
   double delay_at(int pattern_class, std::size_t corner_idx, std::size_t temp_idx,
                   std::size_t v_idx) const;
   double energy_at(int pattern_class, std::size_t corner_idx, std::size_t temp_idx,
                    std::size_t v_idx) const;
 
  private:
-  // Non-uniform storage for one (corner, temperature): values laid out
-  // [breakpoint][class], parallel to points.voltages().
+  // One (corner, temperature): kept grid indices and their values laid out
+  // [point][class], parallel to indices.
   struct Band {
-    tech::SupplyBreakpoints points;
+    std::vector<std::size_t> indices;
     std::vector<double> delays;
     std::vector<double> energies;
   };
-
-  static DelayEnergyTable build_adaptive(const interconnect::BusDesign& design,
-                                         const tech::DriverModel& driver,
-                                         const LutConfig& config,
-                                         const std::function<void(int, int)>& progress,
-                                         PointStore* store, BuildStats* stats);
+  // A lookup's two band points and the fraction between them.
+  struct Segment {
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+  };
 
   std::size_t corner_index(tech::ProcessCorner corner) const;
   std::size_t temp_index(double temp_c) const;
-  std::size_t flat_index(std::size_t corner, std::size_t temp, std::size_t v,
-                         int cls) const;
   const Band& band(std::size_t corner_idx, std::size_t temp_idx) const;
+  Segment locate(const Band& b, double v) const;
 
   tech::SupplyGrid grid_;
   std::vector<double> temps_;
   std::vector<tech::ProcessCorner> corners_;
-  std::vector<double> delays_;    // dense mode: [corner][temp][voltage][class]
-  std::vector<double> energies_;  // same layout
-  std::vector<Band> bands_;       // adaptive mode: [corner * temps + temp]
-  std::shared_ptr<LazyRefiner> refiner_;  // optional; adaptive mode only
+  std::vector<Band> bands_;               // [corner * temps + temp]
+  std::shared_ptr<LazyRefiner> refiner_;  // optional
 };
 
 // Stable FNV-1a hash of everything the table depends on: the design
 // content hash (point_store.hpp) plus the LUT config — grid extent, temps,
-// corners, and the tolerance when adaptive mode is enabled. Used as the
-// disk-cache key.
+// corners, the storage format revision, and the tolerance when it is
+// positive. Used as the disk-cache key.
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config);
 

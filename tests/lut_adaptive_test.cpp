@@ -1,10 +1,12 @@
-// Adaptive error-bounded characterization (docs/characterization.md):
-// convergence to the dense table as the tolerance goes to zero, bounded
-// interpolation error and sim-count savings at the default tolerance, and
-// lazy on-demand refinement below a sweep's characterised range.
+// Adaptive error-bounded characterization (docs/characterization.md): the
+// tolerance-0 build keeps every grid index and agrees with full bisection
+// refinement, bounded interpolation error and sim-count savings at the
+// default tolerance, and lazy on-demand refinement below a sweep's
+// characterised range.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <vector>
@@ -33,35 +35,55 @@ LutConfig pinned_dense_config() {
   return cfg;
 }
 
-TEST(Adaptive, TolZeroReproducesDenseBitIdentically) {
+TEST(Adaptive, ToleranceZeroKeepsEveryGridIndex) {
   const tech::DriverModel driver(sized_paper_bus().node);
   LutConfig cfg = small_lut_config();
-  cfg.corners = {tech::ProcessCorner::typical};
+  cfg.vmin = 1.12;
+  cfg.temps = {25.0, 100.0};
 
-  const DelayEnergyTable dense = DelayEnergyTable::build(sized_paper_bus(), driver, cfg);
+  BuildStats stats;
+  const DelayEnergyTable full =
+      DelayEnergyTable::build(sized_paper_bus(), driver, cfg, {}, nullptr, &stats);
 
+  // Every (corner, temp) band keeps every grid index, and each point costs
+  // one transient run per switching canonical class: the full grid's count
+  // (every point of this grid conducts).
+  const std::size_t n = full.grid().size();
+  std::vector<std::size_t> every_index(n);
+  for (std::size_t vi = 0; vi < n; ++vi) every_index[vi] = vi;
+  for (std::size_t ci = 0; ci < cfg.corners.size(); ++ci)
+    for (std::size_t ti = 0; ti < cfg.temps.size(); ++ti)
+      EXPECT_EQ(full.breakpoints(ci, ti), every_index) << "corner " << ci << " temp " << ti;
+  std::uint64_t switching_canonical = 0;
+  for (int cls = 0; cls < PatternClass::kCount; ++cls)
+    if (PatternClass::is_canonical(cls) && PatternClass::any_switching(cls))
+      ++switching_canonical;
+  const std::uint64_t points = cfg.corners.size() * cfg.temps.size() * n;
+  EXPECT_EQ(stats.points, points);
+  EXPECT_EQ(stats.transient_sims, points * switching_canonical);
+  EXPECT_EQ(stats.store_hits, 0u);
+
+  // A tolerance no real surface meets refines every interval by bisection
+  // and stores the same simulated values at every index, bit for bit.
   LutConfig exact = cfg;
-  exact.tolerance.relative = 1e-12;  // nothing real interpolates this well
-  const DelayEnergyTable adaptive =
+  exact.tolerance.relative = 1e-12;
+  const DelayEnergyTable refined =
       DelayEnergyTable::build(sized_paper_bus(), driver, exact);
-  ASSERT_TRUE(adaptive.adaptive());
-  ASSERT_FALSE(dense.adaptive());
-
-  // Full refinement: every dense grid index survives as a breakpoint, with
-  // the same voltage doubles and the same simulated values, bit for bit.
-  const tech::SupplyBreakpoints& axis = adaptive.breakpoints(0, 0);
-  ASSERT_EQ(axis.size(), dense.grid().size());
-  for (std::size_t vi = 0; vi < axis.size(); ++vi) {
-    EXPECT_EQ(axis.voltage(vi), dense.grid().voltage(vi)) << "index " << vi;
-    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-      const double dd = dense.delay_at(cls, 0, 0, vi);
-      const double ad = adaptive.delay_at(cls, 0, 0, vi);
-      if (std::isnan(dd))
-        EXPECT_TRUE(std::isnan(ad)) << "class " << cls << " index " << vi;
-      else
-        EXPECT_EQ(dd, ad) << "class " << cls << " index " << vi;
-      EXPECT_EQ(dense.energy_at(cls, 0, 0, vi), adaptive.energy_at(cls, 0, 0, vi))
-          << "class " << cls << " index " << vi;
+  for (std::size_t ci = 0; ci < cfg.corners.size(); ++ci) {
+    for (std::size_t ti = 0; ti < cfg.temps.size(); ++ti) {
+      ASSERT_EQ(refined.breakpoints(ci, ti), every_index);
+      for (std::size_t vi = 0; vi < n; ++vi) {
+        for (int cls = 0; cls < PatternClass::kCount; ++cls) {
+          const double fd = full.delay_at(cls, ci, ti, vi);
+          const double rd = refined.delay_at(cls, ci, ti, vi);
+          if (std::isnan(fd))
+            EXPECT_TRUE(std::isnan(rd)) << "class " << cls << " index " << vi;
+          else
+            EXPECT_EQ(fd, rd) << "class " << cls << " index " << vi;
+          EXPECT_EQ(full.energy_at(cls, ci, ti, vi), refined.energy_at(cls, ci, ti, vi))
+              << "class " << cls << " index " << vi;
+        }
+      }
     }
   }
 }
@@ -186,10 +208,9 @@ TEST(Adaptive, LazyRefinementBelowCharacterisedRange) {
   narrow.corners = {tech::ProcessCorner::typical};
   narrow = core::lut_config_for_tolerance(core::kDefaultLutTolerance, narrow);
 
-  // build_or_load attaches the lazy refiner to adaptive tables.
+  // build_or_load attaches the lazy refiner to tables with a tolerance.
   const DelayEnergyTable table =
       build_or_load(sized_paper_bus(), driver, narrow, {});
-  ASSERT_TRUE(table.adaptive());
   EXPECT_EQ(table.refiner_sims(), 0u);
 
   // A query 70 mV below the sweep range triggers on-demand anchors instead

@@ -151,7 +151,6 @@ TEST(LutCache, PointStoreEliminatesRedundantSims) {
   BuildStats cold;
   const DelayEnergyTable first =
       build_or_load(sized_paper_bus(), driver, cfg, {}, &cold);
-  EXPECT_TRUE(first.adaptive());
   EXPECT_GT(cold.transient_sims, 0u);
 
   // A second campaign re-characterising the same candidate points against
@@ -165,11 +164,10 @@ TEST(LutCache, PointStoreEliminatesRedundantSims) {
                                                           cfg, {}, store.get(), &warm);
   EXPECT_EQ(warm.transient_sims, 0u);
   EXPECT_GT(warm.store_hits, 0u);
-  ASSERT_EQ(first.breakpoints(0, 0).size(), second.breakpoints(0, 0).size());
+  ASSERT_EQ(first.breakpoints(0, 0), second.breakpoints(0, 0));
   const int cls = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
                                        NeighborActivity::fall);
   for (std::size_t vi = 0; vi < first.breakpoints(0, 0).size(); ++vi) {
-    EXPECT_EQ(first.breakpoints(0, 0).voltage(vi), second.breakpoints(0, 0).voltage(vi));
     EXPECT_EQ(first.delay_at(cls, 0, 0, vi), second.delay_at(cls, 0, 0, vi));
     EXPECT_EQ(first.energy_at(cls, 0, 0, vi), second.energy_at(cls, 0, 0, vi));
   }

@@ -380,23 +380,21 @@ TEST_F(TableTest, LoadRejectsCorruptGridHeader) {
   std::stringstream buffer;
   table_->save(buffer, 5);
   const std::string valid = buffer.str();
-  ASSERT_FALSE(table_->adaptive());
   // Layout: magic, hash, vmin, vmax, step, n_temps, n_corners, temps,
-  // int32 corners, then the dense payload's n_values.
+  // int32 corners, then the first band's n_points.
   constexpr std::size_t kVmax = 24;
   constexpr std::size_t kStep = 32;
-  const std::size_t n_values_at =
+  const std::size_t n_points_at =
       56 + 8 * table_->temps().size() + 4 * table_->corners().size();
   const auto patched = [&](std::string bytes, std::size_t offset, auto value) {
     std::memcpy(&bytes[offset], &value, sizeof(value));
     return bytes;
   };
   const tech::SupplyGrid& grid = table_->grid();
-  // A grid of 4097 points whose payload claim matches it but overruns the
+  // A grid of 4097 points whose band claims all of them but overruns the
   // bytes left in the stream.
   const double fine_step = (grid.vmax() - grid.vmin()) / 4096.0;
-  const std::uint64_t fine_values = table_->corners().size() * table_->temps().size() *
-                                    4097 * PatternClass::kCount;
+  const std::uint64_t fine_points = 4097;
   const std::pair<const char*, std::string> cases[] = {
       {"zero step", patched(valid, kStep, 0.0)},
       {"negative step", patched(valid, kStep, -0.02)},
@@ -404,7 +402,7 @@ TEST_F(TableTest, LoadRejectsCorruptGridHeader) {
       {"NaN step", patched(valid, kStep, std::nan(""))},
       {"huge grid", patched(valid, kStep, 1e-15)},
       {"payload beyond the stream",
-       patched(patched(valid, kStep, fine_step), n_values_at, fine_values)},
+       patched(patched(valid, kStep, fine_step), n_points_at, fine_points)},
   };
   for (const auto& [what, bytes] : cases) {
     std::stringstream in(bytes);
@@ -412,6 +410,74 @@ TEST_F(TableTest, LoadRejectsCorruptGridHeader) {
     EXPECT_NO_THROW(loaded = DelayEnergyTable::load(in, 5)) << what;
     EXPECT_FALSE(loaded.has_value()) << what;
   }
+  std::stringstream intact(valid);
+  EXPECT_TRUE(DelayEnergyTable::load(intact, 5).has_value());
+}
+
+// A band whose points are not the grid's own, strictly ascending from its
+// first index to its last, and the retired flat-array RBLUT002 format are
+// misses: the segment search relies on both ends being kept.
+TEST_F(TableTest, LoadRejectsMalformedBands) {
+  std::stringstream buffer;
+  table_->save(buffer, 5);
+  const std::string valid = buffer.str();
+  const tech::SupplyGrid& grid = table_->grid();
+  const std::size_t n = grid.size();
+  ASSERT_EQ(table_->breakpoints(0, 0).size(), n);
+  // The first band: n_points, its voltages, then [point][class] delays and
+  // energies.
+  const std::size_t band_at =
+      56 + 8 * table_->temps().size() + 4 * table_->corners().size();
+  const std::size_t volts_at = band_at + 8;
+  const std::size_t row = 8 * PatternClass::kCount;
+  const std::size_t band_end = volts_at + 8 * n + 2 * row * n;
+  const auto patched = [&](std::size_t offset, auto value) {
+    std::string bytes = valid;
+    std::memcpy(&bytes[offset], &value, sizeof(value));
+    return bytes;
+  };
+  // The first band without its point k: a self-consistent band that skips
+  // one grid index.
+  const auto dropped = [&](std::size_t k) {
+    std::string bytes = valid.substr(0, band_at);
+    const std::uint64_t kept = n - 1;
+    bytes.append(reinterpret_cast<const char*>(&kept), sizeof(kept));
+    const auto append_except = [&](std::size_t at, std::size_t width) {
+      for (std::size_t i = 0; i < n; ++i)
+        if (i != k) bytes.append(valid, at + i * width, width);
+    };
+    append_except(volts_at, 8);
+    append_except(volts_at + 8 * n, row);
+    append_except(volts_at + 8 * n + row * n, row);
+    return bytes + valid.substr(band_end);
+  };
+  std::string swapped = valid;
+  std::memcpy(&swapped[volts_at + 8], &valid[volts_at + 16], 8);
+  std::memcpy(&swapped[volts_at + 16], &valid[volts_at + 8], 8);
+  std::string old_magic = valid;
+  std::memcpy(&old_magic[0], "RBLUT002", 8);
+
+  const std::pair<const char*, std::string> cases[] = {
+      {"RBLUT002 magic", old_magic},
+      {"off-grid point", patched(volts_at + 8, std::nextafter(grid.voltage(1), 2.0))},
+      {"NaN point", patched(volts_at + 8, std::nan(""))},
+      {"duplicate point", patched(volts_at + 16, grid.voltage(1))},
+      {"descending points", swapped},
+      {"first index not 0", dropped(0)},
+      {"last index not n-1", dropped(n - 1)},
+  };
+  for (const auto& [what, bytes] : cases) {
+    std::stringstream in(bytes);
+    std::optional<DelayEnergyTable> loaded;
+    EXPECT_NO_THROW(loaded = DelayEnergyTable::load(in, 5)) << what;
+    EXPECT_FALSE(loaded.has_value()) << what;
+  }
+  // Dropping an interior point is a valid band: lookups lerp across the gap.
+  std::stringstream sparse(dropped(1));
+  const auto loaded = DelayEnergyTable::load(sparse, 5);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->breakpoints(0, 0).size(), n - 1);
+  EXPECT_EQ(loaded->breakpoints(0, 0)[1], 2u);
   std::stringstream intact(valid);
   EXPECT_TRUE(DelayEnergyTable::load(intact, 5).has_value());
 }
