@@ -64,6 +64,22 @@ InterpPoint interp_point(const tech::SupplyGrid& grid, double v) {
   return {lo, hi, raw - static_cast<double>(lo)};
 }
 
+// The grid's own segment and fraction, rescaled to the kept band points
+// [lo, hi] around it (positions in `kept`, a band's ascending grid
+// indices from 0 to n-1). With both grid neighbours kept the span is 1
+// and the fraction is the grid's, bit for bit.
+InterpPoint band_segment(const tech::SupplyGrid& grid,
+                         const std::vector<std::size_t>& kept, double v) {
+  const InterpPoint p = interp_point(grid, v);
+  // kept.front() == 0 <= p.lo, so hi >= 1.
+  const auto hi = static_cast<std::size_t>(
+      std::upper_bound(kept.begin(), kept.end(), p.lo) - kept.begin());
+  const std::size_t lo = hi - 1;
+  if (p.hi == p.lo) return {lo, lo, 0.0};  // clamped to an end of the grid
+  const double span = static_cast<double>(kept[hi] - kept[lo]);
+  return {lo, hi, (static_cast<double>(p.lo - kept[lo]) + p.frac) / span};
+}
+
 // All pattern classes of one characterised (corner, temp, voltage) point.
 struct ClassPoint {
   double delay[PatternClass::kCount];
@@ -374,8 +390,9 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
     // Tolerance 0 keeps every (band, grid index) point, so the thousands of
     // independent transient runs shard one point each.
     std::vector<ClassPoint> pts(n_bands * n);
-    util::global_pool().parallel_for(
-        pts.size(), [&](std::size_t point) { pts[point] = characterize(point / n, point % n); });
+    util::global_pool().parallel_for(pts.size(), [&](std::size_t point) {
+      pts[point] = characterize(point / n, point % n);
+    });
     for (std::size_t point = 0; point < pts.size(); ++point)
       keep(table.bands_[point / n], point % n, pts[point]);
   } else {
@@ -415,23 +432,9 @@ const DelayEnergyTable::Band& DelayEnergyTable::band(std::size_t corner_idx,
   return bands_.at(corner_idx * temps_.size() + temp_idx);
 }
 
-const std::vector<std::size_t>& DelayEnergyTable::breakpoints(std::size_t corner_idx,
-                                                              std::size_t temp_idx) const {
+const std::vector<std::size_t>& DelayEnergyTable::breakpoints(
+    std::size_t corner_idx, std::size_t temp_idx) const {
   return band(corner_idx, temp_idx).indices;
-}
-
-// The grid's own segment and fraction, rescaled to the kept band segment
-// [indices[lo], indices[hi]] around it. With both grid neighbours kept the
-// span is 1 and the fraction is the grid's, bit for bit.
-DelayEnergyTable::Segment DelayEnergyTable::locate(const Band& b, double v) const {
-  const InterpPoint p = interp_point(grid_, v);
-  // indices.front() == 0 <= p.lo, so hi >= 1.
-  const auto hi = static_cast<std::size_t>(
-      std::upper_bound(b.indices.begin(), b.indices.end(), p.lo) - b.indices.begin());
-  const std::size_t lo = hi - 1;
-  if (p.hi == p.lo) return {lo, lo, 0.0};  // clamped to an end of the grid
-  const double span = static_cast<double>(b.indices[hi] - b.indices[lo]);
-  return {lo, hi, (static_cast<double>(p.lo - b.indices[lo]) + p.frac) / span};
 }
 
 double DelayEnergyTable::delay(int cls, tech::ProcessCorner corner, double temp_c,
@@ -440,7 +443,7 @@ double DelayEnergyTable::delay(int cls, tech::ProcessCorner corner, double temp_
   const std::size_t ti = temp_index(temp_c);
   if (refiner_ && v < grid_.vmin()) return refiner_->delay(cls, ci, ti, v);
   const Band& b = band(ci, ti);
-  const Segment s = locate(b, v);
+  const InterpPoint s = band_segment(grid_, b.indices, v);
   return lerp_class(b.delays, s.lo, s.hi, s.frac, cls);
 }
 
@@ -450,7 +453,7 @@ double DelayEnergyTable::energy(int cls, tech::ProcessCorner corner, double temp
   const std::size_t ti = temp_index(temp_c);
   if (refiner_ && v < grid_.vmin()) return refiner_->energy(cls, ci, ti, v);
   const Band& b = band(ci, ti);
-  const Segment s = locate(b, v);
+  const InterpPoint s = band_segment(grid_, b.indices, v);
   return lerp_class(b.energies, s.lo, s.hi, s.frac, cls);
 }
 
@@ -464,7 +467,7 @@ TableSlice DelayEnergyTable::slice(tech::ProcessCorner corner, double temp_c,
     return out;
   }
   const Band& b = band(ci, ti);
-  const Segment s = locate(b, v);
+  const InterpPoint s = band_segment(grid_, b.indices, v);
   for (int cls = 0; cls < PatternClass::kCount; ++cls) {
     out.delay[cls] = lerp_class(b.delays, s.lo, s.hi, s.frac, cls);
     out.energy[cls] = lerp_class(b.energies, s.lo, s.hi, s.frac, cls);
@@ -598,7 +601,8 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
             static_cast<std::streamsize>(n_values * sizeof(double)));
     if (!is) return std::nullopt;
     // Every point must be a grid voltage, bit for bit, strictly ascending
-    // from the grid's first index to its last: locate() relies on both ends.
+    // from the grid's first index to its last: band_segment() relies on
+    // both ends.
     for (const double v : voltages) {
       const std::size_t vi = table.grid_.index_of(v);
       if (bit_cast<std::uint64_t>(table.grid_.voltage(vi)) != bit_cast<std::uint64_t>(v))

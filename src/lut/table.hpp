@@ -184,17 +184,10 @@ class DelayEnergyTable {
     std::vector<double> delays;
     std::vector<double> energies;
   };
-  // A lookup's two band points and the fraction between them.
-  struct Segment {
-    std::size_t lo;
-    std::size_t hi;
-    double frac;
-  };
 
   std::size_t corner_index(tech::ProcessCorner corner) const;
   std::size_t temp_index(double temp_c) const;
   const Band& band(std::size_t corner_idx, std::size_t temp_idx) const;
-  Segment locate(const Band& b, double v) const;
 
   tech::SupplyGrid grid_;
   std::vector<double> temps_;

@@ -53,7 +53,8 @@ TEST(Adaptive, ToleranceZeroKeepsEveryGridIndex) {
   for (std::size_t vi = 0; vi < n; ++vi) every_index[vi] = vi;
   for (std::size_t ci = 0; ci < cfg.corners.size(); ++ci)
     for (std::size_t ti = 0; ti < cfg.temps.size(); ++ti)
-      EXPECT_EQ(full.breakpoints(ci, ti), every_index) << "corner " << ci << " temp " << ti;
+      EXPECT_EQ(full.breakpoints(ci, ti), every_index)
+          << "corner " << ci << " temp " << ti;
   std::uint64_t switching_canonical = 0;
   for (int cls = 0; cls < PatternClass::kCount; ++cls)
     if (PatternClass::is_canonical(cls) && PatternClass::any_switching(cls))

@@ -280,7 +280,8 @@ std::vector<double> parity_voltages(const tech::SupplyGrid& grid) {
     vs.insert(vs.end(), {v, std::nextafter(v, 0.0), std::nextafter(v, 10.0), accumulated,
                          v + 0.5 * grid.step()});
   }
-  for (double v = grid.vmin() - 0.03; v < grid.vmax() + 0.03; v += 0.0007) vs.push_back(v);
+  for (double v = grid.vmin() - 0.03; v < grid.vmax() + 0.03; v += 0.0007)
+    vs.push_back(v);
   return vs;
 }
 
