@@ -217,12 +217,12 @@ std::map<std::size_t, ClassPoint> bisect_band(
 
 }  // namespace
 
-// On-demand extension of an adaptive table below its characterised range.
-// Queries under the band's vmin interpolate between fixed anchor voltages
-// `vmin - j * step` (j = 1..kMaxAnchors, simulated lazily and memoised),
-// instead of clamping as tolerance-0 tables do. Anchor values are pure functions
-// of (corner, temp, anchor index), so results are independent of query
-// order and thread count (DESIGN.md §9).
+// On-demand extension of a positive-tolerance table below its characterised
+// range. Queries under the grid's vmin interpolate between fixed anchor
+// voltages `vmin - j * step` (j = 1..kMaxAnchors, simulated lazily and
+// memoised), instead of clamping as tolerance-0 tables do. Anchor values
+// are pure functions of (corner, temp, anchor index), so results are
+// independent of query order and thread count (DESIGN.md §9).
 class LazyRefiner {
  public:
   static constexpr int kMaxAnchors = 64;
