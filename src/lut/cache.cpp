@@ -116,7 +116,7 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
     if (!in) return std::nullopt;
     auto table = DelayEnergyTable::load(in, hash);
     if (!table) return std::nullopt;
-    if (config.tolerance.enabled()) table->attach_refiner(design, driver, store);
+    table->attach_refiner(design, driver, config.tolerance, store);
     util::MutexLock lock(g_memo_mutex);
     // emplace keeps the incumbent if another thread raced us here; both
     // tables are bit-identical (same key), so either copy is the answer.
@@ -135,7 +135,7 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   DelayEnergyTable table =
       DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
   store->flush();
-  if (config.tolerance.enabled()) table.attach_refiner(design, driver, store);
+  table.attach_refiner(design, driver, config.tolerance, store);
   write_cache_file(path, table, hash);
   util::MutexLock lock(g_memo_mutex);
   return g_memo.emplace(key, std::move(table)).first->second;

@@ -311,7 +311,6 @@ class LazyRefiner {
   CostCounters counters_;
 };
 
-
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config) {
   // Design/model/simulator content (including the n_bits / shield_group
@@ -490,7 +489,9 @@ std::optional<double> DelayEnergyTable::min_shadow_safe_voltage(
 
 void DelayEnergyTable::attach_refiner(const interconnect::BusDesign& design,
                                       const tech::DriverModel& driver,
+                                      const LutTolerance& tolerance,
                                       std::shared_ptr<PointStore> store) {
+  if (!tolerance.enabled()) return;  // tolerance-0 tables keep clamp semantics
   refiner_ = std::make_shared<LazyRefiner>(design, driver, std::move(store), corners_,
                                            temps_, grid_.vmin(), grid_.step());
 }

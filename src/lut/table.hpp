@@ -152,12 +152,12 @@ class DelayEnergyTable {
 
   // Attach on-demand refinement: lookups below the characterised range
   // (e.g. a drift campaign wandering under a sweep's vmin) simulate fixed
-  // extension anchors lazily instead of clamping. build_or_load attaches
-  // it only to tables built with a positive tolerance, so tolerance-0
-  // tables keep clamp semantics. Results are independent of query order
-  // and thread count.
+  // extension anchors lazily instead of clamping. `tolerance` is the one
+  // the table was built with: a tolerance-0 table attaches nothing and
+  // keeps clamp semantics. Results are independent of query order and
+  // thread count.
   void attach_refiner(const interconnect::BusDesign& design,
-                      const tech::DriverModel& driver,
+                      const tech::DriverModel& driver, const LutTolerance& tolerance,
                       std::shared_ptr<PointStore> store);
   // Transient runs performed by the attached refiner so far (0 if none).
   std::uint64_t refiner_sims() const;

@@ -37,6 +37,9 @@ LutConfig pinned_dense_config() {
 
 TEST(Adaptive, ToleranceZeroKeepsEveryGridIndex) {
   const tech::DriverModel driver(sized_paper_bus().node);
+  // Narrowed so every point conducts at both temperatures: non-conducting
+  // points cost no transient run, which would hide a missing point from the
+  // count below.
   LutConfig cfg = small_lut_config();
   cfg.vmin = 1.12;
   cfg.temps = {25.0, 100.0};
@@ -64,24 +67,33 @@ TEST(Adaptive, ToleranceZeroKeepsEveryGridIndex) {
   EXPECT_EQ(stats.transient_sims, points * switching_canonical);
   EXPECT_EQ(stats.store_hits, 0u);
 
-  // A tolerance no real surface meets refines every interval by bisection
-  // and stores the same simulated values at every index, bit for bit.
-  LutConfig exact = cfg;
+  // A tolerance no real surface meets, from one seed interval, reaches
+  // every interior index of the wider test grid as a bisection midpoint and
+  // stores the tolerance-0 build's simulated values there, bit for bit.
+  const LutConfig wide = small_lut_config();
+  LutConfig exact = wide;
   exact.tolerance.relative = 1e-12;
+  exact.tolerance.seed_intervals = 1;
+  const DelayEnergyTable zero = DelayEnergyTable::build(sized_paper_bus(), driver, wide);
   const DelayEnergyTable refined =
       DelayEnergyTable::build(sized_paper_bus(), driver, exact);
-  for (std::size_t ci = 0; ci < cfg.corners.size(); ++ci) {
-    for (std::size_t ti = 0; ti < cfg.temps.size(); ++ti) {
-      ASSERT_EQ(refined.breakpoints(ci, ti), every_index);
-      for (std::size_t vi = 0; vi < n; ++vi) {
+  const std::size_t wide_n = zero.grid().size();
+  ASSERT_GT(wide_n, 2u);
+  std::vector<std::size_t> wide_index(wide_n);
+  for (std::size_t vi = 0; vi < wide_n; ++vi) wide_index[vi] = vi;
+  for (std::size_t ci = 0; ci < wide.corners.size(); ++ci) {
+    for (std::size_t ti = 0; ti < wide.temps.size(); ++ti) {
+      ASSERT_EQ(zero.breakpoints(ci, ti), wide_index);
+      ASSERT_EQ(refined.breakpoints(ci, ti), wide_index);
+      for (std::size_t vi = 0; vi < wide_n; ++vi) {
         for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-          const double fd = full.delay_at(cls, ci, ti, vi);
+          const double zd = zero.delay_at(cls, ci, ti, vi);
           const double rd = refined.delay_at(cls, ci, ti, vi);
-          if (std::isnan(fd))
+          if (std::isnan(zd))
             EXPECT_TRUE(std::isnan(rd)) << "class " << cls << " index " << vi;
           else
-            EXPECT_EQ(fd, rd) << "class " << cls << " index " << vi;
-          EXPECT_EQ(full.energy_at(cls, ci, ti, vi), refined.energy_at(cls, ci, ti, vi))
+            EXPECT_EQ(zd, rd) << "class " << cls << " index " << vi;
+          EXPECT_EQ(zero.energy_at(cls, ci, ti, vi), refined.energy_at(cls, ci, ti, vi))
               << "class " << cls << " index " << vi;
         }
       }
@@ -250,6 +262,15 @@ TEST(Adaptive, LazyRefinementBelowCharacterisedRange) {
   EXPECT_EQ(s.delay[cls], d_below);
   EXPECT_EQ(s.energy[cls], e_below);
   EXPECT_EQ(table.refiner_sims(), sims_after_first);
+
+  // The same grid at tolerance 0 gets no refiner: it clamps to the edge.
+  LutConfig narrow_zero = narrow;
+  narrow_zero.tolerance = LutTolerance{};
+  const DelayEnergyTable clamped =
+      build_or_load(sized_paper_bus(), driver, narrow_zero, {});
+  EXPECT_EQ(clamped.delay(cls, tech::ProcessCorner::typical, 100.0, v_below),
+            clamped.delay(cls, tech::ProcessCorner::typical, 100.0, 1.10));
+  EXPECT_EQ(clamped.refiner_sims(), 0u);
 
   if (prev)
     setenv("RAZORBUS_CACHE_DIR", prev_dir.c_str(), 1);
