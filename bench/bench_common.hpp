@@ -1,12 +1,14 @@
 // Shared plumbing for the reproduction harnesses.
 //
-// Every bench binary regenerates one table or figure of the paper (see
-// DESIGN.md §4 for the index). They all share the same shape: characterise
-// the paper bus (cached on disk after the first run), capture traces, run
-// one experiment, print tables. The scenario runner factors that shape out
-// of the 13 mains: flag parsing (--cycles, --json, --threads), the banner,
-// wall-clock timing, and a machine-readable JSON report so the result and
-// perf trajectory of every scenario can be tracked across commits.
+// Every registered scenario regenerates one table or figure of the paper
+// (see DESIGN.md §4 for the index). They all share the same shape:
+// characterise the paper bus (cached on disk after the first run), capture
+// traces, run one experiment, print tables. The scenario runner factors
+// that shape out of the 13 scenarios: flag parsing (--cycles, --json,
+// --threads), the banner, wall-clock timing, and a machine-readable JSON
+// report so the result and perf trajectory of every scenario can be
+// tracked across commits. `campaign scenario <name>`, campaign jobs and
+// perf_microbench (the engine scenario) all enter through run_scenario().
 // --threads=N sizes the shared execution pool (util::set_global_threads);
 // every experiment result is bit-identical at any N (DESIGN.md §9) — only
 // wall-clock/timing metrics (wall_seconds, threads, perf_microbench's
@@ -43,7 +45,7 @@ void print_header(const char* title, const char* paper_ref);
 
 // Handed to a scenario's run(): parsed flags, the resolved cycle budget,
 // and sinks for results. Everything recorded here lands in the JSON report
-// when the binary is invoked with --json[=path].
+// when the scenario runs with --json[=path].
 class ScenarioContext {
  public:
   explicit ScenarioContext(CliFlags& flags) : flags_(flags) {}
@@ -72,7 +74,7 @@ class ScenarioContext {
 };
 
 struct Scenario {
-  std::string name;         // binary-style identifier (fig4_voltage_sweep)
+  std::string name;         // registry identifier (fig4_voltage_sweep)
   std::string description;  // one-line banner text
   std::string paper_ref;    // which table/figure/section it reproduces
   // Default --cycles value; 0 means the scenario takes no cycle budget.

@@ -7,6 +7,8 @@
 //   campaign status [--out=DIR]
 //   campaign manifest <campaign.json> --shards=N [--out=DIR]
 //   campaign list [<campaign.json>]
+//   campaign scenario <name> [--cycles=N] [--threads=N] [--json[=PATH]]
+//                [--<scenario flag>=V]
 //   campaign run-one <job.spec.json> --json=PATH   (internal)
 //
 // `run` expands the campaign file into the scenario cross product
@@ -24,10 +26,10 @@
 // link(2) claim protocol makes them steal work safely), `manifest` splits
 // a campaign across hosts by content hash for `run --shard=K/N` against a
 // shared cache, and `status` prints the live <out>/status.json snapshot.
-// Jobs referencing a registered bench scenario run the exact legacy
-// harness code path, so their reports are byte-identical to the
-// standalone binaries' (modulo wall-clock fields) — enforced by
-// tests/campaign_test.cpp.
+// `scenario` runs one registered paper reproduction (bench/scenarios/); a
+// campaign job referencing that scenario runs the same run_scenario body,
+// so the two reports are byte-identical (modulo wall-clock fields), and
+// tests/golden/ pins fig4, fig8 and table1.
 #include <unistd.h>
 
 #include <algorithm>
@@ -191,10 +193,14 @@ std::string corner_key(const tech::PvtCorner& corner) {
   return key;
 }
 
-// The closed-loop settings of a declarative job (threshold controller).
+// The closed-loop settings of a declarative job: its threshold controller,
+// or its proportional one.
 sys::SystemRunConfig loop_config(const core::ScenarioSpec& spec, std::size_t cycles) {
+  const core::ControllerSpec& controller = spec.controllers.at(0);
   sys::SystemRunConfig cfg;
-  cfg.controller = spec.controllers.at(0).threshold;
+  cfg.controller = controller.threshold;
+  if (controller.kind == dvs::ControllerKind::proportional)
+    cfg.proportional = controller.proportional;
   cfg.engine = spec.engine;
   cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
   cfg.arbitration = spec.arbitration;
@@ -205,6 +211,7 @@ sys::SystemRunConfig loop_config(const core::ScenarioSpec& spec, std::size_t cyc
 void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
   const core::ControllerSpec& controller = spec.controllers.at(0);
+  const sys::SystemRunConfig cfg = loop_config(spec, ctx.cycles);
   const auto sources = job_sources(sources_for(spec, ctx.cycles), spec.stream);
   core::StreamStats stream_stats;
 
@@ -215,43 +222,26 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
     std::vector<core::DvsRunReport> reports;
     std::vector<double> wall_tracking;
     std::uint64_t env_updates = 0;
-    switch (controller.kind) {
-      case dvs::ControllerKind::threshold: {
-        const sys::SystemRunConfig cfg = loop_config(spec, ctx.cycles);
-        if (!spec.drift.enabled) {
-          reports = core::run_closed_loop_suite_streamed(system, corner, sources,
-                                                         cfg, {}, &stream_stats);
-          break;
-        }
-        // Drift rides on a 1-lane BusSystem, which reports how the loop
-        // tracked the band and how often the corner moved.
-        const sys::BusSystem one_lane({{&system, 1.0}});
-        for (const auto& source : sources) {
-          std::vector<std::unique_ptr<trace::TraceSource>> one;
-          one.push_back(source->clone());
-          const sys::SystemRunReport rep =
-              one_lane.run_closed_loop_streamed(corner, one, cfg, {}, &stream_stats);
-          reports.push_back(rep.per_bus.front());
-          wall_tracking.push_back(rep.wall_tracking_error);
-          env_updates += rep.env_updates;
-        }
-        break;
+    if (controller.kind == dvs::ControllerKind::fixed_vs) {
+      reports = core::run_fixed_vs_suite_streamed(system, corner, sources, spec.engine,
+                                                  spec.timing_jitter_sigma, {},
+                                                  &stream_stats);
+    } else if (!spec.drift.enabled) {
+      reports = core::run_closed_loop_suite_streamed(system, corner, sources, cfg, {},
+                                                     &stream_stats);
+    } else {
+      // Drift rides on a 1-lane BusSystem, which reports how the loop
+      // tracked the band and how often the corner moved.
+      const sys::BusSystem one_lane({{&system, 1.0}});
+      for (const auto& source : sources) {
+        std::vector<std::unique_ptr<trace::TraceSource>> one;
+        one.push_back(source->clone());
+        const sys::SystemRunReport rep =
+            one_lane.run_closed_loop_streamed(corner, one, cfg, {}, &stream_stats);
+        reports.push_back(rep.per_bus.front());
+        wall_tracking.push_back(rep.wall_tracking_error);
+        env_updates += rep.env_updates;
       }
-      case dvs::ControllerKind::proportional: {
-        core::ProportionalRunConfig cfg;
-        cfg.controller = controller.proportional;
-        cfg.engine = spec.engine;
-        cfg.timing_jitter_sigma = spec.timing_jitter_sigma;
-        for (const auto& source : sources)
-          reports.push_back(core::run_closed_loop_proportional_streamed(
-              system, corner, *source, cfg, {}, &stream_stats));
-        break;
-      }
-      case dvs::ControllerKind::fixed_vs:
-        reports = core::run_fixed_vs_suite_streamed(system, corner, sources,
-                                                    spec.engine, spec.timing_jitter_sigma,
-                                                    {}, &stream_stats);
-        break;
     }
     for (std::size_t t = 0; t < sources.size(); ++t) {
       const core::DvsRunReport& r = reports[t];
@@ -385,7 +375,7 @@ void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) 
 // ----------------------------------------------------------------- run-one
 
 // Executes one expanded job in-process through the shared run_scenario
-// path (identical reports to the legacy binaries by construction).
+// path (identical reports to `campaign scenario` by construction).
 int run_one(const std::string& spec_path, const std::string& json_flag) {
   const core::ScenarioSpec spec =
       core::ScenarioSpec::from_json(Json::parse_file(spec_path));
@@ -429,7 +419,7 @@ int run_one(const std::string& spec_path, const std::string& json_flag) {
     };
   }
 
-  // Synthesize the exact argv the standalone binary would have been given.
+  // Synthesize the exact argv `campaign scenario` would have been given.
   std::vector<std::string> args;
   args.push_back("campaign run-one");
   if (scenario.default_cycles > 0 && spec.cycles > 0)
@@ -648,7 +638,8 @@ int list(const std::vector<std::string>& positional) {
       std::printf("  %s  %s\n", core::job_hash_hex(job).c_str(), job.name.c_str());
     return 0;
   }
-  std::printf("registered bench scenarios (usable as \"bench\" spec entries):\n");
+  std::printf("registered scenarios (run with `campaign scenario <name>`, or as "
+              "\"bench\" spec entries):\n");
   for (const auto& scenario : all_scenarios())
     std::printf("  %-26s %s\n", scenario.name.c_str(), scenario.description.c_str());
   return 0;
@@ -661,6 +652,8 @@ constexpr const char* kUsage =
     "       campaign status [--out=DIR]\n"
     "       campaign manifest <campaign.json> --shards=N [--out=DIR]\n"
     "       campaign list [<campaign.json>]\n"
+    "       campaign scenario <name> [--cycles=N] [--threads=N] [--json[=PATH]] "
+    "[--<scenario flag>=V]\n"
     "       campaign run-one <job.spec.json> --json=PATH";
 
 }  // namespace
@@ -671,7 +664,7 @@ int main(int argc, char** argv) {
     const auto& positional = flags.positional();
     const std::string command = positional.empty() ? "" : positional[0];
     // Each subcommand's positional arity: run, manifest and run-one take a
-    // file; list takes an optional one.
+    // file, scenario takes a name; list takes an optional file.
     const bool one_file = positional.size() == 2;
     const bool no_file = positional.size() == 1;
 
@@ -683,6 +676,10 @@ int main(int argc, char** argv) {
       flags.reject_unused();
       return list(positional);
     }
+    // run_scenario parses the flags itself and rejects unknown ones before
+    // any work; an unknown name throws here, listing the known names.
+    if (command == "scenario" && one_file)
+      return run_scenario(argc, argv, scenario_by_name(positional[1]));
     if (command == "run-one" && one_file) {
       const std::string json_flag = "--json=" + flags.get("json", "true");
       flags.reject_unused();

@@ -1,9 +1,9 @@
 // Registry of every reproduction scenario (DESIGN.md §11).
 //
-// The standalone bench binaries are thin launchers over this registry, and
-// the campaign runner resolves `"bench": "<name>"` spec entries against it
-// — both run the identical Scenario object through run_scenario(), which is
-// what keeps their JSON reports byte-identical.
+// `campaign scenario <name>` runs a scenario directly and the campaign
+// runner resolves `"bench": "<name>"` spec entries against the same
+// registry — both run the identical Scenario object through
+// run_scenario(), which is what keeps their JSON reports byte-identical.
 #pragma once
 
 #include <string>

@@ -123,15 +123,14 @@ Scenario make_ablation_controller_scenario() {
         ctx.metric("threshold_gain", r.gain / 100.0);
       }
       for (const double gain : {1.0, 2.0, 6.0}) {
-        core::ProportionalRunConfig cfg;
-        cfg.controller.gain = gain;
-        const auto rep = core::run_closed_loop_proportional(
-            paper_system(), tech::typical_corner(), trace, cfg);
+        core::DvsRunConfig cfg;
+        cfg.proportional.emplace().gain = gain;
+        const LoopResult r = run(trace, cfg);
         table.row()
             .add("proportional, k=" + format_fixed(gain, 1))
-            .add(100.0 * rep.energy_gain(), 1)
-            .add(100.0 * rep.error_rate(), 2)
-            .add(to_mV(rep.average_supply), 0);
+            .add(r.gain, 1)
+            .add(r.err, 2)
+            .add(r.avg_v, 0);
       }
       std::printf(
           "\n(d) Threshold vs proportional control (paper Section 5 argument):\n");

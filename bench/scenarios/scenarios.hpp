@@ -1,11 +1,11 @@
 // Scenario factories: one per reproduction harness.
 //
-// Each bench/scenarios/*.cpp builds the Scenario (name, banner, paper
-// reference, default cycle budget, run body) that used to live in that
-// harness's main(). The standalone binaries and the campaign runner both
-// fetch them through scenario_registry.hpp, so a campaign job and the
-// legacy binary execute the exact same code path — which is what makes
-// their JSON reports byte-identical (enforced by tests/campaign_test.cpp).
+// Each bench/scenarios/*.cpp builds one Scenario (name, banner, paper
+// reference, default cycle budget, run body). `campaign scenario <name>`
+// and campaign "bench" jobs both fetch them through scenario_registry.hpp,
+// so the two execute the exact same code path — which is what makes their
+// JSON reports byte-identical (tests/campaign_test.cpp pins fig4, fig8 and
+// table1 in tests/golden/).
 #pragma once
 
 #include "bench_common.hpp"

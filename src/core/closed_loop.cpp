@@ -61,7 +61,7 @@ double start_supply(const std::vector<LoopLane>& lanes, const LoopConfig& config
 }  // namespace
 
 ClosedLoop::ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& environment,
-                       LoopConfig config, const dvs::ProportionalConfig* proportional)
+                       LoopConfig config)
     : lanes_(std::move(lanes)),
       environment_(environment),
       current_(environment),
@@ -71,7 +71,8 @@ ClosedLoop::ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& envir
                  lanes_.front().system->design().node.vdd_nominal,
                  config_.regulator_delay_cycles),
       threshold_(config_.controller) {
-  if (proportional != nullptr) proportional_.emplace(*proportional);
+  const auto& proportional = config_.proportional;
+  if (proportional) proportional_.emplace(*proportional);
   window_ = proportional ? proportional->window_cycles : config_.controller.window_cycles;
   band_mid_ = proportional ? proportional->target_error_rate
                            : 0.5 * (config_.controller.low_threshold +

@@ -101,10 +101,10 @@ class ClosedLoop {
  public:
   // Lanes must be non-empty, non-null and share one nominal supply (the
   // caller validates; sys::BusSystem does for its users). The window-count
-  // policy is the threshold controller of `config.controller`, or the
-  // proportional controller when `proportional` is given.
+  // policy is `config.proportional` when set, else the threshold controller
+  // of `config.controller`.
   ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& environment,
-             LoopConfig config, const dvs::ProportionalConfig* proportional = nullptr);
+             LoopConfig config);
 
   // One leg: lane l drains a clone of sources[l], all lanes in lockstep,
   // until the first source ends. Controller, regulator, drift and DVS

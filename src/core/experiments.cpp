@@ -21,19 +21,16 @@ lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base) {
 
 namespace {
 
-// One closed-loop run of one source on one bus, under the threshold
-// controller or, when given, the `proportional` one. `baseline`, when
-// given, replaces the nominal meter's baseline (the batched PVT path).
+// One closed-loop run of one source on one bus. `baseline`, when given,
+// replaces the nominal meter's baseline (the batched PVT path).
 DvsRunReport closed_loop_once(const DvsBusSystem& system,
                               const tech::PvtCorner& environment,
                               const trace::TraceSource& source,
                               const DvsRunConfig& config, const StreamConfig& stream,
-                              StreamStats* stats,
-                              const dvs::ProportionalConfig* proportional = nullptr,
-                              const double* baseline = nullptr) {
+                              StreamStats* stats, const double* baseline = nullptr) {
   LoopConfig loop_config;
   static_cast<DvsRunConfig&>(loop_config) = config;
-  ClosedLoop loop({{&system}}, environment, std::move(loop_config), proportional);
+  ClosedLoop loop({{&system}}, environment, std::move(loop_config));
   DvsRunReport report = std::move(loop.run({&source}, stream, stats, baseline).front());
   report.series = loop.take_series();
   return report;
@@ -240,21 +237,6 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
   return closed_loop_once(system, environment, source, config, stream, stats);
 }
 
-DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
-                                                   const tech::PvtCorner& environment,
-                                                   const trace::TraceSource& source,
-                                                   const ProportionalRunConfig& config,
-                                                   const StreamConfig& stream,
-                                                   StreamStats* stats) {
-  DvsRunConfig run;
-  run.regulator_delay_cycles = config.regulator_delay_cycles;
-  run.start_supply = config.start_supply;
-  run.timing_jitter_sigma = config.timing_jitter_sigma;
-  run.engine = config.engine;
-  return closed_loop_once(system, environment, source, run, stream, stats,
-                          &config.controller);
-}
-
 DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
                                    const tech::PvtCorner& environment,
                                    const trace::TraceSource& source,
@@ -342,8 +324,7 @@ PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
     PvtSample sample;
     sample.corner = corners[s];
     sample.report = closed_loop_once(system, sample.corner, source, config.run, stream,
-                                     shard, nullptr,
-                                     baselines.empty() ? nullptr : &baselines[s]);
+                                     shard, baselines.empty() ? nullptr : &baselines[s]);
     return sample;
   });
 

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,7 +150,12 @@ constexpr double kDefaultLutTolerance = 0.02;
 lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base = {});
 
 struct DvsRunConfig {
+  // The window-count policy: the paper's threshold controller of
+  // `controller`, or, when set, the proportional controller the paper
+  // discusses and rejects (Section 5; multi-step changes proportional to
+  // the band error, used by the controller ablation).
   dvs::ControllerConfig controller{};
+  std::optional<dvs::ProportionalConfig> proportional;
   std::uint64_t regulator_delay_cycles = 3000;  // 2 us at 1.5 GHz
   double start_supply = 0.0;                    // 0 = nominal
   double timing_jitter_sigma = 0.0;
@@ -174,7 +180,7 @@ struct DvsRunReport {
   double error_rate() const { return totals.error_rate(); }
 };
 
-// Closed-loop DVS over one trace (threshold controller + ramping
+// Closed-loop DVS over one trace (config's controller + ramping
 // regulator): a single pass over a clone of `source`; the DVS simulator's
 // nominal meter prices the nominal-supply baseline in that same pass (so no
 // second pass and no materialization anywhere).
@@ -212,30 +218,6 @@ inline DvsRunReport run_fixed_vs(const DvsBusSystem& system,
                                  double timing_jitter_sigma = 0.0) {
   return run_fixed_vs_streamed(system, environment, *trace::make_trace_view_source(trace),
                                engine, timing_jitter_sigma);
-}
-
-// Closed loop with the PROPORTIONAL controller the paper discusses and
-// rejects (Section 5). Same regulator model; the controller requests
-// multi-step changes proportional to the band error. Used by the ablation
-// bench to test the paper's "simpler is sufficient" argument.
-struct ProportionalRunConfig {
-  dvs::ProportionalConfig controller{};
-  std::uint64_t regulator_delay_cycles = 3000;
-  double start_supply = 0.0;
-  double timing_jitter_sigma = 0.0;
-  bus::EngineMode engine = bus::EngineMode::bit_parallel;
-};
-
-DvsRunReport run_closed_loop_proportional_streamed(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const trace::TraceSource& source, const ProportionalRunConfig& config = {},
-    const StreamConfig& stream = {}, StreamStats* stats = nullptr);
-
-inline DvsRunReport run_closed_loop_proportional(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const trace::Trace& trace, const ProportionalRunConfig& config = {}) {
-  return run_closed_loop_proportional_streamed(
-      system, environment, *trace::make_trace_view_source(trace), config);
 }
 
 // Continue a closed-loop run across consecutive traces without resetting

@@ -556,11 +556,13 @@ ScenarioSpec ScenarioSpec::from_json(const Json& json) {
       bad_spec("scenario",
                "'drift' only applies to closed_loop and multi_bus experiments");
     spec.drift = DriftSpec::from_json(*drift);
-    // Drift rides the window-granular threshold loop; the other controller
-    // kinds have no window boundary to re-derive the corner at.
+    // Drift rides the window-granular closed loop (either controller);
+    // fixed_vs has no window boundary to re-derive the corner at.
     for (const auto& controller : spec.controllers)
-      if (controller.kind != dvs::ControllerKind::threshold)
-        bad_spec("scenario", "drift runs require threshold controllers");
+      if (controller.kind == dvs::ControllerKind::fixed_vs)
+        bad_spec("scenario",
+                 "drift runs reject fixed_vs controllers (no control window to "
+                 "re-derive the corner at)");
   }
 
   f.reject_unknown();

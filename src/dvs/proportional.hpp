@@ -6,7 +6,7 @@
 // faster, but argues the bus's strongly non-linear, program-dependent
 // error-vs-voltage transfer function makes its gain constant impossible to
 // derive, and shows the simple threshold scheme suffices. We implement it
-// so the claim can be tested (see bench/ablation_controller).
+// so the claim can be tested (the ablation_controller scenario).
 #pragma once
 
 #include <cstdint>

@@ -5,21 +5,26 @@
 //    wrong type, out-of-range width all throw), to_json round trips, and
 //    the scenarios x widths x controllers cross-product expansion.
 //  * The campaign runner end to end — the acceptance contract that a
-//    campaign job referencing a registered bench produces a report
-//    byte-identical to the standalone binary's (modulo wall-clock fields),
-//    and that a finished campaign resumes from its result files. These
-//    spawn the sibling binaries from the build directory, like CI does.
+//    campaign job referencing a registered bench scenario, and
+//    `campaign scenario` run directly, produce the reports pinned in
+//    tests/golden/ (modulo wall-clock fields), that a finished campaign
+//    resumes from its result files, and that malformed input fails before
+//    any work. These spawn the sibling `campaign` binary from the build
+//    directory, like CI does.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "core/scenario_spec.hpp"
+#include "test_support.hpp"
 #include "util/json.hpp"
 
 namespace razorbus {
 namespace {
+
+using test_support::normalized_report;
+using test_support::run_cmd;
+using test_support::slurp;
 
 core::ScenarioSpec parse_scenario(const std::string& text) {
   return core::ScenarioSpec::from_json(Json::parse(text));
@@ -272,6 +277,25 @@ TEST(ScenarioSpec, MultiBusAndDriftValidationMessages) {
             "the bus width 16 is not a multiple of 32");
 }
 
+// Drift rides the closed loop under either window-count controller;
+// fixed_vs runs at one supply with no control window, so it is the one
+// controller kind a drift spec rejects.
+TEST(ScenarioSpec, DriftAcceptsProportionalAndRejectsFixedVs) {
+  const core::ScenarioSpec spec = parse_scenario(
+      R"({"name": "x", "experiment": "closed_loop", "controllers": ["proportional"],
+          "drift": {"temp_start": 100.0, "temp_end": 25.0}})");
+  EXPECT_TRUE(spec.drift.enabled);
+  ASSERT_EQ(spec.controllers.size(), 1u);
+  EXPECT_EQ(spec.controllers[0].kind, dvs::ControllerKind::proportional);
+
+  EXPECT_EQ(thrown_message(
+                R"({"name": "x", "experiment": "closed_loop",
+                    "controllers": ["proportional", "fixed_vs"],
+                    "drift": {"temp_start": 100.0, "temp_end": 25.0}})"),
+            "scenario spec: scenario: drift runs reject fixed_vs controllers (no "
+            "control window to re-derive the corner at)");
+}
+
 TEST(ScenarioSpec, MultiBusAndDriftMisuseThrows) {
   // multi_bus takes per-bus traces and widths, not the scenario axes.
   EXPECT_THROW(parse_scenario(R"({"name": "x", "experiment": "multi_bus",
@@ -300,7 +324,7 @@ TEST(ScenarioSpec, MultiBusAndDriftMisuseThrows) {
                                   "buses": [{"width": 32}],
                                   "controllers": ["fixed_vs"]})"),
                std::invalid_argument);
-  // Drift needs a closed-loop kind and threshold controllers.
+  // Drift needs a closed-loop kind and a controller with a control window.
   EXPECT_THROW(parse_scenario(R"({"name": "x", "experiment": "static_sweep",
                                   "drift": {"temp_start": 25.0}})"),
                std::invalid_argument);
@@ -437,36 +461,16 @@ TEST(CampaignExpansion, DuplicateJobNamesAreRejected) {
 
 // ----------------------------------------------- end-to-end byte identity
 
-// Everything below spawns the sibling binaries, so it runs from the build
-// directory (as ctest and CI do).
-
-int run_cmd(const std::string& cmd) { return std::system(cmd.c_str()); }
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << "missing " << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
+// Everything below spawns the sibling `campaign` binary, so it runs from
+// the build directory (as ctest and CI do).
 
 const std::string kSourceDir = RAZORBUS_SOURCE_DIR;
-
-// A report without its wall-clock time and the host's hardware thread
-// count, in the form tests/golden/ stores; everything else — metrics,
-// notes, tables, cycles, threads — must match exactly.
-std::string normalized_report(const std::string& path) {
-  Json report = Json::parse(slurp(path));
-  report.erase("wall_seconds");
-  report.erase("threads_resolved");
-  return report.dump(2) + "\n";
-}
 
 class CampaignEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!std::ifstream("./campaign") || !std::ifstream("./fig4_voltage_sweep"))
-      GTEST_SKIP() << "bench binaries not in the working directory; run from build/";
+    if (!std::ifstream("./campaign"))
+      GTEST_SKIP() << "campaign binary not in the working directory; run from build/";
     ASSERT_EQ(run_cmd("rm -rf campaign_test_out && mkdir -p campaign_test_out"), 0);
   }
 };
@@ -475,8 +479,8 @@ TEST_F(CampaignEndToEnd, BenchJobReportsMatchGolden) {
   // The acceptance scenarios: fig4, fig8 and table1, at budgets small
   // enough for CI but large enough to exercise sweeps, the consecutive
   // closed-loop driver and the per-trace suite driver. Their reports are
-  // pinned in tests/golden/ (taken from the standalone launchers these
-  // jobs once duplicated).
+  // pinned in tests/golden/, and `campaign scenario` must reproduce them
+  // outside a campaign.
   std::ofstream spec("campaign_test_out/paper_small.json");
   spec << R"({
     "name": "paper_small",
@@ -501,6 +505,12 @@ TEST_F(CampaignEndToEnd, BenchJobReportsMatchGolden) {
               slurp(kSourceDir + "/tests/golden/" + report))
         << job;
   }
+  ASSERT_EQ(run_cmd("./campaign scenario fig4_voltage_sweep --cycles=3000 --threads=1 "
+                    "--json=campaign_test_out/scenario_fig4.json "
+                    "> campaign_test_out/scenario_fig4.log 2>&1"),
+            0);
+  EXPECT_EQ(normalized_report("campaign_test_out/scenario_fig4.json"),
+            slurp(kSourceDir + "/tests/golden/BENCH_fig4_voltage_sweep.json"));
 
   // The consolidated report aggregates all three per-job reports.
   const Json aggregate = Json::parse(slurp("campaign_test_out/BENCH_campaign.json"));
@@ -556,6 +566,30 @@ TEST_F(CampaignEndToEnd, DeclarativeJobRunsAndReports) {
   EXPECT_EQ(report.at("cycles").as_int(), 30000);
   EXPECT_TRUE(report.at("metrics").has("typical_100C_sparse_gain"));
   EXPECT_EQ(report.at("notes").at("width").as_string(), "16");
+}
+
+// Drift under the proportional controller takes the threshold
+// controller's 1-lane BusSystem path, so its report counts the corner
+// updates too.
+TEST_F(CampaignEndToEnd, ProportionalDriftJobReportsEnvUpdates) {
+  std::ofstream spec("campaign_test_out/prop_drift.spec.json");
+  spec << R"({"name": "prop_drift", "experiment": "closed_loop",
+    "trace": {"source": "synthetic", "style": "uniform", "seed": 5},
+    "controllers": ["proportional"],
+    "drift": {"temp_start": 100.0, "temp_end": 25.0,
+              "vth_shift_start": 0.0, "vth_shift_end": 0.03},
+    "cycles": 30000, "threads": 1})";
+  spec.close();
+  ASSERT_EQ(run_cmd("./campaign run-one campaign_test_out/prop_drift.spec.json "
+                    "--json=campaign_test_out/BENCH_prop_drift.json "
+                    "> campaign_test_out/prop_drift.log 2>&1"),
+            0)
+      << slurp("campaign_test_out/prop_drift.log");
+  const Json report = Json::parse(slurp("campaign_test_out/BENCH_prop_drift.json"));
+  EXPECT_EQ(report.at("notes").at("controller").as_string(), "proportional");
+  EXPECT_EQ(report.at("notes").at("drift").as_string(), "enabled");
+  EXPECT_GT(report.at("metrics").at("typical_100C_env_updates").as_double(), 0.0);
+  EXPECT_TRUE(report.at("metrics").has("typical_100C_uniform_wall_tracking"));
 }
 
 TEST_F(CampaignEndToEnd, EditedSpecInvalidatesResume) {
@@ -633,6 +667,30 @@ TEST_F(CampaignEndToEnd, TornReportIsSkippedAndRerun) {
     return doc.dump(2);
   };
   EXPECT_EQ(without_wall(slurp(report_path)), without_wall(intact));
+}
+
+// `campaign scenario` checks its input before any work: an unknown name
+// (the error lists the known ones), a typo'd flag, a stray extra argument
+// and a missing name all exit non-zero before the banner and write no
+// report.
+TEST_F(CampaignEndToEnd, ScenarioRejectsBadInputBeforeAnyWork) {
+  const std::string report = "campaign_test_out/bad_scenario.json";
+  const std::string log = "campaign_test_out/bad_scenario.log";
+  const auto expect_rejected = [&](const std::string& args, const std::string& error) {
+    SCOPED_TRACE(args);
+    EXPECT_NE(run_cmd("./campaign scenario " + args + " --json=" + report + " > " + log +
+                      " 2>&1"),
+              0);
+    const std::string text = slurp(log);
+    EXPECT_NE(text.find(error), std::string::npos) << text;
+    EXPECT_EQ(text.find("Reproduces:"), std::string::npos) << text;
+    EXPECT_FALSE(std::ifstream(report).good());
+  };
+  expect_rejected("fig4_voltage_swep",
+                  "unknown scenario 'fig4_voltage_swep' (known: fig4_voltage_sweep, ");
+  expect_rejected("fig4_voltage_sweep --cycels=5", "unknown flag(s): --cycels");
+  expect_rejected("fig4_voltage_sweep extra", "usage: campaign");
+  expect_rejected("", "usage: campaign");
 }
 
 TEST_F(CampaignEndToEnd, MalformedCampaignFailsBeforeAnyWork) {

@@ -20,7 +20,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "svc/fsio.hpp"
 #include "svc/queue.hpp"
 #include "svc/result_cache.hpp"
+#include "test_support.hpp"
 #include "util/json.hpp"
 
 namespace razorbus {
@@ -36,7 +36,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-int run_cmd(const std::string& cmd) { return std::system(cmd.c_str()); }
+using test_support::run_cmd;
+using test_support::slurp;
 
 // Starts `cmd` under /bin/sh without waiting for it.
 pid_t spawn_cmd(const std::string& cmd) {
@@ -53,14 +54,6 @@ int wait_cmd(pid_t pid) {
   int status = 0;
   if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << "missing " << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 core::ScenarioJob make_job(const std::string& name, const std::string& spec_json) {

@@ -291,9 +291,9 @@ struct LoopCase {
 // threshold steps or proportional deltas, the drift corner re-derived at
 // every window boundary) against the reference engine, with a separate
 // nominal-supply BusSimulator fed every word alongside. Static-corner cases
-// go through the public run_closed_loop_streamed /
-// run_closed_loop_proportional_streamed entry points; drift cases need
-// LoopConfig::drift, so they drive core::ClosedLoop directly. The stream
+// go through the public run_closed_loop_streamed entry point; drift cases
+// assert ClosedLoop::env_updates(), so they drive core::ClosedLoop
+// directly. The stream
 // block is coprime to the window and the regulator delay, so chunks
 // straddle window ends and supply landings. Returns the number of supply
 // changes the per-cycle driver made.
@@ -317,26 +317,18 @@ std::uint64_t check_closed_loop(const LoopCase& c, dvs::ControllerKind kind,
   loop_cfg.start_supply = c.start_at_floor ? floor : vnom;
   dvs::ProportionalConfig prop_cfg;
   prop_cfg.window_cycles = window;
+  if (!threshold) loop_cfg.proportional = prop_cfg;
   const auto source = trace::make_trace_view_source(trace);
   core::StreamConfig stream;
   stream.block_cycles = 2999;
   core::DvsRunReport batched;
   if (c.drift.enabled()) {
-    core::ClosedLoop loop({{&system}}, env, loop_cfg, threshold ? nullptr : &prop_cfg);
+    core::ClosedLoop loop({{&system}}, env, loop_cfg);
     batched = loop.run({source.get()}, stream).front();
     batched.series = loop.take_series();
     EXPECT_GT(loop.env_updates(), 0u);
-  } else if (threshold) {
-    batched = core::run_closed_loop_streamed(system, env, *source, loop_cfg, stream);
   } else {
-    core::ProportionalRunConfig prop_run;
-    prop_run.controller = prop_cfg;
-    prop_run.regulator_delay_cycles = delay;
-    prop_run.start_supply = loop_cfg.start_supply;
-    prop_run.timing_jitter_sigma = c.jitter_sigma;
-    prop_run.engine = c.engine;
-    batched = core::run_closed_loop_proportional_streamed(system, env, *source, prop_run,
-                                                          stream);
+    batched = core::run_closed_loop_streamed(system, env, *source, loop_cfg, stream);
   }
   const std::vector<core::WindowSample>& batched_series = batched.series;
 

@@ -7,19 +7,18 @@
 // wall-clock and host fields, must equal tests/golden/BENCH_<job>.json byte for
 // byte: refactors of the experiment drivers may change how a report is
 // computed, never what it says. (Bench-referencing jobs are pinned against
-// their standalone binaries by campaign_test instead.)
+// their own goldens by campaign_test instead.)
 //
 // Like campaign_test, this spawns the sibling `campaign` binary, so it runs
 // from the build directory.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scenario_spec.hpp"
+#include "test_support.hpp"
 #include "util/json.hpp"
 
 namespace razorbus {
@@ -33,26 +32,9 @@ constexpr std::size_t kStreamingScale = 1000;
 const std::string kSourceDir = RAZORBUS_SOURCE_DIR;
 const std::string kOut = "golden_test_out";
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << "missing " << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-// A report without its wall-clock time and the host's hardware thread
-// count: the only fields that move between runs and machines (results are
-// bit-identical at any thread count). Written next to the report as
-// <report>.golden, the form tests/golden/ stores.
-std::string normalized_report(const std::string& path) {
-  Json report = Json::parse(slurp(path));
-  report.erase("wall_seconds");
-  report.erase("threads_resolved");
-  const std::string text = report.dump(2) + "\n";
-  std::ofstream(path + ".golden", std::ios::binary) << text;
-  return text;
-}
+using test_support::normalized_report;
+using test_support::run_cmd;
+using test_support::slurp;
 
 std::vector<core::ScenarioSpec> declarative_jobs(const std::string& campaign,
                                                  std::size_t scale) {
@@ -71,7 +53,7 @@ void expect_reports_match_golden(const std::string& campaign, std::size_t scale)
   if (!std::ifstream("./campaign"))
     GTEST_SKIP() << "campaign binary not in the working directory; run from build/";
   const std::string dir = kOut + "/" + campaign;
-  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
+  ASSERT_EQ(run_cmd("rm -rf " + dir + " && mkdir -p " + dir), 0);
 
   const std::vector<core::ScenarioSpec> jobs = declarative_jobs(campaign, scale);
   ASSERT_FALSE(jobs.empty());
@@ -82,7 +64,7 @@ void expect_reports_match_golden(const std::string& campaign, std::size_t scale)
     std::ofstream(spec_path) << job.to_json().dump(2) << "\n";
     const std::string cmd = "./campaign run-one " + spec_path + " --json=" + dir + "/" +
                             report + " > " + dir + "/" + job.name + ".log 2>&1";
-    ASSERT_EQ(std::system(cmd.c_str()), 0) << slurp(dir + "/" + job.name + ".log");
+    ASSERT_EQ(run_cmd(cmd), 0) << slurp(dir + "/" + job.name + ".log");
     EXPECT_EQ(normalized_report(dir + "/" + report),
               slurp(kSourceDir + "/tests/golden/" + report));
   }

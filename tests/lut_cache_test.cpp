@@ -32,8 +32,9 @@ extern char** environ;
 namespace razorbus::lut {
 namespace {
 
-using test_support::small_lut_config;
 using test_support::sized_paper_bus;
+using test_support::slurp;
+using test_support::small_lut_config;
 
 // Points RAZORBUS_CACHE_DIR at an isolated per-test directory for the
 // guard's lifetime; restores the previous value and removes the directory
@@ -333,13 +334,6 @@ std::string fresh_dir(const std::string& base) {
   // only, never simulation state.
   static int serial = 0;
   return base + "_" + std::to_string(serial++) + "_test";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
 }
 
 void write_bytes(const std::string& path, const std::string& bytes) {

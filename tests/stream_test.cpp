@@ -264,14 +264,13 @@ TEST(StreamParity, ClosedLoopProportionalBitIdentical) {
   const trace::Trace t = trace::generate_synthetic(synth_config(50000, 43), "t");
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
-  core::ProportionalRunConfig config;
-  config.controller.window_cycles = 2000;
+  core::DvsRunConfig config;
+  config.proportional.emplace().window_cycles = 2000;
   config.regulator_delay_cycles = 700;
 
-  const core::DvsRunReport golden =
-      core::run_closed_loop_proportional(system, corner, t, config);
+  const core::DvsRunReport golden = core::run_closed_loop(system, corner, t, config);
   const auto source = trace::make_trace_view_source(t);
-  const core::DvsRunReport streamed = core::run_closed_loop_proportional_streamed(
+  const core::DvsRunReport streamed = core::run_closed_loop_streamed(
       system, corner, *source, config, core::StreamConfig{kOddBlock});
   expect_report_eq(golden, streamed);
 }

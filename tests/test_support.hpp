@@ -6,13 +6,23 @@
 //     build (seconds), good enough for API-level behaviour tests;
 //   * paper_system(): the full default characterization, shared with the
 //     benches via the on-disk cache — used by end-to-end result tests.
+// It also holds the file and subprocess helpers of the suites that spawn
+// the `campaign` binary and compare reports.
 #pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "core/system.hpp"
 #include "interconnect/bus_design.hpp"
 #include "lut/cache.hpp"
 #include "lut/table.hpp"
 #include "tech/device.hpp"
+#include "util/json.hpp"
 
 namespace razorbus::test_support {
 
@@ -52,6 +62,31 @@ inline const core::DvsBusSystem& paper_system() {
     return core::DvsBusSystem(interconnect::BusDesign::paper_bus(), options);
   }();
   return system;
+}
+
+// The bytes of `path`; a file that cannot be opened fails the test.
+inline std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(in)) << "missing " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Runs `cmd` under /bin/sh; std::system's status (0 = exit code 0).
+inline int run_cmd(const std::string& cmd) { return std::system(cmd.c_str()); }
+
+// A BENCH_*.json report without its wall-clock time and the host's hardware
+// thread count, the only fields that move between runs and machines
+// (results are bit-identical at any thread count). Written next to the
+// report as <report>.golden, the form tests/golden/ stores.
+inline std::string normalized_report(const std::string& path) {
+  Json report = Json::parse(slurp(path));
+  report.erase("wall_seconds");
+  report.erase("threads_resolved");
+  const std::string text = report.dump(2) + "\n";
+  std::ofstream(path + ".golden", std::ios::binary) << text;
+  return text;
 }
 
 }  // namespace razorbus::test_support
