@@ -85,9 +85,10 @@ struct Scenario {
   std::function<void(ScenarioContext&)> run;
 };
 
-// Shared main(): parses flags, prints the banner, times run(), rejects
-// unknown flags, and with --json[=path] writes the report (default path
-// BENCH_<name>.json). Returns the process exit code.
+// The one scenario entry: parses flags (positional arguments are the
+// caller's), rejects unknown flags, prints the banner, times run(), and
+// with --json[=path] writes the report (default path BENCH_<name>.json).
+// Returns the process exit code.
 int run_scenario(int argc, char** argv, const Scenario& scenario);
 
 }  // namespace razorbus::bench
