@@ -293,10 +293,9 @@ struct LoopCase {
 // nominal-supply BusSimulator fed every word alongside. Static-corner cases
 // go through the public run_closed_loop_streamed entry point; drift cases
 // assert ClosedLoop::env_updates(), so they drive core::ClosedLoop
-// directly. The stream
-// block is coprime to the window and the regulator delay, so chunks
-// straddle window ends and supply landings. Returns the number of supply
-// changes the per-cycle driver made.
+// directly. The stream block is coprime to the window and the regulator
+// delay, so chunks straddle window ends and supply landings. Returns the
+// number of supply changes the per-cycle driver made.
 std::uint64_t check_closed_loop(const LoopCase& c, dvs::ControllerKind kind,
                                 const trace::Trace& trace) {
   const core::DvsBusSystem& system = *c.system;
