@@ -5,11 +5,10 @@
 // The headline numbers are the bus-cycle rates of the two engines
 // (EngineMode::reference per-wire golden path vs the bit-parallel batched
 // production path) on active, mixed and idle traffic, plus the single- vs
-// multi-thread throughput of the sharded characterization build and static
-// voltage sweep (--threads=N, DESIGN.md §9). They are printed as tables
-// and written to BENCH_engine.json so both speedup trajectories can be
-// tracked across commits — and gated by the CI bench-regression job.
-#include <algorithm>
+// multi-thread throughput of the sharded characterization build
+// (--threads=N, DESIGN.md §9). They are printed as tables and written to
+// BENCH_engine.json so both speedup trajectories can be tracked across
+// commits — and gated by the CI bench-regression job.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -155,13 +154,6 @@ double measure_seconds(Fn&& fn) {
   return elapsed / calls;
 }
 
-// Multi-operating-point engine (DESIGN.md §13): point-cycles/second of one
-// batched pass vs batch size. The scalar loop's point-cycles/sec is flat in
-// P by construction (P passes over the trace); the batch engine amortises
-// classification and vectorises the per-point arithmetic, so its
-// point-cycles/sec should GROW with P. Tracked per width and point count as
-// sweep_points_w<W>_p<P>_cps, plus a driver-level scalar-vs-simd A/B on the
-// Fig. 4 sweep (same report bytes, fewer passes).
 // Closed-loop throughput of the system layer (sys::BusSystem): lockstep
 // cycles/second of a 1-bus and a 3-bus shared-supply system, and of a
 // 1-bus run under an active drift ramp (window-granular corner
@@ -208,6 +200,12 @@ void system_showdown(ScenarioContext& ctx) {
   ctx.metric("system_drift_cps", drift_cps);
 }
 
+// Multi-operating-point engine (DESIGN.md §13): point-cycles/second of one
+// batched pass vs batch size. The scalar loop's point-cycles/sec is flat in
+// P by construction (P passes over the trace); the batch engine amortises
+// classification and vectorises the per-point arithmetic, so its
+// point-cycles/sec should GROW with P. Tracked per width and point count as
+// sweep_points_w<W>_p<P>_cps.
 void multipoint_showdown(ScenarioContext& ctx) {
   const tech::PvtCorner corner = tech::typical_corner();
   const int point_counts[] = {1, 4, 8, 20};
@@ -248,42 +246,11 @@ void multipoint_showdown(ScenarioContext& ctx) {
     table.add(first_cps > 0.0 ? last_cps / first_cps : 0.0, 2);
   }
   ctx.table("multipoint_throughput", table);
-
-  // Fig. 4 sweep A/B: identical grid and report, scalar per-supply sharding
-  // vs one EngineMode::simd batch per thread chunk.
-  const auto& system = paper_system();
-  const trace::Trace sweep_trace =
-      make_trace(trace::SyntheticStyle::uniform, 0.4, ctx.cycles, "sweep_ab");
-  const std::vector<trace::Trace> traces{sweep_trace};
-  const std::size_t supplies =
-      core::static_voltage_sweep(system, corner, traces).points.size();
-  const double scalar_s = measure_seconds(
-      [&] { core::static_voltage_sweep(system, corner, traces); });
-  const double simd_s = measure_seconds([&] {
-    core::static_voltage_sweep(system, corner, traces, 0.0, bus::EngineMode::simd);
-  });
-  const double speedup = scalar_s / simd_s;
-
-  Table ab({"Fig. 4 sweep", "Supplies", "Scalar (s)", "SIMD batch (s)", "Speedup"});
-  ab.row()
-      .add("static_voltage_sweep")
-      .add(static_cast<long long>(supplies))
-      .add(scalar_s, 3)
-      .add(simd_s, 3)
-      .add(speedup, 2);
-  ctx.table("sweep_engine_ab", ab);
-  ctx.metric("sweep_supplies", static_cast<double>(supplies));
-  ctx.metric("sweep_scalar_seconds", scalar_s);
-  ctx.metric("sweep_simd_seconds", simd_s);
-  ctx.metric("sweep_simd_speedup", speedup);
-  if (speedup < 2.0)
-    std::printf("WARNING: simd sweep speedup %.2fx below the 2x budget\n", speedup);
 }
 
-// Single- vs multi-thread throughput of the two sharded workloads
-// (DESIGN.md §9): a characterization grid build and a static voltage
-// sweep. Both are bit-identical at any width, so this is purely the
-// executor's scaling trajectory, tracked in BENCH_engine.json.
+// Single- vs multi-thread throughput of the sharded characterization grid
+// build (DESIGN.md §9). It is bit-identical at any width, so this is purely
+// the executor's scaling trajectory, tracked in BENCH_engine.json.
 void parallel_showdown(ScenarioContext& ctx) {
   const unsigned threads = util::global_threads();
   ctx.metric("threads", static_cast<double>(threads));
@@ -306,40 +273,21 @@ void parallel_showdown(ScenarioContext& ctx) {
   const double char_mt = measure_seconds(
       [&] { lut::DelayEnergyTable::build(system.design(), system.driver(), cfg); });
 
-  // Sweep microcosm: the Fig. 4 driver on one synthetic trace.
-  const trace::Trace trace =
-      make_trace(trace::SyntheticStyle::uniform, 0.4, ctx.cycles, "sweep");
-  const std::vector<trace::Trace> traces{trace};
-  const tech::PvtCorner corner = tech::typical_corner();
-
-  util::set_global_threads(1);
-  const double sweep_1t =
-      measure_seconds([&] { core::static_voltage_sweep(system, corner, traces); });
-  util::set_global_threads(threads);
-  const double sweep_mt =
-      measure_seconds([&] { core::static_voltage_sweep(system, corner, traces); });
-
   const double char_speedup = char_1t / char_mt;
-  const double sweep_speedup = sweep_1t / sweep_mt;
 
   Table table({"Sharded workload", "1 thread (s)", "N threads (s)", "Speedup"});
   table.row().add("characterization build").add(char_1t, 3).add(char_mt, 3).add(
       char_speedup, 2);
-  table.row().add("static voltage sweep").add(sweep_1t, 3).add(sweep_mt, 3).add(
-      sweep_speedup, 2);
   ctx.table("parallel_throughput", table);
   ctx.metric("characterization_seconds_1t", char_1t);
   ctx.metric("characterization_seconds_mt", char_mt);
   ctx.metric("characterization_parallel_speedup", char_speedup);
-  ctx.metric("sweep_seconds_1t", sweep_1t);
-  ctx.metric("sweep_seconds_mt", sweep_mt);
-  ctx.metric("sweep_parallel_speedup", sweep_speedup);
 
   std::printf("\nExecutor width: %u thread%s (override with --threads=N)\n", threads,
               threads == 1 ? "" : "s");
-  if (threads >= 4 && std::min(char_speedup, sweep_speedup) < 3.0)
+  if (threads >= 4 && char_speedup < 3.0)
     std::printf("WARNING: parallel speedup %.2fx below the 3x budget at %u threads\n",
-                std::min(char_speedup, sweep_speedup), threads);
+                char_speedup, threads);
 }
 
 // Characterization-cost trajectory (docs/characterization.md): transient

@@ -388,11 +388,10 @@ void BusSimulator::refresh_nominal_row() {
   rule_.build_point(tables_, 1, OperatingPoint{design().node.vdd_nominal, environment_});
 }
 
-void BusSimulator::set_nominal_meter(bool on) {
-  meter_ = on;
+void BusSimulator::start_nominal_meter() {
+  meter_ = true;
   meter_energy_ = 0.0;
   meter_prev_ = BusWord();
-  if (!meter_) return;
   // Stride 2 only once a meter runs: an unmetered simulator keeps the
   // denser stride-1 rows, on which its kernels run faster.
   if (tables_.stride == 1) {
@@ -419,18 +418,15 @@ std::string to_string(EngineMode mode) {
       return "bit_parallel";
     case EngineMode::reference:
       return "reference";
-    case EngineMode::simd:
-      return "simd";
   }
   return "bit_parallel";
 }
 
 EngineMode engine_mode_from_string(const std::string& name) {
-  if (name == "bit_parallel") return EngineMode::bit_parallel;
+  if (name == "bit_parallel" || name == "simd") return EngineMode::bit_parallel;
   if (name == "reference") return EngineMode::reference;
-  if (name == "simd") return EngineMode::simd;
   throw std::invalid_argument("unknown engine mode '" + name +
-                              "' (expected bit_parallel, reference or simd)");
+                              "' (expected bit_parallel or reference)");
 }
 
 void BusSimulator::set_engine_mode(EngineMode mode) {
@@ -471,8 +467,6 @@ CycleResult BusSimulator::step(const BusWord& word) {
       meter_ && mode_ != EngineMode::reference && meter_prev_ == prev_word_;
   if (meter_ && !ride) meter_energy_ += nominal_cycle_energy(word);
   meter_prev_ = word;
-  // simd is a driver-level scheduling mode; on a single simulator it IS
-  // the bit-parallel engine.
   return mode_ == EngineMode::reference ? step_reference(word)
                                         : step_bit_parallel(word, ride);
 }

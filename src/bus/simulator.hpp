@@ -41,11 +41,9 @@
 // (row 0; row 1 is its nominal meter's, energy only). MultiPointEngine
 // (DESIGN.md §13) evaluates N points per trace pass through the same rule;
 // it adds only the structure-of-arrays row layout and a SIMD fast path for
-// cycles on which every point takes the table kernel. EngineMode::simd
-// selects bit_parallel semantics plus a promise to multi-operating-point
-// DRIVERS (static sweeps, PVT sampling) that they batch their points
-// through MultiPointEngine — a scheduling choice, never a semantic one. On
-// a single BusSimulator, simd behaves exactly like bit_parallel.
+// cycles on which every point takes the table kernel. Under
+// EngineMode::bit_parallel the static sweep runs all its supplies through
+// one MultiPointEngine pass: a schedule of that mode, not a mode of its own.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +63,12 @@
 namespace razorbus::bus {
 
 // Which cycle engine drives the simulation (see file comment). `simd` is
-// bit_parallel semantics plus a driver-level promise: multi-point
-// consumers batch their operating points through MultiPointEngine.
-enum class EngineMode { bit_parallel, reference, simd };
+// a legacy alias of bit_parallel, kept for callers that still name it.
+enum class EngineMode { bit_parallel, reference, simd = bit_parallel };
 
-// Engine names as used by the scenario specs ("bit_parallel", "reference",
-// "simd"); from_string throws std::invalid_argument on unknown names.
+// Engine names as used by the scenario specs ("bit_parallel",
+// "reference"); from_string also reads the legacy "simd" as bit_parallel
+// and throws std::invalid_argument on unknown names.
 std::string to_string(EngineMode mode);
 EngineMode engine_mode_from_string(const std::string& name);
 
@@ -329,15 +327,15 @@ class BusSimulator {
 
   const RunningTotals& totals() const { return totals_; }
 
-  // The energy-only nominal meter (DESIGN.md §5). While on, every cycle is
-  // also priced at (vdd_nominal, environment()), the second row of this
-  // simulator's tables, into a sum of its own: exactly the bus_energy of
-  // run_reference over the words driven since the meter started. `true`
-  // (re)starts it: the nominal row is built now (and again on every
-  // set_environment, never on set_supply), the sum restarts at 0.0 and its
-  // first cycle compares against the zero word, whatever the bus drove
-  // last. `false` (the default) switches it off.
-  void set_nominal_meter(bool on);
+  // The energy-only nominal meter (DESIGN.md §5), off until started. Once
+  // on, every cycle is also priced at (vdd_nominal, environment()), the
+  // second row of this simulator's tables, into a sum of its own: exactly
+  // the bus_energy of run_reference over the words driven since the meter
+  // started. Each call (re)starts it: the nominal row is built now (and
+  // again on every set_environment, never on set_supply), the sum restarts
+  // at 0.0 and its first cycle compares against the zero word, whatever the
+  // bus drove last.
+  void start_nominal_meter();
   double nominal_bus_energy() const { return meter_energy_; }
 
   // Reference energy per cycle of the conventional bus: same environment,
@@ -363,7 +361,7 @@ class BusSimulator {
   detail::CycleRule rule_;
   tech::PvtCorner environment_;
   razor::FlopBank bank_;
-  // Row 0 is the operating point. The first set_nominal_meter(true)
+  // Row 0 is the operating point. The first start_nominal_meter()
   // re-lays the table at stride 2, and row 1 holds the meter's point.
   detail::PointTables tables_;
   double cycle_overhead_;

@@ -94,7 +94,7 @@ ClosedLoop::ClosedLoop(std::vector<LoopLane> lanes, const tech::PvtCorner& envir
 
 std::vector<DvsRunReport> ClosedLoop::run(
     const std::vector<const trace::TraceSource*>& sources, const StreamConfig& stream,
-    StreamStats* stats, const double* baselines) {
+    StreamStats* stats) {
   const std::size_t n_lanes = lanes_.size();
   if (sources.size() != n_lanes)
     throw std::invalid_argument("closed loop: " + std::to_string(n_lanes) +
@@ -103,12 +103,11 @@ std::vector<DvsRunReport> ClosedLoop::run(
   for (std::size_t l = 0; l < n_lanes; ++l) check_width(*lanes_[l].system, *sources[l]);
 
   // Each leg restarts every lane's nominal meter (a fresh sum from the zero
-  // word, priced at the lane's current corner), unless the caller brought
-  // the baselines.
+  // word, priced at the lane's current corner).
   std::vector<bus::RunningTotals> before;
   for (std::size_t l = 0; l < n_lanes; ++l) {
     before.push_back(sims_[l].totals());
-    sims_[l].set_nominal_meter(baselines == nullptr);
+    sims_[l].start_nominal_meter();
   }
   std::vector<StreamCursor> cursors;
   for (const trace::TraceSource* source : sources)
@@ -164,8 +163,7 @@ std::vector<DvsRunReport> ClosedLoop::run(
     r.totals.overhead_energy = now.overhead_energy - before[l].overhead_energy;
     r.floor_supply = floor_;
     r.average_supply = average;
-    r.baseline_bus_energy =
-        baselines != nullptr ? baselines[l] : sims_[l].nominal_bus_energy();
+    r.baseline_bus_energy = sims_[l].nominal_bus_energy();
   }
   return reports;
 }

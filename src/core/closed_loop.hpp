@@ -111,12 +111,10 @@ class ClosedLoop {
   // simulator state carry into the next leg; the nominal meters restart
   // each leg, so a leg's baseline is BusSimulator::run_reference over its
   // words. Returns one report per lane covering this leg: totals,
-  // cycle-weighted average supply and baseline energy — `baselines[l]`
-  // when given, with the meters off.
+  // cycle-weighted average supply and the meter's baseline energy.
   std::vector<DvsRunReport> run(const std::vector<const trace::TraceSource*>& sources,
                                 const StreamConfig& stream = {},
-                                StreamStats* stats = nullptr,
-                                const double* baselines = nullptr);
+                                StreamStats* stats = nullptr);
 
   double floor_supply() const { return floor_; }
   std::uint64_t cycles() const { return cycle_; }

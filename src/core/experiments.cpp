@@ -21,21 +21,6 @@ lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base) {
 
 namespace {
 
-// One closed-loop run of one source on one bus. `baseline`, when given,
-// replaces the nominal meter's baseline (the batched PVT path).
-DvsRunReport closed_loop_once(const DvsBusSystem& system,
-                              const tech::PvtCorner& environment,
-                              const trace::TraceSource& source,
-                              const DvsRunConfig& config, const StreamConfig& stream,
-                              StreamStats* stats, const double* baseline = nullptr) {
-  LoopConfig loop_config;
-  static_cast<DvsRunConfig&>(loop_config) = config;
-  ClosedLoop loop({{&system}}, environment, std::move(loop_config));
-  DvsRunReport report = std::move(loop.run({&source}, stream, stats, baseline).front());
-  report.series = loop.take_series();
-  return report;
-}
-
 // parallel_map with a private StreamStats per shard, merged into `stats`
 // in shard order.
 template <typename Run>
@@ -75,43 +60,6 @@ SweepPoint sweep_point(double supply, const bus::RunningTotals& totals) {
   return p;
 }
 
-// EngineMode::simd routes the sweep through bus::MultiPointEngine
-// (DESIGN.md §13): one drain of the stream per CHUNK of supplies instead
-// of one per supply. Per-point results are bit-identical to the scalar
-// loop at any chunking, so the chunk count is free to follow the thread
-// pool — reports never depend on it.
-std::vector<SweepPoint> sweep_points_batched(const DvsBusSystem& system,
-                                             const tech::PvtCorner& environment,
-                                             const std::vector<double>& supplies,
-                                             double timing_jitter_sigma,
-                                             const trace::TraceSource& source,
-                                             const StreamConfig& stream,
-                                             StreamStats* stats) {
-  const std::size_t n_chunks = std::min<std::size_t>(
-      supplies.size(), std::max<std::size_t>(1, util::global_threads()));
-  const std::size_t per = (supplies.size() + n_chunks - 1) / n_chunks;
-  auto chunks = map_shards(n_chunks, stats, [&](std::size_t c, StreamStats* shard) {
-    const std::size_t lo = std::min(supplies.size(), c * per);
-    const std::size_t hi = std::min(supplies.size(), lo + per);
-    std::vector<bus::OperatingPoint> points;
-    for (std::size_t s = lo; s < hi; ++s) points.push_back({supplies[s], environment});
-    std::vector<SweepPoint> out;
-    if (points.empty()) return out;
-    bus::MultiPointEngine engine(system.design(), system.table(), points,
-                                 timing_jitter_sigma);
-    StreamCursor cursor(source, stream.block_cycles);
-    cursor.drain([&](const BusWord* words, std::size_t n) { engine.run(words, n); });
-    cursor.account(shard);
-    for (std::size_t i = 0; i < points.size(); ++i)
-      out.push_back(sweep_point(points[i].supply, engine.totals(i)));
-    return out;
-  });
-  std::vector<SweepPoint> points;
-  points.reserve(supplies.size());
-  for (auto& chunk : chunks) points.insert(points.end(), chunk.begin(), chunk.end());
-  return points;
-}
-
 }  // namespace
 
 void StreamStats::merge(const StreamStats& other) {
@@ -139,14 +87,11 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
   for (double v = vnom; v > result.floor_supply - 1e-9; v -= step) supplies.push_back(v);
   std::sort(supplies.begin(), supplies.end());
 
-  if (engine == bus::EngineMode::simd) {
-    result.points = sweep_points_batched(system, environment, supplies,
-                                         timing_jitter_sigma, source, stream, stats);
-  } else {
-    // One shard per supply point; each shard owns a fresh simulator (the
-    // jitter Rng is seeded per shard exactly as a sequential loop would
-    // seed it per supply) and its own clone of the stream, so total trace
-    // memory is block_cycles x live shards.
+  if (engine == bus::EngineMode::reference) {
+    // The golden kept on purpose: one shard per supply point, each with a
+    // fresh per-wire simulator (the jitter Rng seeded per shard exactly as a
+    // sequential loop would seed it per supply) and its own clone of the
+    // stream.
     const auto run_supply = [&](std::size_t s, StreamStats* shard) {
       bus::BusSimulator sim = system.make_simulator(environment);
       sim.set_engine_mode(engine);
@@ -158,6 +103,19 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
       return sweep_point(supplies[s], sim.totals());
     };
     result.points = map_shards(supplies.size(), stats, run_supply);
+  } else {
+    // Every supply in one bus::MultiPointEngine over one drain of the stream
+    // (DESIGN.md §13): per-point totals are bit-identical to a BusSimulator
+    // per supply, and the pass count depends on nothing but the problem.
+    std::vector<bus::OperatingPoint> points;
+    for (const double supply : supplies) points.push_back({supply, environment});
+    bus::MultiPointEngine batch(system.design(), system.table(), points,
+                                timing_jitter_sigma);
+    StreamCursor cursor(source, stream.block_cycles);
+    cursor.drain([&](const BusWord* words, std::size_t n) { batch.run(words, n); });
+    cursor.account(stats);
+    for (std::size_t s = 0; s < supplies.size(); ++s)
+      result.points.push_back(sweep_point(supplies[s], batch.totals(s)));
   }
 
   result.baseline_bus_energy = result.points.back().bus_energy;  // nominal supply
@@ -234,7 +192,12 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const trace::TraceSource& source,
                                       const DvsRunConfig& config,
                                       const StreamConfig& stream, StreamStats* stats) {
-  return closed_loop_once(system, environment, source, config, stream, stats);
+  LoopConfig loop_config;
+  static_cast<DvsRunConfig&>(loop_config) = config;
+  ClosedLoop loop({{&system}}, environment, std::move(loop_config));
+  DvsRunReport report = std::move(loop.run({&source}, stream, stats).front());
+  report.series = loop.take_series();
+  return report;
 }
 
 DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
@@ -254,7 +217,7 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
   sim.set_engine_mode(engine);
   if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
   sim.set_supply(supply);
-  sim.set_nominal_meter(true);
+  sim.start_nominal_meter();
 
   StreamCursor cursor(source, stream.block_cycles);
   cursor.drain([&](const BusWord* words, std::size_t n) { sim.run(words, n); });
@@ -303,28 +266,12 @@ PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
     corners[s] = draw_pvt_corner(rng);
   }
 
-  // Batched baselines: the closed loops themselves diverge per sample (the
-  // controller feeds back), but every sample's NOMINAL reference pass is a
-  // pure multi-point batch — one drain of the stream for all N corners.
-  std::vector<double> baselines;
-  if (config.run.engine == bus::EngineMode::simd && n > 0) {
-    check_width(system, source);
-    std::vector<bus::OperatingPoint> points;
-    for (const auto& corner : corners)
-      points.push_back({system.design().node.vdd_nominal, corner});
-    bus::MultiPointEngine engine(system.design(), system.table(), points);
-    StreamCursor cursor(source, stream.block_cycles);
-    cursor.drain([&](const BusWord* words, std::size_t k) { engine.run(words, k); });
-    cursor.account(stats);
-    for (std::size_t s = 0; s < n; ++s) baselines.push_back(engine.totals(s).bus_energy);
-  }
-
   PvtSampleResult out;
   out.samples = map_shards(n, stats, [&](std::size_t s, StreamStats* shard) {
     PvtSample sample;
     sample.corner = corners[s];
-    sample.report = closed_loop_once(system, sample.corner, source, config.run, stream,
-                                     shard, baselines.empty() ? nullptr : &baselines[s]);
+    sample.report =
+        run_closed_loop_streamed(system, sample.corner, source, config.run, stream, shard);
     return sample;
   });
 

@@ -17,8 +17,9 @@
 // rule: traces wider than the bus throw; narrower traces are legal (surplus
 // wires hold).
 //
-// Drivers clone their source per shard (one clone per sweep supply / suite
-// trace / Monte-Carlo sample), so the §9 determinism contract —
+// Drivers clone their source per shard (one clone per suite trace /
+// Monte-Carlo sample / sweep, or per sweep supply under the reference
+// engine), so the §9 determinism contract —
 // bit-identical at any thread count — carries over unchanged.
 #pragma once
 
@@ -53,7 +54,7 @@ struct StreamConfig {
 // and the largest trace buffer that was ever resident per shard — the
 // peak-RSS-relevant number a memory budget cares about. Counts cover every
 // pass the driver makes (the closed-loop baseline is priced in the DVS
-// pass; each sweep supply is its own pass).
+// pass; a sweep is one pass, or one per supply under the reference engine).
 struct StreamStats {
   std::size_t block_cycles = 0;       // configured block size
   std::uint64_t blocks = 0;           // next_block pulls, all shards
@@ -79,12 +80,14 @@ struct StaticSweepResult {
 };
 
 // Run `source` at every 20 mV grid supply from the corner's shadow floor
-// up to nominal. Sharded one supply point per shard (each point drains its
-// own clone of the stream through its own BusSimulator), results in
-// ascending-supply order — bit-identical at any thread count (DESIGN.md
-// §9). EngineMode::simd batches chunks of supplies per drain instead. A
-// multi-trace sweep is the concatenation of its traces, so pass
-// trace::concatenate_sources for suites.
+// up to nominal, results in ascending-supply order. The bit-parallel
+// engine runs every supply through one bus::MultiPointEngine over one
+// drain of the stream; EngineMode::reference, the golden kept for
+// cross-checks, shards one supply per shard (each drains its own clone of
+// the stream through its own BusSimulator). Both are bit-identical, and
+// neither depends on the thread count (DESIGN.md §9). A multi-trace sweep
+// is the concatenation of its traces, so pass trace::concatenate_sources
+// for suites.
 StaticSweepResult static_voltage_sweep_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const trace::TraceSource& source, double timing_jitter_sigma = 0.0,
@@ -286,8 +289,8 @@ inline std::vector<DvsRunReport> run_fixed_vs_suite(
 // shard: sample s draws its PVT point from a private Rng seeded with
 // SplitMix of (seed, s) and runs the closed loop on its own clone of the
 // source, so the population — and every derived statistic — is
-// bit-identical at any thread count (DESIGN.md §9). Under EngineMode::simd
-// all samples' nominal baselines come from one multi-point pass.
+// bit-identical at any thread count (DESIGN.md §9). Each sample's baseline
+// is its closed loop's nominal meter, priced in the same pass.
 struct PvtSampleConfig {
   int samples = 24;
   std::uint64_t seed = 2025;

@@ -24,7 +24,7 @@ namespace razorbus::core {
 // lut::kSimulatorVersion, which is mixed in. CI keys the campaign result
 // cache as `campaign-cache-v<N>` on this constant — keep them in sync
 // (.github/workflows/ci.yml).
-constexpr std::uint32_t kJobHashSchemeVersion = 1;
+constexpr std::uint32_t kJobHashSchemeVersion = 2;
 
 // The canonical identity string: newline-separated scheme version,
 // simulator version, job name, the compact canonical JSON of the resolved

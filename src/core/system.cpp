@@ -5,6 +5,9 @@
 
 namespace razorbus::core {
 
+DvsBusSystem::DvsBusSystem(interconnect::BusDesign design)
+    : DvsBusSystem(std::move(design), SystemOptions{}) {}
+
 DvsBusSystem::DvsBusSystem(interconnect::BusDesign design, const SystemOptions& options)
     : design_(std::move(design)), driver_(design_.node) {
   design_.validate();

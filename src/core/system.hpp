@@ -44,8 +44,9 @@ class DvsBusSystem {
   // Sizes the repeaters of `design` (if not already sized) and builds or
   // loads the delay/energy tables. This is the expensive constructor — a
   // cache miss costs thousands of transient circuit simulations.
-  explicit DvsBusSystem(interconnect::BusDesign design,
-                        const SystemOptions& options = {});
+  // The one-argument form takes the default SystemOptions.
+  explicit DvsBusSystem(interconnect::BusDesign design);
+  DvsBusSystem(interconnect::BusDesign design, const SystemOptions& options);
 
   const interconnect::BusDesign& design() const { return design_; }
   const lut::DelayEnergyTable& table() const { return table_; }

@@ -75,17 +75,17 @@ TEST(ScenarioSpec, DeclarativeClosedLoopParses) {
   EXPECT_TRUE(spec.bus_invert);
 }
 
-// "simd" selects the multi-point batch engine for the job's point loops
-// (DESIGN.md §13); anything else but the three engine names is rejected
-// before characterization starts.
-TEST(ScenarioSpec, SimdEngineParses) {
+// "simd" is a legacy spelling of bit_parallel: it resolves, and echoes, as
+// bit_parallel; anything else but the engine names is rejected before
+// characterization starts.
+TEST(ScenarioSpec, SimdEngineParsesAsBitParallel) {
   const core::ScenarioSpec spec = parse_scenario(
       R"({"name": "sweep_simd", "experiment": "static_sweep",
           "engine": "simd", "stream": true})");
-  EXPECT_EQ(spec.engine, bus::EngineMode::simd);
+  EXPECT_EQ(spec.engine, bus::EngineMode::bit_parallel);
   EXPECT_TRUE(spec.stream);
   const core::ScenarioSpec back = core::ScenarioSpec::from_json(spec.to_json());
-  EXPECT_EQ(back.engine, bus::EngineMode::simd);
+  EXPECT_EQ(back.engine, bus::EngineMode::bit_parallel);
   EXPECT_THROW(parse_scenario(R"({"name": "x", "experiment": "static_sweep",
                                   "engine": "vector"})"),
                std::invalid_argument);

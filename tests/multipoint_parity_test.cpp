@@ -226,30 +226,19 @@ TEST(MultiPoint, RejectsBadInputs) {
                std::invalid_argument);
 }
 
-// "simd" is a first-class engine-mode name, and on a single simulator it
-// behaves exactly like bit_parallel.
-TEST(MultiPoint, SimdEngineModeRoundTripsAndAliasesBitParallel) {
-  EXPECT_EQ(bus::to_string(bus::EngineMode::simd), "simd");
-  EXPECT_EQ(bus::engine_mode_from_string("simd"), bus::EngineMode::simd);
+// "simd" is a legacy spelling of bit_parallel: it parses to it, and no
+// mode prints it.
+TEST(MultiPoint, SimdEngineNameParsesToBitParallel) {
+  EXPECT_EQ(bus::engine_mode_from_string("simd"), bus::EngineMode::bit_parallel);
+  EXPECT_EQ(bus::to_string(bus::engine_mode_from_string("simd")), "bit_parallel");
+  EXPECT_EQ(bus::engine_mode_from_string("reference"), bus::EngineMode::reference);
   EXPECT_THROW(bus::engine_mode_from_string("vector"), std::invalid_argument);
-
-  const auto& system = system_at(32);
-  const trace::Trace trace = trace::generate_synthetic(trace_config(32, 1000, 51), "s");
-  const tech::PvtCorner env{tech::ProcessCorner::slow, 100.0, 0.0};
-  bus::BusSimulator a = system.make_simulator(env);
-  bus::BusSimulator b = system.make_simulator(env);
-  b.set_engine_mode(bus::EngineMode::simd);
-  a.set_supply(1.10);
-  b.set_supply(1.10);
-  a.run(trace.words);
-  b.run(trace.words);
-  expect_totals_identical(a.totals(), b.totals(), "simd == bit_parallel");
 }
 
 // ------------------------------------------------------------ driver parity
-// EngineMode::simd routes the core drivers' point loops through the batch
-// engine; every REPORT field must stay bit-identical to the per-point
-// scalar sharding (the acceptance contract: same bytes, fewer passes).
+// The static sweep runs every supply through one MultiPointEngine pass; the
+// reference engine keeps one BusSimulator shard per supply as the golden.
+// Every REPORT field must agree bit for bit.
 
 void expect_sweeps_identical(const core::StaticSweepResult& a,
                              const core::StaticSweepResult& b,
@@ -268,31 +257,21 @@ void expect_sweeps_identical(const core::StaticSweepResult& a,
   }
 }
 
-void expect_reports_identical(const core::DvsRunReport& a, const core::DvsRunReport& b,
-                              const std::string& what) {
-  expect_totals_identical(a.totals, b.totals, what);
-  EXPECT_EQ(a.baseline_bus_energy, b.baseline_bus_energy) << what;
-  EXPECT_EQ(a.floor_supply, b.floor_supply) << what;
-  EXPECT_EQ(a.average_supply, b.average_supply) << what;
-}
-
-TEST(MultiPointDrivers, StaticSweepSimdMatchesBitParallel) {
+TEST(MultiPointDrivers, BatchedSweepMatchesReferenceEngine) {
   const auto& system = system_at(32);
   const tech::PvtCorner env{tech::ProcessCorner::typical, 100.0, 0.0};
   const std::vector<trace::Trace> traces = {
       trace::generate_synthetic(trace_config(32, 1200, 61), "sa"),
       trace::generate_synthetic(trace_config(32, 800, 62), "sb")};
   for (const double sigma : {0.0, 5e-12}) {
-    const auto scalar =
-        core::static_voltage_sweep(system, env, traces, sigma,
-                                   bus::EngineMode::bit_parallel);
-    const auto batched =
-        core::static_voltage_sweep(system, env, traces, sigma, bus::EngineMode::simd);
-    expect_sweeps_identical(scalar, batched, "sweep sigma " + std::to_string(sigma));
+    const auto reference =
+        core::static_voltage_sweep(system, env, traces, sigma, bus::EngineMode::reference);
+    const auto batched = core::static_voltage_sweep(system, env, traces, sigma);
+    expect_sweeps_identical(reference, batched, "sweep sigma " + std::to_string(sigma));
   }
 }
 
-TEST(MultiPointDrivers, StreamedSweepSimdMatchesScalarAndMaterialized) {
+TEST(MultiPointDrivers, StreamedBatchedSweepMatchesReferenceAndMaterialized) {
   const auto& system = system_at(32);
   const tech::PvtCorner env{tech::ProcessCorner::typical, 100.0, 0.0};
   const auto cfg = trace_config(32, 2000, 63);
@@ -301,68 +280,23 @@ TEST(MultiPointDrivers, StreamedSweepSimdMatchesScalarAndMaterialized) {
   core::StreamConfig stream;
   stream.block_cycles = 512;
 
-  const auto scalar_streamed = core::static_voltage_sweep_streamed(
-      system, env, *source, 0.0, bus::EngineMode::bit_parallel, stream);
-  const auto simd_streamed = core::static_voltage_sweep_streamed(
-      system, env, *source, 0.0, bus::EngineMode::simd, stream);
-  const auto simd_materialized = core::static_voltage_sweep(
-      system, env, {materialized}, 0.0, bus::EngineMode::simd);
-  expect_sweeps_identical(scalar_streamed, simd_streamed, "streamed scalar vs simd");
-  expect_sweeps_identical(simd_streamed, simd_materialized,
-                          "simd streamed vs materialized");
-}
-
-// Monte-Carlo corners span both characterised temperatures and all three
-// process corners: needs the full paper characterization (disk-cached),
-// like stream_test's PVT parity case.
-core::PvtSampleConfig pvt_config() {
-  core::PvtSampleConfig config;
-  config.samples = 5;  // not a multiple of the SIMD row granule
-  config.seed = 77;
-  config.run.controller.window_cycles = 2000;
-  config.run.regulator_delay_cycles = 700;
-  return config;
-}
-
-TEST(MultiPointDrivers, PvtSampleGainsSimdMatchesBitParallel) {
-  const auto& system = test_support::paper_system();
-  const trace::Trace trace = trace::generate_synthetic(trace_config(32, 8000, 64), "pv");
-  const core::PvtSampleConfig config = pvt_config();
-  auto simd_config = config;
-  simd_config.run.engine = bus::EngineMode::simd;
-
-  const auto scalar = core::pvt_sample_gains(system, trace, config);
-  const auto batched = core::pvt_sample_gains(system, trace, simd_config);
-  ASSERT_EQ(scalar.samples.size(), batched.samples.size());
-  for (std::size_t s = 0; s < scalar.samples.size(); ++s) {
-    const std::string what = "pvt sample " + std::to_string(s);
-    EXPECT_EQ(scalar.samples[s].corner.process, batched.samples[s].corner.process) << what;
-    EXPECT_EQ(scalar.samples[s].corner.temp_c, batched.samples[s].corner.temp_c) << what;
-    EXPECT_EQ(scalar.samples[s].corner.ir_drop_fraction,
-              batched.samples[s].corner.ir_drop_fraction)
-        << what;
-    expect_reports_identical(scalar.samples[s].report, batched.samples[s].report, what);
+  for (const double sigma : {0.0, 5e-12}) {
+    const std::string what = " sigma " + std::to_string(sigma);
+    core::StreamStats reference_stats, batched_stats;
+    const auto reference = core::static_voltage_sweep_streamed(
+        system, env, *source, sigma, bus::EngineMode::reference, stream, &reference_stats);
+    const auto batched = core::static_voltage_sweep_streamed(
+        system, env, *source, sigma, bus::EngineMode::bit_parallel, stream, &batched_stats);
+    const auto batched_materialized =
+        core::static_voltage_sweep(system, env, {materialized}, sigma);
+    expect_sweeps_identical(reference, batched, "streamed reference vs batched" + what);
+    expect_sweeps_identical(batched, batched_materialized,
+                            "batched streamed vs materialized" + what);
+    // One drain for the whole grid; the reference drains once per supply.
+    EXPECT_EQ(batched_stats.cycles, cfg.cycles) << what;
+    EXPECT_EQ(batched_stats.blocks, 4u) << what;
+    EXPECT_EQ(reference_stats.cycles, cfg.cycles * reference.points.size()) << what;
   }
-  EXPECT_EQ(scalar.gain_stats.mean(), batched.gain_stats.mean());
-  EXPECT_EQ(scalar.err_stats.mean(), batched.err_stats.mean());
-}
-
-TEST(MultiPointDrivers, PvtSampleGainsStreamedSimdMatchesMaterialized) {
-  const auto& system = test_support::paper_system();
-  const auto cfg = trace_config(32, 8000, 64);
-  const trace::Trace materialized = trace::generate_synthetic(cfg, "pv");
-  const auto source = trace::make_synthetic_source(cfg, "pv");
-  core::PvtSampleConfig config = pvt_config();
-  config.run.engine = bus::EngineMode::simd;
-  core::StreamConfig stream;
-  stream.block_cycles = 512;
-
-  const auto batched = core::pvt_sample_gains(system, materialized, config);
-  const auto streamed = core::pvt_sample_gains_streamed(system, *source, config, stream);
-  ASSERT_EQ(batched.samples.size(), streamed.samples.size());
-  for (std::size_t s = 0; s < batched.samples.size(); ++s)
-    expect_reports_identical(batched.samples[s].report, streamed.samples[s].report,
-                             "streamed pvt sample " + std::to_string(s));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -137,13 +138,31 @@ TEST(ShardSeed, StreamsAreDistinctAndStable) {
 
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
 
-trace::Trace synthetic_trace(std::size_t cycles, std::uint64_t seed, const char* name) {
+trace::SyntheticConfig synthetic_config(std::size_t cycles, std::uint64_t seed) {
   trace::SyntheticConfig cfg;
   cfg.style = trace::SyntheticStyle::uniform;
   cfg.cycles = cycles;
   cfg.load_rate = 0.5;
   cfg.seed = seed;
-  return trace::generate_synthetic(cfg, name);
+  return cfg;
+}
+
+trace::Trace synthetic_trace(std::size_t cycles, std::uint64_t seed, const char* name) {
+  return trace::generate_synthetic(synthetic_config(cycles, seed), name);
+}
+
+void expect_identical(const core::StaticSweepResult& a, const core::StaticSweepResult& b) {
+  EXPECT_EQ(a.floor_supply, b.floor_supply);
+  EXPECT_EQ(a.baseline_bus_energy, b.baseline_bus_energy);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_EQ(a.points[i].supply, b.points[i].supply);
+    EXPECT_EQ(a.points[i].error_rate, b.points[i].error_rate);
+    EXPECT_EQ(a.points[i].bus_energy, b.points[i].bus_energy);
+    EXPECT_EQ(a.points[i].total_energy, b.points[i].total_energy);
+    EXPECT_EQ(a.points[i].norm_bus_energy, b.points[i].norm_bus_energy);
+    EXPECT_EQ(a.points[i].norm_total_energy, b.points[i].norm_total_energy);
+  }
 }
 
 void expect_identical(const core::DvsRunReport& a, const core::DvsRunReport& b) {
@@ -199,17 +218,41 @@ TEST(Determinism, StaticSweepIsBitIdenticalAcrossThreadCounts) {
       ASSERT_GT(reference.points.size(), 1u);
       continue;
     }
-    EXPECT_EQ(sweep.floor_supply, reference.floor_supply);
-    EXPECT_EQ(sweep.baseline_bus_energy, reference.baseline_bus_energy);
-    ASSERT_EQ(sweep.points.size(), reference.points.size());
-    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-      EXPECT_EQ(sweep.points[i].supply, reference.points[i].supply);
-      EXPECT_EQ(sweep.points[i].error_rate, reference.points[i].error_rate);
-      EXPECT_EQ(sweep.points[i].bus_energy, reference.points[i].bus_energy);
-      EXPECT_EQ(sweep.points[i].total_energy, reference.points[i].total_energy);
-      EXPECT_EQ(sweep.points[i].norm_bus_energy, reference.points[i].norm_bus_energy);
-      EXPECT_EQ(sweep.points[i].norm_total_energy, reference.points[i].norm_total_energy);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(sweep, reference);
+  }
+  util::set_global_threads(1);
+}
+
+// The stream accounting of a sweep joins the contract: a shard count that
+// followed the executor width would change stream_blocks / stream_cycles
+// with --threads while the points stayed put.
+TEST(Determinism, StreamedSweepPointsAndStreamStatsMatchAcrossThreadCounts) {
+  const core::DvsBusSystem& system = test_support::small_system();
+  const auto source = trace::make_synthetic_source(synthetic_config(6000, 0xa7), "sweep-s");
+  core::StreamConfig stream;
+  stream.block_cycles = 1000;
+
+  core::StaticSweepResult reference;
+  core::StreamStats reference_stats;
+  for (const unsigned threads : kThreadCounts) {
+    util::set_global_threads(threads);
+    core::StreamStats stats;
+    const core::StaticSweepResult sweep = core::static_voltage_sweep_streamed(
+        system, tech::typical_corner(), *source, 2e-12, bus::EngineMode::bit_parallel,
+        stream, &stats);
+    if (threads == 1) {
+      reference = sweep;
+      reference_stats = stats;
+      ASSERT_GT(reference.points.size(), 1u);
+      continue;
     }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(sweep, reference);
+    EXPECT_EQ(stats.block_cycles, reference_stats.block_cycles);
+    EXPECT_EQ(stats.blocks, reference_stats.blocks);
+    EXPECT_EQ(stats.cycles, reference_stats.cycles);
+    EXPECT_EQ(stats.peak_buffer_words, reference_stats.peak_buffer_words);
   }
   util::set_global_threads(1);
 }

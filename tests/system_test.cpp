@@ -222,9 +222,7 @@ TEST(SystemParity, OneBusMatchesSingleBusEveryArbitrationPolicy) {
 
 TEST(SystemParity, OneBusMatchesSingleBusEveryEngineMode) {
   const trace::Trace trace = synth(kCycles, 9);
-  for (const auto engine :
-       {bus::EngineMode::bit_parallel, bus::EngineMode::reference,
-        bus::EngineMode::simd}) {
+  for (const auto engine : {bus::EngineMode::bit_parallel, bus::EngineMode::reference}) {
     core::DvsRunConfig cfg = single_config();
     cfg.engine = engine;
     const core::DvsRunReport single =
