@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "util/simd.hpp"
@@ -671,17 +670,14 @@ MultiPointEngine::MultiPointEngine(const interconnect::BusDesign& design,
                                    double timing_jitter_sigma)
     : rule_(design, table),
       n_points_(points.size()),
-      // Four lanes: the widest double vector in util/simd.cpp.
-      tables_(rule_.layout(), n_points_, (n_points_ + 3) & ~std::size_t{3}),
+      tables_(rule_.layout(), n_points_,
+              (n_points_ + simd::kChunk - 1) / simd::kChunk * simd::kChunk),
       jitter_sigma_(timing_jitter_sigma),
+      offsets_(rule_.layout().groups.size(), 0),
       classes_(static_cast<std::size_t>(design.n_bits), 0) {
   if (points.empty())
     throw std::invalid_argument("MultiPointEngine: empty operating-point list");
   if (jitter_sigma_ < 0.0) throw std::invalid_argument("negative jitter sigma");
-
-  const razor::RecoveryCostModel recovery;
-  cycle_overhead_ = recovery.cycle_overhead(design.n_bits);
-  cycle_error_overhead_ = cycle_overhead_ + recovery.error_overhead(design.n_bits);
 
   all_combo_ok_ = rule_.layout().tabulatable;
   for (std::size_t p = 0; p < n_points_; ++p) {
@@ -691,13 +687,24 @@ MultiPointEngine::MultiPointEngine(const interconnect::BusDesign& design,
 
   const std::size_t stride = tables_.stride;
   line_.assign(n_points_, BusWord());
-  errors_.assign(n_points_, 0);
-  shadow_failures_.assign(n_points_, 0);
+  errors_.assign(stride, 0);
+  shadow_failures_.assign(stride, 0);
   bus_energy_.assign(stride, 0.0);
   overhead_energy_.assign(stride, 0.0);
-  dyn_.assign(stride, 0.0);
-  errb_.assign(stride, 0);
-  shadowb_.assign(stride, 0);
+
+  rows_.stride = stride;
+  rows_.bus_energy = bus_energy_.data();
+  rows_.overhead_energy = overhead_energy_.data();
+  rows_.errors = errors_.data();
+  rows_.shadow_failures = shadow_failures_.data();
+  rows_.leak = tables_.leak.data();
+  rows_.combo_energy = tables_.combo_energy.data();
+  rows_.combo_error = tables_.combo_error.data();
+  rows_.combo_shadow = tables_.combo_shadow.data();
+  const razor::RecoveryCostModel recovery;
+  rows_.cycle_overhead = recovery.cycle_overhead(design.n_bits);
+  rows_.cycle_error_overhead =
+      rows_.cycle_overhead + recovery.error_overhead(design.n_bits);
   reset();
 }
 
@@ -714,14 +721,18 @@ void MultiPointEngine::reset(const BusWord& initial_word) {
 
 void MultiPointEngine::run(const BusWord* words, std::size_t n) {
   const bool jitter_on = jitter_sigma_ > 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+  while (i < n) {
     const BusWord word = words[i];
     if (word == prev_word_) {
-      // Idle bus: nothing switches for ANY point — leakage plus the flop
-      // clocking overhead, rows at a time.
-      ++cycles_;
-      simd::add_rows(bus_energy_.data(), tables_.leak.data(), tables_.stride);
-      simd::add_const(overhead_energy_.data(), cycle_overhead_, tables_.stride);
+      // Idle bus: nothing switches for ANY point. The whole run of equal
+      // words is one kernel call: leakage plus the flop clocking overhead,
+      // once per cycle. A run split across calls is the same sequence.
+      std::size_t k = 1;
+      while (i + k < n && words[i + k] == word) ++k;
+      cycles_ += k;
+      simd::idle_cycles(rows_, k);
+      i += k;
       continue;
     }
     const double jitter = jitter_on ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
@@ -731,33 +742,21 @@ void MultiPointEngine::run(const BusWord* words, std::size_t n) {
     else
       mixed_cycle(word, jitter);
     prev_word_ = word;
+    ++i;
   }
 }
 
 void MultiPointEngine::fast_cycle(const BusWord& word) {
   // Every point is on the zero-jitter table path: the cycle is one combo
-  // row per shield group, reduced with the SIMD kernels. Receiver lines
-  // stay implicitly in sync (line == word on the signal wires), so no
-  // per-point line update is needed.
-  std::fill(dyn_.begin(), dyn_.end(), 0.0);
+  // row per shield group, reduced and accumulated by one fused kernel call.
+  // Receiver lines stay implicitly in sync (line == word on the signal
+  // wires), so no per-point line update is needed.
   const std::size_t stride = tables_.stride;
-  std::memset(errb_.data(), 0, stride);
-  std::memset(shadowb_.data(), 0, stride);
-  const BusWord prev = prev_word_;
-  for (const auto& g : rule_.layout().groups) {
-    const std::size_t row = combo_index(g, prev, word) * stride;
-    simd::add_rows(dyn_.data(), tables_.combo_energy.data() + row, stride);
-    simd::or_bytes(errb_.data(), tables_.combo_error.data() + row, stride);
-    simd::or_bytes(shadowb_.data(), tables_.combo_shadow.data() + row, stride);
-  }
-  simd::add2_rows(bus_energy_.data(), dyn_.data(), tables_.leak.data(), stride);
+  const auto& groups = rule_.layout().groups;
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    offsets_[g] = combo_index(groups[g], prev_word_, word) * stride;
+  simd::table_cycle(rows_, offsets_.data(), groups.size());
   ++cycles_;
-  for (std::size_t p = 0; p < n_points_; ++p) {
-    const bool error = errb_[p] != 0;
-    errors_[p] += error ? 1u : 0u;
-    shadow_failures_[p] += shadowb_[p] != 0 ? 1u : 0u;
-    overhead_energy_[p] += error ? cycle_error_overhead_ : cycle_overhead_;
-  }
 }
 
 void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
@@ -784,7 +783,7 @@ void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
     errors_[p] += error ? 1u : 0u;
     shadow_failures_[p] += k.shadow_mask.any() ? 1u : 0u;
     bus_energy_[p] += k.dynamic_energy + tables_.leak[p];
-    overhead_energy_[p] += error ? cycle_error_overhead_ : cycle_overhead_;
+    overhead_energy_[p] += error ? rows_.cycle_error_overhead : rows_.cycle_overhead;
   }
 
   // Rejoin the all-points fast path once every receiver line is back in

@@ -40,8 +40,8 @@
 // one point of a detail::PointTables. BusSimulator evaluates one point
 // (row 0; row 1 is its nominal meter's, energy only). MultiPointEngine
 // (DESIGN.md §13) evaluates N points per trace pass through the same rule;
-// it adds only the structure-of-arrays row layout and a SIMD fast path for
-// cycles on which every point takes the table kernel. Under
+// it adds only the structure-of-arrays row layout and fused row kernels for
+// idle runs and for cycles on which every point takes the table kernel. Under
 // EngineMode::bit_parallel the static sweep runs all its supplies through
 // one MultiPointEngine pass: a schedule of that mode, not a mode of its own.
 #pragma once
@@ -59,6 +59,7 @@
 #include "tech/leakage.hpp"
 #include "util/busword.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace razorbus::bus {
 
@@ -393,13 +394,13 @@ class BusSimulator {
 // Evaluates N operating points against ONE trace in a single pass
 // (DESIGN.md §13). Per-cycle pattern work (idle detection, group combo
 // indices, class masks) is shared across points. The per-point tables are
-// structure-of-arrays rows (detail::PointTables), and a cycle on which
-// every point takes the table kernel reduces whole rows with the
-// util/simd.hpp kernels; any other cycle walks the points through
-// BusSimulator's own detail::CycleRule. Per-point totals are therefore
-// bit-identical to running BusSimulator (bit_parallel) once per point over
-// the same trace (group-order energy sub-sums, one `+= dynamic + leakage`
-// per cycle).
+// structure-of-arrays rows (detail::PointTables). A cycle on which every
+// point takes the table kernel is one util/simd.hpp table_cycle call, and a
+// run of idle cycles is one idle_cycles call; any other cycle walks the
+// points through BusSimulator's own detail::CycleRule. Per-point totals are
+// therefore bit-identical to running BusSimulator (bit_parallel) once per
+// point over the same trace (group-order energy sub-sums, one `+= dynamic +
+// leakage` per cycle, one `+= leakage` per idle cycle).
 class MultiPointEngine {
  public:
   // `design` and `table` must outlive the engine. Throws on an empty
@@ -413,6 +414,9 @@ class MultiPointEngine {
                    const lut::DelayEnergyTable& table,
                    const std::vector<OperatingPoint>& points,
                    double timing_jitter_sigma = 0.0);
+  // rows_ points into the engine's own vectors.
+  MultiPointEngine(const MultiPointEngine&) = delete;
+  MultiPointEngine& operator=(const MultiPointEngine&) = delete;
 
   std::size_t n_points() const { return n_points_; }
 
@@ -434,11 +438,9 @@ class MultiPointEngine {
 
   detail::CycleRule rule_;
   std::size_t n_points_;
-  // Rows padded to the SIMD granule; padding slots stay zero and never
-  // reach the totals.
+  // Rows padded to simd::kChunk points. The padding slots' tables stay
+  // zero, and their accumulators never reach the totals.
   detail::PointTables tables_;
-  double cycle_overhead_;
-  double cycle_error_overhead_;  // cycle + error overhead, pre-added
   double jitter_sigma_;
   Rng jitter_rng_{0x7a5e11u};
   bool all_combo_ok_ = false;
@@ -452,15 +454,18 @@ class MultiPointEngine {
   std::vector<BusWord> line_;
   bool all_fast_ = false;
   std::uint64_t cycles_ = 0;
-  std::vector<std::uint64_t> errors_;           // [n_points_]
-  std::vector<std::uint64_t> shadow_failures_;  // [n_points_]
-  std::vector<double> bus_energy_;              // [stride]
-  std::vector<double> overhead_energy_;         // [stride]
+  // Accumulator rows, [stride] each.
+  std::vector<std::uint64_t> errors_;
+  std::vector<std::uint64_t> shadow_failures_;
+  std::vector<double> bus_energy_;
+  std::vector<double> overhead_energy_;
+  // The accumulator and table rows as the fused kernels address them, and
+  // the per-cycle overheads every path adds.
+  simd::Rows rows_;
 
-  // Per-cycle scratch rows (fast path) and per-wire classes (mixed path).
-  std::vector<double> dyn_;
-  std::vector<std::uint8_t> errb_;
-  std::vector<std::uint8_t> shadowb_;
+  // Per-cycle scratch: the groups' combo row offsets (fast path) and the
+  // per-wire classes (mixed path).
+  std::vector<std::size_t> offsets_;
   std::vector<int> classes_;
 };
 

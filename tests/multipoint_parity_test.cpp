@@ -8,6 +8,9 @@
 // is why CI runs this suite with RAZORBUS_SIMD=OFF too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -50,8 +53,8 @@ trace::SyntheticConfig trace_config(int width, std::size_t cycles, std::uint64_t
 }
 
 // A point grid exercising the supply axis plus both characterised corners
-// and a nonzero IR drop — 8 points, deliberately not a multiple of the
-// SIMD row granule so the padding slots are exercised.
+// and a nonzero IR drop: 9 points, deliberately not a multiple of the
+// simd::kChunk row granule (4), so three padding slots ride along.
 std::vector<bus::OperatingPoint> point_grid() {
   const tech::PvtCorner slow{tech::ProcessCorner::slow, 100.0, 0.0};
   const tech::PvtCorner typical{tech::ProcessCorner::typical, 100.0, 0.0};
@@ -62,7 +65,29 @@ std::vector<bus::OperatingPoint> point_grid() {
     points.push_back({v, typical});
   }
   points.push_back({1.14, drooped});
+  points.push_back({1.17, drooped});
   points.push_back({1.20, drooped});
+  return points;
+}
+
+// `n` >= 2 points spread over the characterised supply range, alternating
+// the corners, with an IR-drooped point every third slot where the drooped
+// supply stays characterised.
+std::vector<bus::OperatingPoint> spread_points(std::size_t n) {
+  const tech::PvtCorner slow{tech::ProcessCorner::slow, 100.0, 0.0};
+  const tech::PvtCorner typical{tech::ProcessCorner::typical, 100.0, 0.0};
+  const tech::PvtCorner drooped{tech::ProcessCorner::typical, 100.0, 0.02};
+  std::vector<bus::OperatingPoint> points;
+  for (std::size_t j = 0; j < n; ++j) {
+    // Whole millivolts: BusSimulator::set_supply ignores a sub-nanovolt move
+    // away from the nominal 1.20 V it starts at, so 1.07 + 0.13 (one ULP
+    // above 1.20) would price the scalar golden at a different supply.
+    const double mv =
+        std::round(1070.0 + 130.0 * static_cast<double>(j) / static_cast<double>(n - 1));
+    const double v = mv / 1000.0;
+    const bool droop = j % 3 == 2 && v >= 1.10;
+    points.push_back({v, droop ? drooped : (j % 2 == 0 ? slow : typical)});
+  }
   return points;
 }
 
@@ -182,6 +207,55 @@ TEST(MultiPoint, StreamedMatchesMaterialized) {
       }
     }
   }
+}
+
+// Batch sizes that hit every chunk tail of the fused kernels (3, 5, 9 and
+// 33 leave 1, 3, 3 and 3 padding slots; 24 fills its chunks): each batch's
+// every point must match its own BusSimulator bit for bit.
+TEST(MultiPoint, EveryChunkTailMatchesScalar) {
+  const auto& system = system_at(32);
+  const trace::Trace trace =
+      trace::generate_synthetic(trace_config(32, 1500, 41), "tails");
+  for (const std::size_t n : {3u, 5u, 9u, 24u, 33u}) {
+    for (const double sigma : {0.0, 5e-12}) {
+      const std::string what =
+          std::to_string(n) + " points sigma " + std::to_string(sigma);
+      expect_batch_matches_scalar(system.design(), system.table(), spread_points(n),
+                                  sigma, {trace.words}, what);
+    }
+  }
+}
+
+// A sparse trace is mostly long idle runs, each one idle_cycles call. Split
+// the trace into odd-sized spans so runs straddle run() calls: the totals
+// must still match one scalar simulator per point.
+TEST(MultiPoint, IdleRunsSplitAcrossCallsMatchScalar) {
+  const auto& system = system_at(32);
+  auto cfg = trace_config(32, 6000, 43);
+  cfg.load_rate = 0.05;
+  const std::vector<BusWord> words = trace::generate_synthetic(cfg, "sparse").words;
+  const std::size_t spans[] = {1, 7, 13, 97, 3, 211, 29, 5};
+
+  std::size_t straddled = 0;  // span boundaries inside an idle run
+  for (const double sigma : {0.0, 5e-12}) {
+    const std::vector<bus::OperatingPoint> points = spread_points(9);
+    bus::MultiPointEngine engine(system.design(), system.table(), points, sigma);
+    std::size_t at = 0;
+    for (std::size_t k = 0; at < words.size(); ++k) {
+      const std::size_t n = std::min(spans[k % std::size(spans)], words.size() - at);
+      engine.run(words.data() + at, n);
+      at += n;
+      if (at >= 2 && at < words.size() && words[at] == words[at - 1] &&
+          words[at - 1] == words[at - 2])
+        ++straddled;
+    }
+    for (std::size_t p = 0; p < points.size(); ++p)
+      expect_totals_identical(
+          engine.totals(p),
+          scalar_totals(system.design(), system.table(), points[p], sigma, {words}),
+          "sparse sigma " + std::to_string(sigma) + " point " + std::to_string(p));
+  }
+  EXPECT_GT(straddled, 0u);
 }
 
 // Degenerate 1-point batch: the SoA machinery with a single occupied slot.

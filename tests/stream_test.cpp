@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,16 @@ core::DvsRunConfig parity_config() {
 }
 
 constexpr std::size_t kOddBlock = 1537;
+
+// Ends a drained source's stream check: calls after the end keep returning
+// 0, and a clone taken then is still a fresh replay of the whole stream.
+void expect_ended_and_replayable(const trace::Trace& expected, trace::TraceSource& source,
+                                 std::size_t block) {
+  BusWord scratch[8];
+  for (int call = 0; call < 3; ++call) EXPECT_EQ(source.next_block(scratch, 8), 0u);
+  const auto fresh = source.clone();
+  expect_stream_equals(expected, *fresh, block);
+}
 
 }  // namespace
 
@@ -169,14 +180,41 @@ TEST(TraceSource, WidenMatchesIncludingZeroPaddedTail) {
   }
 }
 
+// The mini-CPU source builds its machine on the first block and drops it at
+// the end; neither is visible in the word sequence, at any block size.
 TEST(TraceSource, BenchmarkStreamMatchesCapture) {
-  const cpu::Benchmark bench = cpu::benchmark_by_name("crafty");
-  const trace::Trace expected = bench.capture(5000);
-  const auto source = bench.stream(5000);
-  expect_stream_equals(expected, *source, 773);
-  // Clone replays the deterministic kernel from a fresh machine.
-  const auto fresh = source->clone();
-  expect_stream_equals(expected, *fresh, 2048);
+  const std::size_t blocks[] = {1, 3, 7, 31, 61, 127, 509, 773, 997, 2047};
+  const std::vector<cpu::Benchmark> suite = cpu::spec2000_suite();
+  ASSERT_EQ(suite.size(), std::size(blocks));
+  for (std::size_t k = 0; k < suite.size(); ++k) {
+    SCOPED_TRACE(suite[k].name);
+    const trace::Trace expected = suite[k].capture(3000);
+    const auto source = suite[k].stream(3000);
+    expect_stream_equals(expected, *source, blocks[k]);
+    expect_ended_and_replayable(expected, *source, blocks[(k + 1) % suite.size()]);
+  }
+}
+
+// A kernel that HALTs before its cycle budget truncates the stream exactly
+// where capture() truncates the trace.
+TEST(TraceSource, BenchmarkStreamTruncatesAtHaltLikeCapture) {
+  cpu::ProgramBuilder b("halts");
+  b.loadi(1, 3).load(2, 1, 0).addi(1, 1, 1).load(2, 1, 0).nop().load(2, 1, 5).halt();
+  cpu::Benchmark bench;
+  bench.name = "halts";
+  bench.program = b.build();
+  bench.initialize = [](cpu::Machine& m) {
+    for (std::uint32_t i = 0; i < 16; ++i) m.set_mem(i, 0x01010101u * i + 7u);
+  };
+  const trace::Trace expected = bench.capture(100, 16);
+  ASSERT_GT(expected.words.size(), 0u);
+  ASSERT_LT(expected.words.size(), 100u);
+  for (const std::size_t block : {1, 2, 3, 5, 64}) {
+    SCOPED_TRACE(block);
+    const auto source = bench.stream(100, 16);
+    expect_stream_equals(expected, *source, block);
+    expect_ended_and_replayable(expected, *source, block);
+  }
 }
 
 TEST(TraceSource, FileStreamMatchesLoad) {

@@ -9,6 +9,7 @@
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -542,6 +543,21 @@ TEST(Json, EraseRemovesMember) {
   EXPECT_TRUE(j.erase("drop"));
   EXPECT_FALSE(j.erase("drop"));
   EXPECT_EQ(j.dump(0), "{\"keep\":1}");
+}
+
+// ----------------------------------------------------------------- simd
+
+// The default build must run the AVX2 kernels on an AVX2 host. Without this
+// check a dispatch slip would leave every parity suite green while testing
+// only the portable body.
+TEST(Simd, Avx2HostSelectsAvx2Backend) {
+#if !defined(RAZORBUS_SIMD_DISABLED) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_STREQ(simd::backend_name(), avx2 ? "avx2" : "portable");
 }
 
 }  // namespace
