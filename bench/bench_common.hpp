@@ -4,15 +4,14 @@
 // (see DESIGN.md §4 for the index). They all share the same shape:
 // characterise the paper bus (cached on disk after the first run), capture
 // traces, run one experiment, print tables. The scenario runner factors
-// that shape out of the 13 scenarios: flag parsing (--cycles, --json,
+// that shape out of the 12 scenarios: flag parsing (--cycles, --json,
 // --threads), the banner, wall-clock timing, and a machine-readable JSON
-// report so the result and perf trajectory of every scenario can be
-// tracked across commits. `campaign scenario <name>`, campaign jobs and
-// perf_microbench (the engine scenario) all enter through run_scenario().
-// --threads=N sizes the shared execution pool (util::set_global_threads);
-// every experiment result is bit-identical at any N (DESIGN.md §9) — only
-// wall-clock/timing metrics (wall_seconds, threads, perf_microbench's
-// throughput numbers) vary.
+// report so the result trajectory of every scenario can be tracked across
+// commits. `campaign scenario <name>` and campaign jobs both enter through
+// run_scenario(); simulator speed is measured by the benchmark
+// (perfbench/), not here. --threads=N sizes the shared execution pool
+// (util::set_global_threads); every experiment result is bit-identical at
+// any N (DESIGN.md §9) — only wall_seconds and threads vary.
 #pragma once
 
 #include <cstdio>
@@ -53,7 +52,7 @@ class ScenarioContext {
   CliFlags& flags() { return flags_; }
   std::size_t cycles = 0;  // resolved --cycles (scenario default applied)
 
-  // Record a named scalar result (gain, error rate, throughput, ...).
+  // Record a named scalar result (gain, error rate, supply, ...).
   void metric(const std::string& name, double value) { metrics_.set(name, value); }
   // Record a named string annotation.
   void note(const std::string& name, const std::string& value) {

@@ -1,27 +1,22 @@
 // CI bench-regression gate CLI (DESIGN.md §11).
 //
-//   bench_gate <baseline.json> <current.json> [--threshold=0.20]
-//              [--allow-missing-baseline]
-//   bench_gate --history=DIR <current.json> [--window=10] [--threshold=0.20]
-//              [--allow-missing-baseline]
+//   bench_gate --history=DIR <current.json> [--allow-missing-baseline]
 //
-// Compares the gated metrics of bench reports (single scenario reports or
-// aggregated BENCH_campaign.json files) — "_cps" throughput keys, where a
-// drop regresses, and "_sims" characterization-cost keys, where a rise
-// regresses — and exits non-zero when any metric regressed by more than
-// the threshold. With --history=DIR the baseline is the per-metric lower
-// median of the last --window reports in DIR (sorted by filename, the CI
-// result-history convention), so one noisy main-branch entry cannot move
-// the bar the way diffing a single artifact could; unparseable entries
-// are skipped with a note. A missing baseline (file, directory, or an
-// empty/unreadable history window) exits 0 with --allow-missing-baseline
-// (first run on a branch, expired cache) and otherwise exits 2 with a
-// message saying how to seed one; malformed current input is always exit
-// 2. Improvements and added/removed metrics never fail.
+// <current.json> and every DIR/*.json entry hold one benchmark result line,
+// the last line perfbench/run.py prints. Every metric whose unit is "1/s"
+// (throughput) is compared against the per-metric lower median of the last
+// kWindow entries in DIR (sorted by filename, the CI result-history
+// convention), so one noisy main-branch entry cannot move the bar; the gate
+// exits 1 when any of them dropped by more than kThreshold.
+// Unparseable entries are skipped with a note. A missing baseline (no
+// directory, or an empty/unreadable window) exits 0 with
+// --allow-missing-baseline (first run on a branch, expired cache) and
+// otherwise exits 2 with a message saying how to seed one. A current line
+// that is malformed, has "correct": false or has no "metrics" object
+// always exits 2. Improvements and added/removed metrics never fail.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -36,6 +31,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
+constexpr std::size_t kWindow = 10;
+constexpr double kThreshold = 0.20;
+
 int no_baseline(const std::string& what, bool allow_missing) {
   if (allow_missing) {
     std::printf("bench_gate: no baseline %s — nothing to compare, passing\n",
@@ -45,45 +43,46 @@ int no_baseline(const std::string& what, bool allow_missing) {
   std::fprintf(stderr,
                "bench_gate: no baseline %s.\n"
                "A baseline is required: seed one from a main-branch run (CI "
-               "records BENCH_*.json into the bench-history cache on every "
-               "main build), or pass --allow-missing-baseline to accept an "
+               "records perfbench's result line into the bench-history cache on "
+               "every main build), or pass --allow-missing-baseline to accept an "
                "ungated first run.\n",
                what.c_str());
   return 2;
 }
 
-int print_and_judge(const core::BenchGateResult& result, const std::string& against,
-                    double threshold) {
+int print_and_judge(const core::BenchGateResult& result, const std::string& against) {
   if (result.compared.empty()) {
-    std::printf("bench_gate: no _cps/_sims gated metrics in %s — passing\n",
+    std::printf("bench_gate: no 1/s metric in both %s and the current line — passing\n",
                 against.c_str());
     return 0;
   }
   Table table({"Metric", "Baseline", "Current", "Ratio", "Verdict"});
   for (const auto& finding : result.compared) {
+    // jobs_per_s sits in single digits for the in-process workloads.
+    const int decimals = finding.baseline < 100.0 ? 2 : 0;
     table.row()
-        .add(finding.path + (finding.cost ? " [cost]" : ""))
-        .add(finding.baseline, 0)
-        .add(finding.current, 0)
+        .add(finding.name)
+        .add(finding.baseline, decimals)
+        .add(finding.current, decimals)
         .add(finding.ratio, 3)
         .add(finding.regression ? "REGRESSED" : "ok");
   }
   table.print(std::cout);
-  for (const auto& path : result.missing)
-    std::printf("note: %s present in baseline only (scenario removed?)\n",
-                path.c_str());
-  for (const auto& path : result.added)
-    std::printf("note: %s is new in this run\n", path.c_str());
+  for (const auto& name : result.missing)
+    std::printf("note: %s present in the history only (workload removed?)\n",
+                name.c_str());
+  for (const auto& name : result.added)
+    std::printf("note: %s is new in this run\n", name.c_str());
 
   if (!result.ok()) {
     std::printf(
         "\nbench_gate: %zu metric(s) regressed by more than %.0f%% vs %s.\n"
         "If the slowdown is expected, include [bench-skip] in the commit message.\n",
-        result.regressions(), 100.0 * threshold, against.c_str());
+        result.regressions(), 100.0 * kThreshold, against.c_str());
     return 1;
   }
   std::printf("\nbench_gate: %zu metric(s) within the %.0f%% threshold\n",
-              result.compared.size(), 100.0 * threshold);
+              result.compared.size(), 100.0 * kThreshold);
   return 0;
 }
 
@@ -91,64 +90,41 @@ int print_and_judge(const core::BenchGateResult& result, const std::string& agai
 
 int main(int argc, char** argv) {
   return cli_main(argc, argv, [](const CliFlags& flags) {
-    const double threshold = flags.get_double("threshold", 0.20);
     const bool allow_missing = flags.get_bool("allow-missing-baseline", false);
     const std::string history_dir = flags.get("history", "");
-
-    if (!history_dir.empty()) {
-      if (flags.positional().size() != 1)
-        throw std::invalid_argument(
-            "usage: bench_gate --history=DIR <current.json> [--window=N] "
-            "[--threshold=F] [--allow-missing-baseline]");
-      const auto window = static_cast<std::size_t>(
-          std::max<std::int64_t>(1, flags.get_int("window", 10)));
-      flags.reject_unused();
-      const Json current = Json::parse_file(flags.positional()[0]);
-
-      std::vector<std::string> paths;
-      if (fs::is_directory(history_dir))
-        for (const auto& entry : fs::directory_iterator(history_dir))
-          if (entry.path().extension() == ".json")
-            paths.push_back(entry.path().string());
-      if (paths.empty()) return no_baseline("history in " + history_dir, allow_missing);
-
-      // Filenames are the history order (CI zero-pads run numbers); gate
-      // against the newest `window` entries.
-      std::sort(paths.begin(), paths.end());
-      if (paths.size() > window) paths.erase(paths.begin(), paths.end() - window);
-      std::vector<Json> history;
-      for (const auto& path : paths) {
-        try {
-          history.push_back(Json::parse_file(path));
-        } catch (const std::exception&) {
-          std::printf("note: skipping unparseable history entry %s\n", path.c_str());
-        }
-      }
-      if (history.empty())
-        return no_baseline("(no parseable entry) in " + history_dir, allow_missing);
-
-      const auto label = history_dir + " (last " + std::to_string(history.size()) +
-                         " entr" + (history.size() == 1 ? "y" : "ies") +
-                         ", lower-median baseline)";
-      std::printf("bench_gate: gating against %s\n", label.c_str());
-      return print_and_judge(core::compare_bench_history(history, current, threshold),
-                             label, threshold);
-    }
-
-    if (flags.positional().size() != 2)
+    if (history_dir.empty() || flags.positional().size() != 1)
       throw std::invalid_argument(
-          "usage: bench_gate <baseline.json> <current.json> [--threshold=F] "
-          "[--allow-missing-baseline] | bench_gate --history=DIR <current.json>");
+          "usage: bench_gate --history=DIR <current.json> [--allow-missing-baseline]");
     flags.reject_unused();
-    const std::string& baseline_path = flags.positional()[0];
-    const std::string& current_path = flags.positional()[1];
+    const Json current = Json::parse_file(flags.positional()[0]);
 
-    if (!std::ifstream(baseline_path))
-      return no_baseline("at " + baseline_path, allow_missing);
+    std::vector<std::string> paths;
+    if (fs::is_directory(history_dir))
+      for (const auto& entry : fs::directory_iterator(history_dir))
+        if (entry.path().extension() == ".json") paths.push_back(entry.path().string());
+    // Filenames are the history order (CI zero-pads run numbers); gate
+    // against the newest kWindow entries.
+    std::sort(paths.begin(), paths.end());
+    if (paths.size() > kWindow) paths.erase(paths.begin(), paths.end() - kWindow);
+    std::vector<Json> history;
+    for (const auto& path : paths) {
+      try {
+        history.push_back(Json::parse_file(path));
+      } catch (const std::exception&) {
+        std::printf("note: skipping unparseable history entry %s\n", path.c_str());
+      }
+    }
+    // Compared before the baseline check, so a malformed current line
+    // exits 2 even when there is nothing to gate it against.
+    const core::BenchGateResult result =
+        core::compare_bench_history(history, current, kThreshold);
+    if (history.empty())
+      return no_baseline("(no parseable entry in " + history_dir + ")", allow_missing);
 
-    return print_and_judge(
-        core::compare_bench_reports(Json::parse_file(baseline_path),
-                                    Json::parse_file(current_path), threshold),
-        baseline_path, threshold);
+    const auto label = history_dir + " (last " + std::to_string(history.size()) +
+                       " entr" + (history.size() == 1 ? "y" : "ies") +
+                       ", lower-median baseline)";
+    std::printf("bench_gate: gating against %s\n", label.c_str());
+    return print_and_judge(result, label);
   });
 }

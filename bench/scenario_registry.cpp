@@ -21,7 +21,6 @@ const std::vector<Scenario>& all_scenarios() {
     out.push_back(make_ablation_repeater_scenario());
     out.push_back(make_scaling_study_scenario());
     out.push_back(make_width_sweep_scenario());
-    out.push_back(make_engine_scenario());
     return out;
   }();
   return scenarios;

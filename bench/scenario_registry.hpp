@@ -16,7 +16,7 @@ namespace razorbus::bench {
 // All registered scenarios, in the DESIGN.md §4 experiment-index order.
 const std::vector<Scenario>& all_scenarios();
 
-// Lookup by scenario name ("fig4_voltage_sweep", ..., "engine"); throws
+// Lookup by scenario name ("fig4_voltage_sweep", ..., "width_sweep"); throws
 // std::invalid_argument listing the known names on a miss.
 const Scenario& scenario_by_name(const std::string& name);
 

@@ -24,8 +24,5 @@ Scenario make_ablation_pvt_sampling_scenario();
 Scenario make_ablation_repeater_scenario();
 Scenario make_scaling_study_scenario();
 Scenario make_width_sweep_scenario();
-// perf_microbench's measurement suite (engine / width / executor
-// throughput); the google-benchmark layer stays in the binary.
-Scenario make_engine_scenario();
 
 }  // namespace razorbus::bench

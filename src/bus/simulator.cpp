@@ -360,10 +360,15 @@ void BusSimulator::set_supply(double volts) {
   if (volts <= 0.0) throw std::invalid_argument("BusSimulator: non-positive supply");
   // Tolerant compare (kSupplyToleranceVolts, shared with the regulator):
   // the regulator accumulates 20 mV steps in floating point, so "the same
-  // voltage" can arrive a few ULPs away from the value we cached. A
-  // sub-nanovolt difference never changes the interpolated tables, while
-  // an exact != would force a needless operating-point refresh on every
-  // closed-loop segment.
+  // voltage" can arrive a few ULPs away from the value we cached, and an
+  // exact != would force an operating-point refresh on every closed-loop
+  // segment. The tolerance keeps the supply already priced: a move within
+  // 1 nV of it is ignored, so the tables stay those of the old value, not
+  // of `volts` (a few ULPs can still change an interpolated entry, which a
+  // MultiPointEngine built at the exact value would then price). Static
+  // sweeps cannot hit it: the constructor starts every simulator at
+  // vdd_nominal, and every sweep supply is either exactly vdd_nominal or
+  // 20 mV or more below it.
   if (supply_ > 0.0 && std::fabs(volts - supply_) <= kSupplyToleranceVolts) return;
   supply_ = volts;
   refresh_operating_point();

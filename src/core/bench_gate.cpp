@@ -2,118 +2,75 @@
 
 #include <algorithm>
 #include <map>
-#include <vector>
+#include <stdexcept>
 
 namespace razorbus::core {
 
 namespace {
 
-bool has_suffix(const std::string& key, const std::string& suffix) {
-  return key.size() > suffix.size() &&
-         key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
+// The throughput metrics (unit "1/s") of one result line, name -> value.
+// std::map keeps the comparison output in a stable order.
+std::map<std::string, double> throughput_metrics(const Json& line,
+                                                 const std::string& what) {
+  const auto reject = [&what](const std::string& why) {
+    return std::invalid_argument(what +
+                                 " is not a passing benchmark result line: " + why);
+  };
+  if (!line.is_object()) throw reject("not a JSON object");
+  const Json* correct = line.find("correct");
+  if (correct == nullptr || !correct->is_bool() || !correct->as_bool())
+    throw reject("\"correct\" is not true");
+  const Json* metrics = line.find("metrics");
+  if (metrics == nullptr || !metrics->is_object()) throw reject("no \"metrics\" object");
 
-bool is_throughput_key(const std::string& key) { return has_suffix(key, "_cps"); }
-
-// Cost convention: transient-run counts of the characterization build
-// ("lut_build_sims" and friends). Lower is better, so the regression
-// predicate is inverted relative to throughput keys.
-bool is_cost_key(const std::string& key) { return has_suffix(key, "_sims"); }
-
-// Flattens every numeric gated leaf ("_cps" or "_sims") of a report into
-// path -> value. std::map keeps the comparison output in a stable,
-// runner-independent order.
-void collect_gated(const Json& json, const std::string& prefix,
-                   std::map<std::string, double>& out) {
-  if (!json.is_object()) return;
-  for (const auto& [key, value] : json.members()) {
-    const std::string path = prefix.empty() ? key : prefix + "/" + key;
-    if (value.is_object())
-      collect_gated(value, path, out);
-    else if (value.is_number() && (is_throughput_key(key) || is_cost_key(key)))
-      out[path] = value.as_double();
+  std::map<std::string, double> out;
+  for (const auto& [name, metric] : metrics->members()) {
+    const Json* value = metric.find("value");
+    const Json* unit = metric.find("unit");
+    if (value == nullptr || !value->is_number() || unit == nullptr || !unit->is_string())
+      throw reject("metric \"" + name +
+                   "\" is not {\"value\": number, \"unit\": string}");
+    if (unit->as_string() == "1/s") out[name] = value->as_double();
   }
+  return out;
 }
-
-// Shared comparison core: gates a flattened current-metric map against a
-// flattened baseline map (however the baseline was derived — one report or
-// a history median).
-BenchGateResult compare_gated_maps(const std::map<std::string, double>& base_metrics,
-                                   const std::map<std::string, double>& cur_metrics,
-                                   double threshold);
 
 }  // namespace
-
-BenchGateResult compare_bench_reports(const Json& baseline, const Json& current,
-                                      double threshold) {
-  std::map<std::string, double> base_metrics, cur_metrics;
-  collect_gated(baseline, "", base_metrics);
-  collect_gated(current, "", cur_metrics);
-  return compare_gated_maps(base_metrics, cur_metrics, threshold);
-}
 
 BenchGateResult compare_bench_history(const std::vector<Json>& history,
                                       const Json& current, double threshold) {
   // Per-metric value series across the window; a metric missing from some
-  // entries (scenario added mid-window) is judged on the entries it has.
+  // entries (workload added mid-window) is judged on the entries it has.
   std::map<std::string, std::vector<double>> series;
-  for (const Json& entry : history) {
-    std::map<std::string, double> metrics;
-    collect_gated(entry, "", metrics);
-    for (const auto& [path, value] : metrics) series[path].push_back(value);
-  }
-  std::map<std::string, double> base_metrics;
-  for (auto& [path, values] : series) {
-    std::sort(values.begin(), values.end());
-    base_metrics[path] = values[(values.size() - 1) / 2];  // lower median
-  }
-  std::map<std::string, double> cur_metrics;
-  collect_gated(current, "", cur_metrics);
-  return compare_gated_maps(base_metrics, cur_metrics, threshold);
-}
+  for (std::size_t i = 0; i < history.size(); ++i)
+    for (const auto& [name, value] :
+         throughput_metrics(history[i], "history entry " + std::to_string(i)))
+      series[name].push_back(value);
+  const std::map<std::string, double> cur_metrics =
+      throughput_metrics(current, "the current line");
 
-namespace {
-
-BenchGateResult compare_gated_maps(const std::map<std::string, double>& base_metrics,
-                                   const std::map<std::string, double>& cur_metrics,
-                                   double threshold) {
   BenchGateResult result;
-  result.threshold = threshold;
-  for (const auto& [path, base_value] : base_metrics) {
-    const auto cur = cur_metrics.find(path);
+  for (auto& [name, values] : series) {
+    const auto cur = cur_metrics.find(name);
     if (cur == cur_metrics.end()) {
-      result.missing.push_back(path);
+      result.missing.push_back(name);
       continue;
     }
-    // The leaf key decides the convention; the path segments above it are
-    // scenario names.
-    const std::size_t slash = path.rfind('/');
-    const std::string leaf = slash == std::string::npos ? path : path.substr(slash + 1);
+    std::sort(values.begin(), values.end());
     BenchGateFinding finding;
-    finding.path = path;
-    finding.baseline = base_value;
+    finding.name = name;
+    finding.baseline = values[(values.size() - 1) / 2];  // lower median
     finding.current = cur->second;
-    finding.ratio = base_value > 0.0 ? cur->second / base_value : 1.0;
-    finding.cost = is_cost_key(leaf);
-    if (finding.cost) {
-      // A zero baseline means a fully warm run (lut_warm_sims): any sim at
-      // all is a regression, not a ratio question.
-      finding.regression = base_value > 0.0
-                               ? cur->second > base_value * (1.0 + threshold)
-                               : cur->second > 0.0;
-    } else {
-      finding.regression =
-          base_value > 0.0 && cur->second < base_value * (1.0 - threshold);
-    }
+    finding.ratio = finding.baseline > 0.0 ? finding.current / finding.baseline : 1.0;
+    finding.regression = finding.baseline > 0.0 &&
+                         finding.current < finding.baseline * (1.0 - threshold);
     result.compared.push_back(std::move(finding));
   }
-  for (const auto& [path, value] : cur_metrics) {
+  for (const auto& [name, value] : cur_metrics) {
     (void)value;
-    if (base_metrics.find(path) == base_metrics.end()) result.added.push_back(path);
+    if (series.find(name) == series.end()) result.added.push_back(name);
   }
   return result;
 }
-
-}  // namespace
 
 }  // namespace razorbus::core

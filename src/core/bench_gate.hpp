@@ -1,16 +1,12 @@
 // Bench-regression gate (DESIGN.md §11).
 //
-// CI uploads BENCH_*.json reports on every main build. The gate compares
-// the gated metrics of the current run against the previous main artifact
-// and fails the job when any of them regressed by more than the
-// threshold. Two key conventions are gated — the numeric metrics whose
-// key ends in "_cps" (throughput: cycles or sims per second; a DROP is a
-// regression) and those ending in "_sims" (cost: transient-run counts of
-// the characterization build; a RISE is a regression) — wall-clock
-// fields, thread counts and experiment results are never compared.
-// Reports are matched structurally, so both a single scenario report and
-// the aggregated BENCH_campaign.json (reports nested one per scenario)
-// work.
+// The gate reads the benchmark's result line (perfbench/run.py prints it
+// last):
+//   {"correct": true, "attempted": N, "failed": 0,
+//    "metrics": {"<workload>/<name>": {"value": V, "unit": "1/s"}, ...}}
+// and compares every metric whose unit is "1/s" — throughput, where a DROP
+// is the regression — against a window of earlier result lines. Metrics in
+// other units (seconds, megabytes) are never compared.
 #pragma once
 
 #include <string>
@@ -21,25 +17,19 @@
 namespace razorbus::core {
 
 struct BenchGateFinding {
-  std::string path;  // slash-joined key path, e.g. "metrics/active_bit_parallel_cps"
+  std::string name;  // metric key, e.g. "closed_loop_stream/sim_cycles_per_s"
   double baseline = 0.0;
   double current = 0.0;
-  double ratio = 0.0;        // current / baseline
-  bool cost = false;         // "_sims" key: lower is better
-  bool regression = false;   // throughput: ratio < 1 - threshold; cost: > 1 + threshold
+  double ratio = 0.0;       // current / baseline
+  bool regression = false;  // ratio < 1 - threshold
 };
 
 struct BenchGateResult {
-  double threshold = 0.0;
-  std::vector<BenchGateFinding> compared;  // metrics present in both reports
-  std::vector<std::string> missing;        // in the baseline only (scenario removed?)
-  std::vector<std::string> added;          // in the current run only (new scenario)
+  std::vector<BenchGateFinding> compared;  // metrics present on both sides
+  std::vector<std::string> missing;        // in the history only (workload removed?)
+  std::vector<std::string> added;          // in the current line only (new workload)
 
-  bool ok() const {
-    for (const auto& finding : compared)
-      if (finding.regression) return false;
-    return true;
-  }
+  bool ok() const { return regressions() == 0; }
   std::size_t regressions() const {
     std::size_t n = 0;
     for (const auto& finding : compared) n += finding.regression ? 1 : 0;
@@ -47,23 +37,18 @@ struct BenchGateResult {
   }
 };
 
-// Compares every "_cps" and "_sims" metric of `current` against
-// `baseline`. A "_cps" metric regresses when current < baseline *
-// (1 - threshold); a "_sims" metric regresses when current > baseline *
-// (1 + threshold), or when a zero-sim baseline (fully warm cache) starts
-// simulating at all. Metrics only present on one side are reported but
-// never fail the gate (scenarios come and go); improvements never fail.
-BenchGateResult compare_bench_reports(const Json& baseline, const Json& current,
-                                      double threshold = 0.20);
-
-// History variant: gates `current` against a window of prior reports
-// (oldest first) instead of one artifact. Each metric's baseline is the
-// LOWER MEDIAN of its values across the entries that carry it, so one
-// anomalously fast (or slow) history entry — a quiet CI runner, a thermal
-// throttle — cannot move the bar the way diffing the single last artifact
-// could. A single-entry history is exactly compare_bench_reports. An empty
-// history compares nothing (ok() is true); callers decide whether that
-// passes (see bench_gate --allow-missing-baseline).
+// Gates `current` against `history` (oldest first). Each metric's baseline
+// is the LOWER MEDIAN of its values across the entries that carry it, so
+// one anomalously fast (or slow) entry — a quiet CI runner, a thermal
+// throttle — cannot move the bar. A metric regresses when current <
+// baseline * (1 - threshold); a zero baseline never fails. Metrics on one
+// side only are reported but never fail; improvements never fail. An
+// empty history compares nothing (ok() is true); callers decide whether
+// that passes (see bench_gate --allow-missing-baseline).
+//
+// Throws std::invalid_argument when any line is not a passing result
+// line: "correct" is not true, "metrics" is not an object, or a metric is
+// not {"value": number, "unit": string}.
 BenchGateResult compare_bench_history(const std::vector<Json>& history,
                                       const Json& current, double threshold = 0.20);
 

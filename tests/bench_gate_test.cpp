@@ -1,7 +1,12 @@
-// The CI bench-regression gate (core::compare_bench_reports): the
-// acceptance contract is that a synthetic 25% throughput regression fails
-// at the default 20% threshold and an unchanged rerun passes.
+// The CI bench-regression gate (core::compare_bench_history) over the
+// benchmark's result line: the acceptance contract is that a synthetic 25%
+// throughput drop fails at the default 20% threshold and an unchanged
+// rerun passes.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/bench_gate.hpp"
 #include "util/json.hpp"
@@ -9,311 +14,194 @@
 namespace razorbus {
 namespace {
 
-// A BENCH_engine.json-shaped report: throughput metrics ("_cps"), plus the
-// fields the gate must ignore (wall clock, thread counts, result metrics).
-Json engine_report(double active_cps, double width64_cps) {
-  Json metrics = Json::object();
-  metrics.set("active_reference_cps", 2.5e6);
-  metrics.set("active_bit_parallel_cps", active_cps);
-  metrics.set("active_speedup", active_cps / 2.5e6);
-  metrics.set("width64_bit_parallel_cps", width64_cps);
-  metrics.set("threads", 4.0);
-  metrics.set("sweep_seconds_1t", 1.25);
-
-  Json report = Json::object();
-  report.set("scenario", "engine");
-  report.set("threads", "auto");
-  report.set("threads_resolved", 4);
-  report.set("wall_seconds", 12.875);
-  report.set("metrics", std::move(metrics));
-  return report;
+Json metric(double value, const char* unit) {
+  Json out = Json::object();
+  out.set("value", value);
+  out.set("unit", unit);
+  return out;
 }
 
-TEST(BenchGate, UnchangedRerunPasses) {
-  const Json report = engine_report(80e6, 60e6);
-  const core::BenchGateResult result = core::compare_bench_reports(report, report, 0.20);
+// A perfbench/run.py result line for two workloads: two throughput
+// metrics (unit "1/s"), plus metrics in other units the gate must ignore.
+Json result_line(double stream_cps, double sweep_cps) {
+  Json metrics = Json::object();
+  metrics.set("closed_loop_stream/sim_cycles_per_s", metric(stream_cps, "1/s"));
+  metrics.set("closed_loop_stream/wall_s", metric(27.0, "s"));
+  metrics.set("closed_loop_stream/peak_rss_mb", metric(6.5, "MB"));
+  metrics.set("sweep_suite_simd/sim_cycles_per_s", metric(sweep_cps, "1/s"));
+  metrics.set("sweep_suite_simd/setup_s", metric(0.006, "s"));
+
+  Json line = Json::object();
+  line.set("correct", true);
+  line.set("attempted", 40);
+  line.set("failed", 0);
+  line.set("metrics", std::move(metrics));
+  return line;
+}
+
+const core::BenchGateFinding& finding(const core::BenchGateResult& result,
+                                      const std::string& name) {
+  for (const auto& f : result.compared)
+    if (f.name == name) return f;
+  throw std::out_of_range("no finding " + name);
+}
+
+TEST(BenchGate, UnchangedRerunPassesAndIgnoresOtherUnits) {
+  const Json line = result_line(16e6, 300e6);
+  const core::BenchGateResult result = core::compare_bench_history({line}, line, 0.20);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.regressions(), 0u);
-  // Exactly the three _cps metrics are compared — never wall_seconds,
-  // threads, speedups or seconds-per-run fields.
-  ASSERT_EQ(result.compared.size(), 3u);
-  for (const auto& finding : result.compared) {
-    EXPECT_DOUBLE_EQ(finding.ratio, 1.0);
-    EXPECT_NE(finding.path.find("_cps"), std::string::npos);
-  }
+  // Exactly the two 1/s metrics are compared, never seconds or megabytes.
+  ASSERT_EQ(result.compared.size(), 2u);
+  EXPECT_EQ(result.compared[0].name, "closed_loop_stream/sim_cycles_per_s");
+  EXPECT_EQ(result.compared[1].name, "sweep_suite_simd/sim_cycles_per_s");
+  for (const auto& f : result.compared) EXPECT_DOUBLE_EQ(f.ratio, 1.0);
   EXPECT_TRUE(result.missing.empty());
   EXPECT_TRUE(result.added.empty());
 }
 
-TEST(BenchGate, SyntheticQuarterRegressionFails) {
-  const Json baseline = engine_report(80e6, 60e6);
-  const Json current = engine_report(0.75 * 80e6, 60e6);  // injected 25% drop
+TEST(BenchGate, SyntheticQuarterDropFails) {
+  const Json baseline = result_line(16e6, 300e6);
+  const Json current = result_line(0.75 * 16e6, 300e6);  // injected 25% drop
   const core::BenchGateResult result =
-      core::compare_bench_reports(baseline, current, 0.20);
+      core::compare_bench_history({baseline}, current, 0.20);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.regressions(), 1u);
-  for (const auto& finding : result.compared) {
-    if (finding.path == "metrics/active_bit_parallel_cps") {
-      EXPECT_TRUE(finding.regression);
-      EXPECT_NEAR(finding.ratio, 0.75, 1e-12);
-    } else {
-      EXPECT_FALSE(finding.regression);
-    }
-  }
+  const auto& dropped = finding(result, "closed_loop_stream/sim_cycles_per_s");
+  EXPECT_TRUE(dropped.regression);
+  EXPECT_NEAR(dropped.ratio, 0.75, 1e-12);
+  EXPECT_FALSE(finding(result, "sweep_suite_simd/sim_cycles_per_s").regression);
 }
 
 TEST(BenchGate, DropWithinThresholdPasses) {
-  const Json baseline = engine_report(80e6, 60e6);
+  const Json baseline = result_line(16e6, 300e6);
   // 15% down and 10% down: noisy runners, not regressions at 20%.
-  const Json current = engine_report(0.85 * 80e6, 0.90 * 60e6);
-  EXPECT_TRUE(core::compare_bench_reports(baseline, current, 0.20).ok());
+  const Json current = result_line(0.85 * 16e6, 0.90 * 300e6);
+  EXPECT_TRUE(core::compare_bench_history({baseline}, current, 0.20).ok());
   // The same drop IS a regression at a 10% threshold.
-  EXPECT_FALSE(core::compare_bench_reports(baseline, current, 0.10).ok());
+  EXPECT_FALSE(core::compare_bench_history({baseline}, current, 0.10).ok());
 }
 
 TEST(BenchGate, ImprovementsNeverFail) {
-  const Json baseline = engine_report(80e6, 60e6);
-  const Json current = engine_report(3.0 * 80e6, 2.0 * 60e6);
-  const core::BenchGateResult result =
-      core::compare_bench_reports(baseline, current, 0.20);
+  const core::BenchGateResult result = core::compare_bench_history(
+      {result_line(16e6, 300e6)}, result_line(3.0 * 16e6, 2.0 * 300e6), 0.20);
   EXPECT_TRUE(result.ok());
-}
-
-TEST(BenchGate, CampaignNestingIsCompared) {
-  // BENCH_campaign.json nests one report per scenario.
-  Json baseline = Json::object();
-  baseline.set("campaign", "paper");
-  Json scenarios = Json::object();
-  scenarios.set("engine", engine_report(80e6, 60e6));
-  baseline.set("scenarios", std::move(scenarios));
-
-  Json current = Json::object();
-  current.set("campaign", "paper");
-  Json cur_scenarios = Json::object();
-  cur_scenarios.set("engine", engine_report(0.5 * 80e6, 60e6));
-  current.set("scenarios", std::move(cur_scenarios));
-
-  const core::BenchGateResult result =
-      core::compare_bench_reports(baseline, current, 0.20);
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.regressions(), 1u);
-  for (const auto& finding : result.compared) {
-    if (finding.regression) {
-      EXPECT_EQ(finding.path, "scenarios/engine/metrics/active_bit_parallel_cps");
-    }
-  }
+  EXPECT_EQ(result.compared.size(), 2u);
 }
 
 TEST(BenchGate, AddedAndRemovedMetricsAreNotedNotFailed) {
-  Json baseline = Json::object();
-  Json base_metrics = Json::object();
-  base_metrics.set("old_scenario_cps", 10e6);
-  base_metrics.set("shared_cps", 20e6);
-  baseline.set("metrics", std::move(base_metrics));
-
-  Json current = Json::object();
-  Json cur_metrics = Json::object();
-  cur_metrics.set("shared_cps", 20e6);
-  cur_metrics.set("new_scenario_cps", 5e6);
-  current.set("metrics", std::move(cur_metrics));
-
+  const auto line = [](const char* only) {
+    Json metrics = Json::object();
+    metrics.set("shared/jobs_per_s", metric(50.0, "1/s"));
+    metrics.set(only, metric(10e6, "1/s"));
+    Json out = Json::object();
+    out.set("correct", true);
+    out.set("metrics", std::move(metrics));
+    return out;
+  };
   const core::BenchGateResult result =
-      core::compare_bench_reports(baseline, current, 0.20);
+      core::compare_bench_history({line("old/sim_cycles_per_s")},
+                                  line("new/sim_cycles_per_s"), 0.20);
   EXPECT_TRUE(result.ok());
   ASSERT_EQ(result.compared.size(), 1u);
+  EXPECT_EQ(result.compared[0].name, "shared/jobs_per_s");
   ASSERT_EQ(result.missing.size(), 1u);
-  EXPECT_EQ(result.missing[0], "metrics/old_scenario_cps");
+  EXPECT_EQ(result.missing[0], "old/sim_cycles_per_s");
   ASSERT_EQ(result.added.size(), 1u);
-  EXPECT_EQ(result.added[0], "metrics/new_scenario_cps");
+  EXPECT_EQ(result.added[0], "new/sim_cycles_per_s");
 }
 
-// The multi-point engine metrics (sweep_points_w<W>_p<P>_cps) ride the
-// "_cps" suffix convention, so the gate tracks them with no code change —
-// while the companion speedup/seconds fields stay ignored.
-TEST(BenchGate, MultiPointSweepMetricsAreTracked) {
-  const auto report = [](double p20_cps) {
-    Json metrics = Json::object();
-    metrics.set("sweep_points_w32_p1_cps", 30e6);
-    metrics.set("sweep_points_w32_p20_cps", p20_cps);
-    metrics.set("sweep_simd_speedup", 4.2);    // not a throughput key
-    metrics.set("sweep_simd_seconds", 0.5);    // wall clock: ignored
-    metrics.set("sweep_supplies", 20.0);       // result metric: ignored
-    Json out = Json::object();
-    out.set("metrics", std::move(metrics));
-    return out;
-  };
-
-  const core::BenchGateResult same =
-      core::compare_bench_reports(report(120e6), report(120e6), 0.20);
-  EXPECT_TRUE(same.ok());
-  ASSERT_EQ(same.compared.size(), 2u);
-  EXPECT_EQ(same.compared[0].path, "metrics/sweep_points_w32_p1_cps");
-  EXPECT_EQ(same.compared[1].path, "metrics/sweep_points_w32_p20_cps");
-
-  const core::BenchGateResult regressed =
-      core::compare_bench_reports(report(120e6), report(0.5 * 120e6), 0.20);
-  EXPECT_FALSE(regressed.ok());
-  EXPECT_EQ(regressed.regressions(), 1u);
-}
-
-// Characterization-cost metrics ("_sims") gate in the opposite direction:
-// a RISE in transient-run counts is the regression.
-TEST(BenchGate, CostMetricsRegressOnRiseNotDrop) {
-  const auto report = [](double build_sims, double warm_sims) {
-    Json metrics = Json::object();
-    metrics.set("lut_build_sims", build_sims);
-    metrics.set("lut_warm_sims", warm_sims);
-    metrics.set("lut_build_cps", 150.0);  // throughput companion, gated too
-    Json out = Json::object();
-    out.set("metrics", std::move(metrics));
-    return out;
-  };
-
-  const core::BenchGateResult same =
-      core::compare_bench_reports(report(400.0, 0.0), report(400.0, 0.0), 0.20);
-  EXPECT_TRUE(same.ok());
-  ASSERT_EQ(same.compared.size(), 3u);  // both _sims keys plus the _cps key
-  EXPECT_EQ(same.compared[0].path, "metrics/lut_build_cps");
-  EXPECT_FALSE(same.compared[0].cost);
-  EXPECT_EQ(same.compared[1].path, "metrics/lut_build_sims");
-  EXPECT_TRUE(same.compared[1].cost);
-  EXPECT_TRUE(same.compared[2].cost);
-
-  // 50% MORE sims: regression. 50% fewer: an improvement, never fails.
-  EXPECT_FALSE(core::compare_bench_reports(report(400.0, 0.0), report(600.0, 0.0), 0.20).ok());
-  EXPECT_TRUE(core::compare_bench_reports(report(400.0, 0.0), report(200.0, 0.0), 0.20).ok());
-  // A rise within the threshold is noise, not a regression.
-  EXPECT_TRUE(core::compare_bench_reports(report(400.0, 0.0), report(440.0, 0.0), 0.20).ok());
-}
-
-TEST(BenchGate, WarmCacheMustStayAtZeroSims) {
-  const auto report = [](double warm_sims) {
-    Json metrics = Json::object();
-    metrics.set("lut_warm_sims", warm_sims);
-    Json out = Json::object();
-    out.set("metrics", std::move(metrics));
-    return out;
-  };
-  // Zero-sim baseline: ratios are meaningless, so ANY sim at all fails —
-  // the fully-warm point store started re-simulating known points.
-  EXPECT_TRUE(core::compare_bench_reports(report(0.0), report(0.0), 0.20).ok());
-  const core::BenchGateResult broken =
-      core::compare_bench_reports(report(0.0), report(3.0), 0.20);
-  EXPECT_FALSE(broken.ok());
-  EXPECT_EQ(broken.regressions(), 1u);
-  EXPECT_TRUE(broken.compared[0].cost);
-}
-
-// --------------------------------------------------------------- history
-
-// History gating takes each metric's LOWER MEDIAN across the window, so a
-// single anomalously fast main-branch entry (a quiet CI runner) cannot
-// raise the bar and fail an honest current run the way diffing the last
-// artifact alone would.
-TEST(BenchGate, HistoryMedianShrugsOffOneNoisyEntry) {
+// Each metric's baseline is the LOWER MEDIAN across the window, so a single
+// anomalously fast main-branch entry (a quiet CI runner) cannot raise the
+// bar and fail an honest current run the way diffing the last entry alone
+// would.
+TEST(BenchGate, HistoryLowerMedianShrugsOffOneNoisyEntry) {
   const std::vector<Json> history = {
-      engine_report(80e6, 60e6),
-      engine_report(82e6, 61e6),
-      engine_report(160e6, 120e6),  // the noisy outlier, 2x everything
-      engine_report(78e6, 59e6),
+      result_line(16e6, 300e6),
+      result_line(17e6, 310e6),
+      result_line(32e6, 600e6),  // the noisy outlier, 2x everything
+      result_line(15e6, 290e6),
   };
-  const Json current = engine_report(79e6, 60e6);
+  const Json current = result_line(15.5e6, 300e6);
 
   // Against the outlier alone, an honest run "regresses" by ~50%.
-  EXPECT_FALSE(core::compare_bench_reports(history[2], current, 0.20).ok());
-  // Against the window median it passes, with the baseline at an honest
-  // entry: 4 values sorted -> lower median is index 1 (78, [80], 82, 160).
+  EXPECT_FALSE(core::compare_bench_history({history[2]}, current, 0.20).ok());
+  // Against the window it passes: 4 values sorted (15, [16], 17, 32), so the
+  // lower median is index 1.
   const core::BenchGateResult result =
       core::compare_bench_history(history, current, 0.20);
   EXPECT_TRUE(result.ok());
-  for (const auto& finding : result.compared) {
-    if (finding.path == "metrics/active_bit_parallel_cps") {
-      EXPECT_DOUBLE_EQ(finding.baseline, 80e6);
-    }
-  }
+  EXPECT_DOUBLE_EQ(finding(result, "closed_loop_stream/sim_cycles_per_s").baseline, 16e6);
+  EXPECT_DOUBLE_EQ(finding(result, "sweep_suite_simd/sim_cycles_per_s").baseline, 300e6);
 
   // A real 25% drop still fails against the median baseline.
   EXPECT_FALSE(
-      core::compare_bench_history(history, engine_report(0.75 * 80e6, 60e6), 0.20)
-          .ok());
+      core::compare_bench_history(history, result_line(0.75 * 16e6, 300e6), 0.20).ok());
 }
 
-// A single-entry history degenerates to exactly compare_bench_reports.
-TEST(BenchGate, SingleEntryHistoryMatchesDirectComparison) {
-  const Json baseline = engine_report(80e6, 60e6);
-  const Json current = engine_report(0.70 * 80e6, 60e6);
-  const core::BenchGateResult direct =
-      core::compare_bench_reports(baseline, current, 0.20);
-  const core::BenchGateResult history =
-      core::compare_bench_history({baseline}, current, 0.20);
-  ASSERT_EQ(history.compared.size(), direct.compared.size());
-  for (std::size_t i = 0; i < direct.compared.size(); ++i) {
-    EXPECT_EQ(history.compared[i].path, direct.compared[i].path);
-    EXPECT_DOUBLE_EQ(history.compared[i].baseline, direct.compared[i].baseline);
-    EXPECT_EQ(history.compared[i].regression, direct.compared[i].regression);
-  }
-  EXPECT_FALSE(history.ok());
+// A metric that only entered the line mid-window is judged on the entries
+// that carry it.
+TEST(BenchGate, PartialWindowUsesTheEntriesThatCarryAMetric) {
+  Json newest = result_line(16e6, 300e6);
+  Json metrics = newest.at("metrics");
+  metrics.set("campaign_short_jobs/jobs_per_s", metric(50.0, "1/s"));
+  newest.set("metrics", std::move(metrics));
+  const core::BenchGateResult result =
+      core::compare_bench_history({result_line(16e6, 300e6), newest}, newest, 0.20);
+  EXPECT_TRUE(result.ok());
+  EXPECT_DOUBLE_EQ(finding(result, "campaign_short_jobs/jobs_per_s").baseline, 50.0);
 }
 
 // An empty history compares nothing: ok() is true and the CLI decides
 // whether "no baseline" passes (--allow-missing-baseline).
 TEST(BenchGate, EmptyHistoryComparesNothing) {
   const core::BenchGateResult result =
-      core::compare_bench_history({}, engine_report(80e6, 60e6), 0.20);
+      core::compare_bench_history({}, result_line(16e6, 300e6), 0.20);
   EXPECT_TRUE(result.ok());
   EXPECT_TRUE(result.compared.empty());
-  // Every current metric is "added" — reported, never failed.
-  EXPECT_EQ(result.added.size(), 3u);
-}
-
-// A metric that only entered the campaign mid-window is judged on the
-// entries that carry it, and the zero-sim cost convention survives the
-// median: a majority-zero window keeps the strict any-sim-fails baseline.
-TEST(BenchGate, HistoryHandlesPartialWindowsAndZeroSimBaselines) {
-  const auto warm_report = [](double warm_sims) {
-    Json metrics = Json::object();
-    metrics.set("lut_warm_sims", warm_sims);
-    Json out = Json::object();
-    out.set("metrics", std::move(metrics));
-    return out;
-  };
-  // One cold-cache entry polluted the window; the median stays 0.
-  const std::vector<Json> history = {warm_report(0.0), warm_report(417.0),
-                                     warm_report(0.0)};
-  EXPECT_TRUE(core::compare_bench_history(history, warm_report(0.0), 0.20).ok());
-  const core::BenchGateResult broken =
-      core::compare_bench_history(history, warm_report(2.0), 0.20);
-  EXPECT_FALSE(broken.ok());
-
-  // Metric present in only the newest entry: baseline is that one value.
-  std::vector<Json> partial = {engine_report(80e6, 60e6)};
-  Json newest = engine_report(80e6, 60e6);
-  Json metrics = newest.at("metrics");
-  metrics.set("fresh_scenario_cps", 10e6);
-  newest.set("metrics", std::move(metrics));
-  partial.push_back(newest);
-  const core::BenchGateResult fresh = core::compare_bench_history(
-      partial, newest, 0.20);
-  EXPECT_TRUE(fresh.ok());
-  bool saw_fresh = false;
-  for (const auto& finding : fresh.compared)
-    if (finding.path == "metrics/fresh_scenario_cps") {
-      saw_fresh = true;
-      EXPECT_DOUBLE_EQ(finding.baseline, 10e6);
-    }
-  EXPECT_TRUE(saw_fresh);
+  // Every current throughput metric is "added": reported, never failed.
+  EXPECT_EQ(result.added.size(), 2u);
 }
 
 TEST(BenchGate, ZeroBaselineNeverDividesOrFails) {
-  Json baseline = Json::object();
-  Json base_metrics = Json::object();
-  base_metrics.set("broken_cps", 0.0);
-  baseline.set("metrics", std::move(base_metrics));
-  const core::BenchGateResult result =
-      core::compare_bench_reports(baseline, baseline, 0.20);
+  const core::BenchGateResult result = core::compare_bench_history(
+      {result_line(0.0, 300e6)}, result_line(16e6, 300e6), 0.20);
   EXPECT_TRUE(result.ok());
-  ASSERT_EQ(result.compared.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.compared[0].ratio, 1.0);
+  EXPECT_DOUBLE_EQ(finding(result, "closed_loop_stream/sim_cycles_per_s").ratio, 1.0);
+}
+
+// Only a passing result line is gated: a failed run, a line without a
+// metrics object or a metric without value and unit is malformed input
+// (bench_gate exits 2), on either side of the comparison.
+TEST(BenchGate, MalformedLinesAreRejected) {
+  const Json good = result_line(16e6, 300e6);
+
+  Json failed = good;
+  failed.set("correct", false);
+  Json no_correct = Json::object();
+  no_correct.set("metrics", good.at("metrics"));
+  Json no_metrics = good;
+  no_metrics.set("metrics", 1.0);
+  Json bare = Json::object();
+  bare.set("correct", true);
+  Json bad_metric = good;
+  Json metrics = good.at("metrics");
+  metrics.set("closed_loop_stream/sim_cycles_per_s", 16e6);  // no value/unit object
+  bad_metric.set("metrics", std::move(metrics));
+  Json no_unit = good;
+  Json unitless = Json::object();
+  unitless.set("value", 1.0);
+  Json metrics2 = good.at("metrics");
+  metrics2.set("x/y", std::move(unitless));
+  no_unit.set("metrics", std::move(metrics2));
+
+  for (const Json* line :
+       {&failed, &no_correct, &no_metrics, &bare, &bad_metric, &no_unit}) {
+    EXPECT_THROW(core::compare_bench_history({good}, *line, 0.20), std::invalid_argument);
+    EXPECT_THROW(core::compare_bench_history({}, *line, 0.20), std::invalid_argument);
+    EXPECT_THROW(core::compare_bench_history({*line}, good, 0.20), std::invalid_argument);
+  }
+  EXPECT_THROW(core::compare_bench_history({}, Json(1.0), 0.20), std::invalid_argument);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(ScenarioSpec, MalformedSpecsThrow) {
   EXPECT_THROW(parse_scenario(R"({"bench": "fig4_voltage_sweep", "cycles": -1})"),
                std::invalid_argument);
   EXPECT_THROW(parse_campaign(R"({"name": "x", "defaults": {"cycles": -5},
-                                  "scenarios": ["engine"]})"),
+                                  "scenarios": ["fig4_voltage_sweep"]})"),
                std::invalid_argument);
   // Out-of-range widths (BusWord holds 1..128 wires).
   EXPECT_THROW(parse_scenario(R"({"name": "x", "experiment": "closed_loop",
@@ -135,7 +135,7 @@ TEST(ScenarioSpec, MalformedSpecsThrow) {
                std::invalid_argument);
   // Neither bench nor experiment / both at once.
   EXPECT_THROW(parse_scenario(R"({"name": "x"})"), std::invalid_argument);
-  EXPECT_THROW(parse_scenario(R"({"name": "x", "bench": "engine",
+  EXPECT_THROW(parse_scenario(R"({"name": "x", "bench": "fig4_voltage_sweep",
                                   "experiment": "closed_loop"})"),
                std::invalid_argument);
   // Unknown enum values.
@@ -179,7 +179,8 @@ TEST(CampaignSpec, ParsesDefaultsAndRejectsEmpty) {
 
   EXPECT_THROW(parse_campaign(R"({"name": "empty", "scenarios": []})"),
                std::invalid_argument);
-  EXPECT_THROW(parse_campaign(R"({"name": "x", "scenarios": ["engine"], "typo": 1})"),
+  EXPECT_THROW(parse_campaign(
+                   R"({"name": "x", "scenarios": ["fig4_voltage_sweep"], "typo": 1})"),
                std::invalid_argument);
   EXPECT_THROW(Json::parse("{\"name\": \"x\",}"), JsonParseError);
 }

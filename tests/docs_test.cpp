@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/job_hash.hpp"
 #include "core/scenario_spec.hpp"
 #include "util/json.hpp"
 
@@ -143,4 +144,23 @@ TEST(DocsSchema, ParserStaysStrict) {
   campaign.set("cycels", 42);  // the canonical typo
   EXPECT_THROW(core::record_accepted_keys(campaign), std::invalid_argument);
   EXPECT_THROW(core::CampaignSpec::from_json(campaign), std::invalid_argument);
+}
+
+// The CI result cache (docs/campaign-service.md) is keyed by
+// core::kJobHashSchemeVersion: a scheme bump that leaves the
+// `campaign-cache-v<N>` key behind would restore entries no job can hit
+// again. Both the workflow and the service doc must name the current key.
+TEST(DocsCacheKey, CiAndServiceDocNameTheCurrentHashScheme) {
+  const std::string key =
+      "campaign-cache-v" + std::to_string(core::kJobHashSchemeVersion);
+  for (const char* relative :
+       {"/.github/workflows/ci.yml", "/docs/campaign-service.md"}) {
+    const std::string path = std::string(RAZORBUS_SOURCE_DIR) + relative;
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open()) << "cannot open " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find(key), std::string::npos)
+        << path << " does not name " << key;
+  }
 }

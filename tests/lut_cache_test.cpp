@@ -62,6 +62,17 @@ class CacheDirGuard {
   bool had_prev_ = false;
 };
 
+// A directory name no earlier test of this process has used: the LUT memo
+// and the point store registry are process-wide and keyed by directory, so
+// a reused name would hit a warm in-memory table or store (and
+// --gtest_repeat reuses names).
+std::string fresh_dir(const std::string& base) {
+  // razorlint: allow(no-mutable-static): test-local name counter; names
+  // only, never simulation state.
+  static int serial = 0;
+  return base + "_" + std::to_string(serial++) + "_test";
+}
+
 // A few dense grid points only: fast to characterise.
 LutConfig tiny_config(double vmin) {
   LutConfig cfg = small_lut_config();
@@ -88,7 +99,7 @@ std::string table_path(const std::string& dir, const LutConfig& cfg) {
 }
 
 TEST(LutCache, MemoHitSkipsDisk) {
-  CacheDirGuard guard("./.razorbus_cache_memo_test");
+  CacheDirGuard guard(fresh_dir("./.razorbus_cache_memo"));
   const tech::DriverModel driver(sized_paper_bus().node);
   const LutConfig cfg = tiny_config(1.16);
 
@@ -117,7 +128,7 @@ TEST(LutCache, MemoHitSkipsDisk) {
 }
 
 TEST(LutCache, HashMismatchRebuildsCleanly) {
-  CacheDirGuard guard("./.razorbus_cache_mismatch_test");
+  CacheDirGuard guard(fresh_dir("./.razorbus_cache_mismatch"));
   const tech::DriverModel driver(sized_paper_bus().node);
   const LutConfig cfg_a = tiny_config(1.16);
   const LutConfig cfg_b = tiny_config(1.18);
@@ -145,7 +156,7 @@ TEST(LutCache, HashMismatchRebuildsCleanly) {
 }
 
 TEST(LutCache, PointStoreEliminatesRedundantSims) {
-  CacheDirGuard guard("./.razorbus_cache_store_test");
+  CacheDirGuard guard(fresh_dir("./.razorbus_cache_store"));
   const tech::DriverModel driver(sized_paper_bus().node);
   const LutConfig cfg = tiny_adaptive_config();
 
@@ -184,8 +195,8 @@ TEST(LutCache, PointStoreEliminatesRedundantSims) {
 }
 
 TEST(PointStoreTest, PersistsAndReloads) {
-  const std::string dir_a = "./.razorbus_pts_reload_a_test";
-  const std::string dir_b = "./.razorbus_pts_reload_b_test";
+  const std::string dir_a = fresh_dir("./.razorbus_pts_reload_a");
+  const std::string dir_b = fresh_dir("./.razorbus_pts_reload_b");
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
   std::filesystem::create_directories(dir_a);
@@ -225,8 +236,8 @@ TEST(PointStoreTest, PersistsAndReloads) {
 }
 
 TEST(PointStoreTest, GarbageFileStartsColdAndIsReplaced) {
-  const std::string dir = "./.razorbus_pts_garbage_test";
-  const std::string dir_check = "./.razorbus_pts_garbage_check_test";
+  const std::string dir = fresh_dir("./.razorbus_pts_garbage");
+  const std::string dir_check = fresh_dir("./.razorbus_pts_garbage_check");
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(dir_check);
   std::filesystem::create_directories(dir);
@@ -254,7 +265,7 @@ TEST(PointStoreTest, GarbageFileStartsColdAndIsReplaced) {
 // Two store instances over one file model two processes: "dir" and
 // "dir/." name the same directory but are different registry keys.
 TEST(PointStoreTest, FlushMergesAndRefreshSeesAPeersPoints) {
-  const std::string dir = "./.razorbus_pts_merge_test";
+  const std::string dir = fresh_dir("./.razorbus_pts_merge");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::uint64_t design_hash = 0x5eed;
@@ -288,7 +299,7 @@ TEST(PointStoreTest, FlushMergesAndRefreshSeesAPeersPoints) {
 // traffic). Values are pure functions of the key, so whatever the
 // interleaving, the surviving contents are identical.
 TEST(PointStoreTest, ConcurrentLookupInsertFlush) {
-  const std::string dir = "./.razorbus_pts_hammer_test";
+  const std::string dir = fresh_dir("./.razorbus_pts_hammer");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
@@ -325,16 +336,6 @@ TEST(PointStoreTest, ConcurrentLookupInsertFlush) {
 // ------------------------------------------------ sizing from the store
 
 std::uint64_t bits(double v) { return bit_cast<std::uint64_t>(v); }
-
-// A directory name no earlier test of this process has used: the point
-// store registry is process-wide, so a reused name would reopen a warm
-// in-memory store (and --gtest_repeat reuses names).
-std::string fresh_dir(const std::string& base) {
-  // razorlint: allow(no-mutable-static): test-local name counter; names
-  // only, never simulation state.
-  static int serial = 0;
-  return base + "_" + std::to_string(serial++) + "_test";
-}
 
 void write_bytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
