@@ -39,8 +39,8 @@ detail::Verdict classify_arrival(const razor::FlopTiming& timing, double arrival
 }
 
 // Folds one capture verdict over `wires` into `out`: a wire that captured
-// updates its receiver line, and a corrected or failed capture also flags
-// its mask. A held wire keeps its old value.
+// updates its receiver line, and a corrected or failed capture also sets
+// its flag. A held wire keeps its old value.
 void apply_verdict(detail::Verdict verdict, const BusWord& wires,
                    detail::CycleOutcome& out) {
   switch (verdict) {
@@ -49,22 +49,13 @@ void apply_verdict(detail::Verdict verdict, const BusWord& wires,
     case detail::Verdict::clean:
       break;
     case detail::Verdict::corrected:
-      out.error_mask |= wires;
+      out.error = true;
       break;
     case detail::Verdict::shadow_failed:
-      out.shadow_mask |= wires;
+      out.shadow = true;
       break;
   }
   out.line_update |= wires;
-}
-
-// Row of group `g`'s (prev, cur) combination in the combo tables (inline: the
-// kernels call it once per group per cycle).
-inline std::size_t combo_index(const detail::WireGroup& g, const BusWord& prev,
-                               const BusWord& word) {
-  const std::uint64_t pm = prev.extract(g.start, g.width);
-  const std::uint64_t cm = word.extract(g.start, g.width);
-  return g.table_offset + static_cast<std::size_t>((pm << g.width) | cm);
 }
 
 // Dynamic energy of one cycle from per-wire classes: one sub-sum per shield
@@ -83,15 +74,16 @@ double grouped_energy(const detail::GroupLayout& layout, const double* energy,
 // One (prev, cur) combination of a `w`-wide shield group at one operating
 // point: the per-bit chain in ascending bit order — the exact operation
 // sequence every kernel uses for this group's energy sub-sum — plus the
-// zero-jitter wire verdicts folded into error/shadow masks (bits 0..w-1).
+// zero-jitter wire verdicts folded into error/shadow bytes (bits 0..w-1).
 // A switching victim toggles by definition, so at zero jitter (line ==
 // prev) the wire is active and the class verdict is the wire verdict.
 // `any_held` flags the arrival <= 0 case the table kernel cannot express.
-detail::CycleOutcome combo_cell(int w, std::uint32_t pm, std::uint32_t cm,
-                                const double* scaled_energy, const double* class_delay,
-                                const detail::Verdict* class_verdict, bool& any_held) {
+detail::TableSums combo_cell(int w, std::uint32_t pm, std::uint32_t cm,
+                             const double* scaled_energy, const double* class_delay,
+                             const detail::Verdict* class_verdict, bool& any_held) {
   using lut::NeighborActivity;
-  detail::CycleOutcome cell;
+  using detail::Verdict;
+  detail::TableSums cell;
   for (int b = 0; b < w; ++b) {
     const auto victim = lut::classify_victim((pm >> b) & 1u, (cm >> b) & 1u);
     const NeighborActivity left =
@@ -101,12 +93,17 @@ detail::CycleOutcome combo_cell(int w, std::uint32_t pm, std::uint32_t cm,
         b == w - 1 ? NeighborActivity::shield
                    : lut::classify_neighbor((pm >> (b + 1)) & 1u, (cm >> (b + 1)) & 1u);
     const int cls = lut::PatternClass::encode(victim, left, right);
-    cell.dynamic_energy += scaled_energy[cls];
+    cell.energy += scaled_energy[cls];
     const double d = class_delay[cls];
     if (std::isnan(d)) continue;
-    if (d > cell.worst_delay) cell.worst_delay = d;
-    if (class_verdict[cls] == detail::Verdict::held) any_held = true;
-    apply_verdict(class_verdict[cls], BusWord(1) << b, cell);
+    if (d > cell.worst) cell.worst = d;
+    const auto bit = static_cast<std::uint8_t>(1u << b);
+    switch (class_verdict[cls]) {
+      case Verdict::held: any_held = true; break;
+      case Verdict::clean: break;
+      case Verdict::corrected: cell.error |= bit; break;
+      case Verdict::shadow_failed: cell.shadow |= bit; break;
+    }
   }
   return cell;
 }
@@ -133,6 +130,10 @@ GroupLayout GroupLayout::build(const interconnect::BusDesign& design) {
     WireGroup g;
     g.start = i;
     g.width = j - i;
+    g.lane = i / 64;
+    g.shift = i % 64;
+    g.mask = g.width >= 64 ? ~0ull : (1ull << g.width) - 1ull;
+    g.straddles = g.shift + g.width > 64;
     if (g.width > kMaxTableWidth) {
       layout.tabulatable = false;
     } else {
@@ -217,19 +218,34 @@ void CycleRule::build_point(PointTables& t, std::size_t p,
     const std::uint32_t combos = 1u << w;
     for (std::uint32_t pm = 0; pm < combos; ++pm) {
       for (std::uint32_t cm = 0; cm < combos; ++cm) {
-        const CycleOutcome cell = combo_cell(w, pm, cm, se, cd, cv, any_held);
+        const TableSums cell = combo_cell(w, pm, cm, se, cd, cv, any_held);
         const std::size_t at =
             (g.table_offset + static_cast<std::size_t>((pm << w) | cm)) * t.stride + p;
-        t.combo_energy[at] = cell.dynamic_energy;
-        t.combo_worst[at] = cell.worst_delay;
-        t.combo_error[at] = static_cast<std::uint8_t>(cell.error_mask.extract(0, w));
-        t.combo_shadow[at] = static_cast<std::uint8_t>(cell.shadow_mask.extract(0, w));
+        t.combo_energy[at] = cell.energy;
+        t.combo_worst[at] = cell.worst;
+        t.combo_error[at] = cell.error;
+        t.combo_shadow[at] = cell.shadow;
       }
     }
   }
   // A held verdict in any reachable combo means a wire would silently keep
   // its old value, which the toggle-update table kernel cannot express.
   t.combo_ok[p] = any_held ? 0 : 1;
+}
+
+template <bool kMeter, bool kWorst>
+TableSums CycleRule::table_walk(const PointTables& t, std::size_t p, const BusWord& prev,
+                                const BusWord& word) const {
+  TableSums s;
+  for (const auto& g : layout_.groups) {
+    const std::size_t at = g.combo_index(prev, word) * t.stride + p;
+    s.energy += t.combo_energy[at];
+    if constexpr (kMeter) s.meter += t.combo_energy[at + 1];
+    if constexpr (kWorst) s.worst = std::max(s.worst, t.combo_worst[at]);
+    s.error |= t.combo_error[at];
+    s.shadow |= t.combo_shadow[at];
+  }
+  return s;
 }
 
 template <bool kMeter>
@@ -241,7 +257,7 @@ CycleOutcome CycleRule::evaluate(const PointTables& t, std::size_t p,
   const bool in_sync = ((line ^ pattern.prev()) & classifier_.bits_mask()).none();
   // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
   // the combo-table path is only valid for that exact case (DESIGN.md §5).
-  if (jitter == 0.0 && in_sync && t.combo_ok[p])
+  if (jitter == 0.0 && in_sync && table_path(t, p))
     return table_kernel<kMeter>(t, p, pattern.prev(), pattern.word(), nominal);
   return jitter_kernel<kMeter>(t, p, pattern, line, jitter, nominal);
 }
@@ -252,18 +268,14 @@ CycleOutcome CycleRule::table_kernel(const PointTables& t, std::size_t p,
                                      double* nominal) const {
   // Every toggling wire captures (cleanly or not), so the line update is
   // simply the toggle mask.
+  const TableSums s = table_walk<kMeter, true>(t, p, prev, word);
   CycleOutcome out;
-  double meter = 0.0;
-  for (const auto& g : layout_.groups) {
-    const std::size_t at = combo_index(g, prev, word) * t.stride + p;
-    out.dynamic_energy += t.combo_energy[at];
-    if constexpr (kMeter) meter += t.combo_energy[at + 1];
-    out.worst_delay = std::max(out.worst_delay, t.combo_worst[at]);
-    out.error_mask |= BusWord(t.combo_error[at]) << g.start;
-    out.shadow_mask |= BusWord(t.combo_shadow[at]) << g.start;
-  }
+  out.dynamic_energy = s.energy;
+  out.worst_delay = s.worst;
+  out.error = s.error != 0;
+  out.shadow = s.shadow != 0;
   out.line_update = (prev ^ word) & classifier_.bits_mask();
-  if constexpr (kMeter) *nominal = meter;
+  if constexpr (kMeter) *nominal = s.meter;
   return out;
 }
 
@@ -273,14 +285,10 @@ CycleOutcome CycleRule::jitter_kernel(const PointTables& t, std::size_t p,
                                       double jitter, double* nominal) const {
   CycleOutcome out;
   // Energy and the per-group sub-sum order are jitter-independent: reuse
-  // the combo tables.
-  double meter = 0.0;
-  for (const auto& g : layout_.groups) {
-    const std::size_t at = combo_index(g, pattern.prev(), pattern.word()) * t.stride + p;
-    out.dynamic_energy += t.combo_energy[at];
-    if constexpr (kMeter) meter += t.combo_energy[at + 1];
-  }
-  if constexpr (kMeter) *nominal = meter;
+  // the combo tables (the walk's verdict bytes do not apply here).
+  const TableSums walk = table_walk<kMeter, false>(t, p, pattern.prev(), pattern.word());
+  out.dynamic_energy = walk.energy;
+  if constexpr (kMeter) *nominal = walk.meter;
 
   // Verdicts shift with the common-mode jitter: re-derive them per present
   // switching class (all wires of a class share one arrival), comparing
@@ -545,8 +553,8 @@ CycleResult BusSimulator::step_bit_parallel(const BusWord& word, bool meter) {
   if (meter) meter_energy_ += nominal + tables_.leak[1];
 
   line_word_ = (line_word_ & ~k.line_update) | (word & k.line_update);
-  out.error = k.error_mask.any();
-  out.shadow_failure = k.shadow_mask.any();
+  out.error = k.error;
+  out.shadow_failure = k.shadow;
   out.worst_delay = k.worst_delay;
   out.bus_energy = k.dynamic_energy + tables_.leak[0];
   out.overhead_energy = cycle_overhead_;
@@ -579,15 +587,34 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
   const double leak = tables_.leak[0];
   const double meter_leak = kMeter ? tables_.leak[1] : 0.0;
   const double cycle_ovh = cycle_overhead_;
-  const double error_ovh = error_overhead_;
+  const double error_cycle_ovh = cycle_overhead_ + error_overhead_;
+  const BusWord bits = rule_.classifier().bits_mask();
+  // razorlint: allow(float-eq): a zero sigma draws no jitter at all, so
+  // every cycle of the span is a zero-jitter cycle (DESIGN.md §5).
+  const bool table_path = jitter_sigma_ == 0.0 && rule_.table_path(tables_, 0);
 
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto idle = [&] {
+    ++cycles;
+    bus_energy += leak;
+    overhead_energy += cycle_ovh;
+    if constexpr (kMeter) meter_energy += meter_leak;
+  };
+  const auto account = [&](double dynamic, bool error, bool shadow) {
+    ++cycles;
+    if (error) ++errors;
+    if (shadow) ++shadow_failures;
+    bus_energy += dynamic + leak;
+    overhead_energy += error ? error_cycle_ovh : cycle_ovh;
+  };
+
+  // Off the table path (jitter, an untabulatable layout, a held verdict,
+  // or receivers out of sync): every non-idle cycle goes through the rule.
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    if (table_path && ((line ^ prev) & bits).none()) break;
     const BusWord word = words[i];
     if (word == prev) {
-      ++cycles;
-      bus_energy += leak;
-      overhead_energy += cycle_ovh;
-      if constexpr (kMeter) meter_energy += meter_leak;
+      idle();
       continue;
     }
     const double jitter = draw_jitter();
@@ -596,17 +623,28 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
     const detail::CycleOutcome k =
         rule_.evaluate<kMeter>(tables_, 0, pattern, line, jitter, &nominal);
     if constexpr (kMeter) meter_energy += nominal + meter_leak;
-
     line = (line & ~k.line_update) | (word & k.line_update);
     prev = word;
-    ++cycles;
-    const bool error = k.error_mask.any();
-    if (error) ++errors;
-    if (k.shadow_mask.any()) ++shadow_failures;
-    bus_energy += k.dynamic_energy + leak;
-    double ovh = cycle_ovh;
-    if (error) ovh += error_ovh;
-    overhead_energy += ovh;
+    account(k.dynamic_energy, k.error, k.shadow);
+  }
+
+  // The table path: zero jitter keeps the receivers in sync (each toggling
+  // wire captures), so the rest of the span is one group walk per non-idle
+  // cycle with no class pattern, jitter draw or line update; the line is
+  // the last word on the signal wires once the stretch ends.
+  if (i < n) {
+    for (; i < n; ++i) {
+      const BusWord word = words[i];
+      if (word == prev) {
+        idle();
+        continue;
+      }
+      const detail::TableSums s = rule_.table_walk<kMeter, false>(tables_, 0, prev, word);
+      if constexpr (kMeter) meter_energy += s.meter + meter_leak;
+      prev = word;
+      account(s.energy, s.error != 0, s.shadow != 0);
+    }
+    line = (line & ~bits) | (prev & bits);
   }
 
   totals_.cycles = cycles;
@@ -759,7 +797,7 @@ void MultiPointEngine::fast_cycle(const BusWord& word) {
   const std::size_t stride = tables_.stride;
   const auto& groups = rule_.layout().groups;
   for (std::size_t g = 0; g < groups.size(); ++g)
-    offsets_[g] = combo_index(groups[g], prev_word_, word) * stride;
+    offsets_[g] = groups[g].combo_index(prev_word_, word) * stride;
   simd::table_cycle(rows_, offsets_.data(), groups.size());
   ++cycles_;
 }
@@ -784,11 +822,10 @@ void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
   for (std::size_t p = 0; p < n_points_; ++p) {
     const detail::CycleOutcome k = rule_.evaluate(tables_, p, pattern, line_[p], jitter);
     line_[p] = (line_[p] & ~k.line_update) | (word & k.line_update);
-    const bool error = k.error_mask.any();
-    errors_[p] += error ? 1u : 0u;
-    shadow_failures_[p] += k.shadow_mask.any() ? 1u : 0u;
+    errors_[p] += k.error ? 1u : 0u;
+    shadow_failures_[p] += k.shadow ? 1u : 0u;
     bus_energy_[p] += k.dynamic_energy + tables_.leak[p];
-    overhead_energy_[p] += error ? rows_.cycle_error_overhead : rows_.cycle_overhead;
+    overhead_energy_[p] += k.error ? rows_.cycle_error_overhead : rows_.cycle_overhead;
   }
 
   // Rejoin the all-points fast path once every receiver line is back in

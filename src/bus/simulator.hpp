@@ -22,9 +22,10 @@
 //     per group on the paper bus), so each group's dynamic energy, error /
 //     shadow-failure wire masks and worst arrival are a pure function of
 //     its (prev, cur) bit pair — precomputed per operating point into
-//     per-group combo tables, lane-indexed into the BusWord. The per-cycle
-//     hot path is then one table lookup per group plus a handful of
-//     OR/max/add reductions. Cycles with timing jitter fall back to
+//     per-group combo tables, each group read off the 64-bit lane that
+//     holds it (one shift, one mask). The per-cycle hot path is then one
+//     table lookup per group plus a handful of OR/max/add reductions.
+//     Cycles with timing jitter fall back to
 //     bit-parallel per-class verdicts (all wires of a pattern class share
 //     one delay, so the verdict loop touches present classes, not wires),
 //     still reading energy from the combo tables. Totals are bit-identical
@@ -32,7 +33,13 @@
 //
 // The batched run() entry point drives whole words[] spans (e.g. one
 // regulator window) through the hot loop with totals accumulated in
-// registers — this is what the experiment drivers use.
+// registers — this is what the experiment drivers use. At zero jitter,
+// with a tabulatable layout free of held verdicts and the receivers in
+// sync, the span is the table loop: one CycleRule::table_walk per non-idle
+// cycle, no class pattern, no jitter draw and no per-cycle line update
+// (the receivers stay in sync on that path). Any other cycle goes through
+// CycleRule::evaluate, and the span rejoins the table loop once the
+// receivers resync.
 //
 // The bit-parallel cycle rule is written once, as detail::CycleRule: the
 // operating-point derivation, the combo-table fill, the table / jitter /
@@ -97,8 +104,10 @@ enum class Verdict : std::uint8_t {
 // whole group's cycle contribution is precomputed over all (prev, cur)
 // bit combinations. Same-width groups are structurally identical and
 // share one table block. A group lives at `start` within the (possibly
-// multi-lane) bus word; extraction/deposit straddle the 64-bit lane
-// boundary transparently. Energy accounting is group-wise in EVERY
+// multi-lane) bus word, and its bits are read straight off the 64-bit lane
+// that holds them: one shift and one mask. Only a group that straddles
+// the lane boundary (start % 64 + width > 64) takes the two-lane
+// BusWord::extract. Energy accounting is group-wise in EVERY
 // engine/kernel (one sub-accumulator per group, groups summed in order)
 // so all paths agree bit for bit. Shared between the single-point
 // BusSimulator and the multi-point engine so both tabulate identically.
@@ -106,6 +115,24 @@ struct WireGroup {
   int start = 0;
   int width = 0;
   std::size_t table_offset = 0;  // into the combo_* arrays
+  int lane = 0;                  // lane holding bit `start`
+  int shift = 0;                 // start % 64
+  std::uint64_t mask = 0;        // low `width` bits
+  bool straddles = false;        // crosses bit 64: two-lane extract
+
+  // Row of this group's (prev, cur) combination in the combo tables.
+  std::size_t combo_index(const BusWord& prev, const BusWord& word) const {
+    std::uint64_t pm = 0;
+    std::uint64_t cm = 0;
+    if (straddles) {
+      pm = prev.extract(start, width);
+      cm = word.extract(start, width);
+    } else {
+      pm = (prev.lane(lane) >> shift) & mask;
+      cm = (word.lane(lane) >> shift) & mask;
+    }
+    return table_offset + static_cast<std::size_t>((pm << width) | cm);
+  }
 };
 
 struct GroupLayout {
@@ -152,9 +179,19 @@ struct PointTables {
 struct CycleOutcome {
   double dynamic_energy = 0.0;
   double worst_delay = 0.0;
-  BusWord error_mask;
-  BusWord shadow_mask;
+  bool error = false;   // some receiver corrected (Error_L asserted)
+  bool shadow = false;  // some receiver's shadow capture failed
   BusWord line_update;  // wires whose receiver latched this cycle's value
+};
+
+// Combo rows summed and ORed: over a cycle's shield groups
+// (CycleRule::table_walk), or over one group's wires (a combo cell).
+struct TableSums {
+  double energy = 0.0;  // dynamic energy: 0.0 + e_g0 + e_g1 + ...
+  double meter = 0.0;   // the same sum over row p + 1 (kMeter only)
+  double worst = 0.0;   // worst arrival (kWorst only)
+  std::uint8_t error = 0;   // ORed error bytes
+  std::uint8_t shadow = 0;  // ORed shadow bytes
 };
 
 // The (prev, cur) pattern work of one cycle, shared by every point that
@@ -225,6 +262,24 @@ class CycleRule {
   CycleOutcome evaluate(const PointTables& tables, std::size_t p, CyclePattern& pattern,
                         const BusWord& line, double jitter,
                         double* nominal = nullptr) const;
+
+  // True when point p's zero-jitter, in-sync cycles may take the table
+  // kernel: the layout is tabulatable and the point's combo rows hold no
+  // held verdict.
+  bool table_path(const PointTables& tables, std::size_t p) const {
+    return layout_.tabulatable && tables.combo_ok[p];
+  }
+
+  // The combo-row group walk, the one copy of it: one combo row per shield
+  // group for the (prev, cur) cycle of point p. Its energy sums hold on
+  // any cycle; its error/shadow bytes and worst arrival are the cycle's
+  // verdicts only when table_path(p) holds, jitter is zero and the
+  // receivers are in sync. kMeter also sums row p + 1's energy, kWorst
+  // the worst arrival. BusSimulator::run calls it directly on its table
+  // stretches.
+  template <bool kMeter, bool kWorst>
+  TableSums table_walk(const PointTables& t, std::size_t p, const BusWord& prev,
+                       const BusWord& word) const;
 
  private:
   // One lookup per shield group (jitter-free, receiver in sync).

@@ -238,6 +238,84 @@ TEST(EngineParity, BatchedRunReturnsSegmentDelta) {
   EXPECT_DOUBLE_EQ(sim.totals().bus_energy, first.bus_energy + rest.bus_energy);
 }
 
+// One metered simulator driven in irregular chunks leaves the zero-jitter
+// table path for 300 ps jitter phases and comes back, several times. Each
+// jitter phase ends right after a held cycle, and the next word returns
+// the bus to the word before it: every zero-jitter phase opens with
+// receivers out of sync, and its first cycle switches wires whose
+// receivers already hold the new value, so they must not count an error.
+// The simulator must take the rule until the receivers resync, and only
+// then the table loop. Totals and the nominal meter must match a stepped
+// reference engine and run_reference bit for bit.
+TEST(EngineParity, BatchedRunLeavesAndRejoinsTablePath) {
+  const auto& system = parity_system();
+  const tech::PvtCorner env{tech::ProcessCorner::slow, 100.0, 0.0};
+  trace::SyntheticConfig cfg;
+  cfg.cycles = 6000;
+  cfg.load_rate = 0.6;
+  cfg.seed = 91;
+  std::vector<BusWord> words = trace::generate_synthetic(cfg, "rejoin").words;
+  constexpr double kSupply = 0.90;
+  constexpr double kSigma = 300e-12;
+  constexpr std::uint64_t kSeed = 0x1e55u;
+  constexpr std::size_t kTableSpan = 300;
+
+  // Phase ends: zero jitter up to ends[0], jitter up to ends[1], zero
+  // jitter up to ends[2], ... and zero jitter to the end of the trace.
+  std::vector<std::size_t> ends;
+  {
+    BusSimulator probe = system.make_simulator(env);
+    probe.set_supply(kSupply);
+    std::size_t i = 0;
+    while (i + kTableSpan < words.size() - kTableSpan) {
+      probe.set_timing_jitter(0.0);
+      probe.run(words.data() + i, kTableSpan);
+      i += kTableSpan;
+      ends.push_back(i);
+      probe.set_timing_jitter(kSigma, kSeed);
+      for (bool held = false; !held && i < words.size(); ++i) {
+        const CycleResult r = probe.step(words[i]);
+        held = words[i] != words[i - 1] && r.worst_delay <= 0.0;
+      }
+      ends.push_back(i);
+      if (i < words.size()) words[i] = words[i - 2];
+    }
+  }
+  ASSERT_GE(ends.size(), 6u);
+
+  BusSimulator batched = system.make_simulator(env);
+  BusSimulator ref = system.make_simulator(env);
+  ref.set_engine_mode(EngineMode::reference);
+  for (BusSimulator* sim : {&batched, &ref}) {
+    sim->set_supply(kSupply);
+    sim->start_nominal_meter();
+  }
+  Rng chunk_rng(13);
+  std::size_t from = 0;
+  for (std::size_t phase = 0; phase <= ends.size(); ++phase) {
+    const std::size_t to = phase < ends.size() ? ends[phase] : words.size();
+    for (BusSimulator* sim : {&batched, &ref}) {
+      if (phase % 2)
+        sim->set_timing_jitter(kSigma, kSeed);
+      else
+        sim->set_timing_jitter(0.0);
+    }
+    for (std::size_t i = from; i < to; ++i) ref.step(words[i]);
+    while (from < to) {
+      const std::size_t n = std::min<std::size_t>(to - from, 1 + chunk_rng.next_below(97));
+      batched.run(words.data() + from, n);
+      from += n;
+    }
+  }
+
+  expect_totals_identical(batched.totals(), ref.totals(), "leave and rejoin");
+  EXPECT_GT(ref.totals().errors, 0u);
+  const RunningTotals nominal =
+      BusSimulator::run_reference(system.design(), system.table(), env, words);
+  EXPECT_EQ(bits_of(batched.nominal_bus_energy()), bits_of(ref.nominal_bus_energy()));
+  EXPECT_EQ(bits_of(batched.nominal_bus_energy()), bits_of(nominal.bus_energy));
+}
+
 TEST(EngineParity, ResetSeedsReceiversWithInitialWord) {
   // reset(w) must leave both engines agreeing that the bus already holds w
   // (historically the flop bank was re-seeded with zeros instead).

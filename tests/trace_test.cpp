@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -183,6 +184,36 @@ TEST(Synthetic, LoadRateValidated) {
   SyntheticConfig cfg;
   cfg.load_rate = 1.5;
   EXPECT_THROW(generate_synthetic(cfg, "t"), std::invalid_argument);
+}
+
+TEST(Synthetic, ActivityValidated) {
+  // Out-of-range or NaN knobs are rejected up front, by the materialized
+  // generator and the streamed source alike, for every style (a negative
+  // activity would otherwise reach an unsigned cast in fp_like and
+  // pointer_like).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto style : {SyntheticStyle::uniform, SyntheticStyle::fp_like,
+                           SyntheticStyle::pointer_like, SyntheticStyle::sparse}) {
+    for (const double activity : {-0.1, 1.5, nan}) {
+      SyntheticConfig cfg;
+      cfg.style = style;
+      cfg.activity = activity;
+      EXPECT_THROW(generate_synthetic(cfg, "t"), std::invalid_argument);
+      EXPECT_THROW(make_synthetic_source(cfg, "t"), std::invalid_argument);
+    }
+  }
+  SyntheticConfig cfg;
+  cfg.load_rate = nan;
+  EXPECT_THROW(generate_synthetic(cfg, "t"), std::invalid_argument);
+  EXPECT_THROW(make_synthetic_source(cfg, "t"), std::invalid_argument);
+
+  // The range ends stay legal.
+  cfg.cycles = 64;
+  cfg.load_rate = 1.0;
+  for (const double activity : {0.0, 1.0}) {
+    cfg.activity = activity;
+    EXPECT_EQ(generate_synthetic(cfg, "t").words.size(), 64u);
+  }
 }
 
 TEST(Synthetic, StyleActivityOrdering) {

@@ -145,6 +145,60 @@ TEST(Width, EngineParityAtEveryWidth) {
   }
 }
 
+// A 128-wire bus in 6-wire shield groups has a tabulatable group across
+// the 64-bit lane boundary, the one group whose combo row takes the
+// two-lane extract. Stepped and chunked runs must match the reference
+// engine bit for bit on and off the table path.
+TEST(Width, BatchedRunOnLaneStraddlingGroups) {
+  interconnect::BusDesign design = interconnect::BusDesign::wide_bus(128);
+  design.shield_group = 6;
+  design.repeater_size = test_support::sized_paper_bus().repeater_size;
+  const bus::detail::GroupLayout layout = bus::detail::GroupLayout::build(design);
+  ASSERT_TRUE(layout.tabulatable);
+  ASSERT_TRUE(std::any_of(layout.groups.begin(), layout.groups.end(),
+                          [](const bus::detail::WireGroup& g) {
+                            return g.straddles && g.start < 64 && g.start + g.width > 64;
+                          }));
+  core::SystemOptions options;
+  options.lut_config = test_support::small_lut_config();
+  const core::DvsBusSystem system(design, options);
+
+  const tech::PvtCorner env{tech::ProcessCorner::slow, 100.0, 0.0};
+  const trace::Trace trace = wide_trace(128, 1500, 0x57add1eu);
+  for (const double supply : {1.08, 1.20}) {
+    for (const double sigma : {0.0, 5e-12}) {
+      bus::BusSimulator stepped = system.make_simulator(env);
+      bus::BusSimulator ref = system.make_simulator(env);
+      bus::BusSimulator batched = system.make_simulator(env);
+      ref.set_engine_mode(bus::EngineMode::reference);
+      for (bus::BusSimulator* sim : {&stepped, &ref, &batched}) {
+        sim->set_supply(supply);
+        if (sigma > 0.0) sim->set_timing_jitter(sigma, 0x6a6au);
+      }
+      for (std::size_t i = 0; i < trace.words.size(); ++i) {
+        const bus::CycleResult f = stepped.step(trace.words[i]);
+        const bus::CycleResult r = ref.step(trace.words[i]);
+        ASSERT_EQ(f.error, r.error) << "cycle " << i;
+        ASSERT_EQ(f.shadow_failure, r.shadow_failure) << "cycle " << i;
+        ASSERT_EQ(f.bus_energy, r.bus_energy) << "cycle " << i;
+        ASSERT_EQ(f.worst_delay, r.worst_delay) << "cycle " << i;
+      }
+      Rng chunk(5);
+      std::size_t i = 0;
+      while (i < trace.words.size()) {
+        const std::size_t n =
+            std::min<std::size_t>(trace.words.size() - i, 1 + chunk.next_below(97));
+        batched.run(trace.words.data() + i, n);
+        i += n;
+      }
+      const std::string what = "straddling @" + std::to_string(supply) + " sigma " +
+                               std::to_string(sigma * 1e12) + " ps";
+      expect_totals_identical(stepped.totals(), ref.totals(), what);
+      expect_totals_identical(batched.totals(), ref.totals(), what + " [batched]");
+    }
+  }
+}
+
 // At the marginal supply, a wide bus's error rate tracks the 32-wire bus's
 // per-wire behaviour: the same shield-group structure just repeats. Sanity
 // check: errors occur at low supply and vanish at nominal, at every width.
