@@ -61,31 +61,27 @@ Scenario make_ablation_encoding_scenario() {
       const bus::BusInvertResult enc = bus::bus_invert_encode(raw);
       const trace::Trace side = line_trace(enc.invert_line);
 
-      // Baseline: plain bus at nominal supply.
-      const double base = bus::BusSimulator::run_reference(
-                              paper_system().design(), paper_system().table(), corner,
-                              raw.words)
-                              .bus_energy;
+      // (2) DVS on the raw trace; its nominal meter prices the baseline,
+      // the plain bus at nominal supply, in the same pass.
+      const core::DvsRunReport dvs =
+          core::run_closed_loop(paper_system(), corner, raw, core::DvsRunConfig{});
+      const double base = dvs.baseline_bus_energy;
 
-      // (1) bus-invert at nominal supply (+ the invert line's energy).
+      // (3) DVS on the encoded trace.
+      const core::DvsRunReport dvs_enc = core::run_closed_loop(
+          paper_system(), corner, enc.encoded, core::DvsRunConfig{});
+
+      // (1) bus-invert at nominal supply (the encoded run's baseline) + the
+      // invert line's energy.
       const double invert_only =
-          bus::BusSimulator::run_reference(paper_system().design(),
-                                           paper_system().table(), corner,
-                                           enc.encoded.words)
-              .bus_energy +
+          dvs_enc.baseline_bus_energy +
           bus::BusSimulator::run_reference(invert_line_system().design(),
                                            invert_line_system().table(), corner,
                                            side.words)
               .bus_energy;
 
-      // (2) DVS on the raw trace.
-      const core::DvsRunReport dvs =
-          core::run_closed_loop(paper_system(), corner, raw, core::DvsRunConfig{});
-
-      // (3) DVS on the encoded trace + the invert line at the DVS average
-      // supply (the line shares the bus supply rail).
-      const core::DvsRunReport dvs_enc = core::run_closed_loop(
-          paper_system(), corner, enc.encoded, core::DvsRunConfig{});
+      // (3) + the invert line at the DVS average supply (the line shares
+      // the bus supply rail).
       bus::BusSimulator line_sim = invert_line_system().make_simulator(corner);
       line_sim.set_supply(dvs_enc.average_supply);
       line_sim.run(side.words);

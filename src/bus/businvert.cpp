@@ -7,33 +7,47 @@ namespace razorbus::bus {
 
 namespace {
 
+// The per-word bus-invert decision, written once for the stream and the
+// materialized encoder: carries the (bus state, invert line) pair from one
+// word to the next, starting from an all-zero bus with the line low.
+struct BusInvertCoder {
+  explicit BusInvertCoder(int n_bits) : mask(BusWord::mask_low(n_bits)) {}
+
+  BusWord mask;
+  BusWord bus;          // the word physically driven
+  bool invert = false;  // the invert line's state
+
+  // Drives `word` and returns true when that flipped the invert line.
+  bool drive(const BusWord& word) {
+    const BusWord direct = (invert ? ~word : word) & mask;  // keep line unchanged
+    const BusWord flipped = ~direct & mask;
+    const int toggles_direct = (bus ^ direct).popcount();
+    // Flipping the invert line transmits the complement (+1 for the line).
+    const int toggles_flipped = (bus ^ flipped).popcount() + 1;
+    if (toggles_flipped < toggles_direct) {
+      invert = !invert;
+      bus = flipped;
+      return true;
+    }
+    bus = direct;
+    return false;
+  }
+};
+
 // In-place block re-coder: pulls raw words and replaces each with the word
-// bus-invert would physically drive, using exactly bus_invert_encode's
-// per-cycle decision so the streamed and materialized sequences match word
-// for word.
+// the coder drives.
 class BusInvertSource final : public trace::TraceSource {
  public:
   explicit BusInvertSource(std::unique_ptr<trace::TraceSource> raw)
-      : raw_(std::move(raw)) {
-    if (!raw_) throw std::invalid_argument("bus_invert_encode_source: null source");
-    name_ = raw_->name() + "+businvert";
-    mask_ = BusWord::mask_low(raw_->n_bits());
-  }
+      : raw_(std::move(raw)),
+        coder_(raw_->n_bits()),
+        name_(raw_->name() + "+businvert") {}
 
   std::size_t next_block(BusWord* dst, std::size_t max) override {
     const std::size_t n = raw_->next_block(dst, max);
     for (std::size_t i = 0; i < n; ++i) {
-      const BusWord direct = (invert_ ? ~dst[i] : dst[i]) & mask_;
-      const BusWord flipped = ~direct & mask_;
-      const int toggles_direct = (bus_ ^ direct).popcount();
-      const int toggles_flipped = (bus_ ^ flipped).popcount() + 1;
-      if (toggles_flipped < toggles_direct) {
-        invert_ = !invert_;
-        bus_ = flipped;
-      } else {
-        bus_ = direct;
-      }
-      dst[i] = bus_;
+      coder_.drive(dst[i]);
+      dst[i] = coder_.bus;
     }
     return n;
   }
@@ -47,16 +61,15 @@ class BusInvertSource final : public trace::TraceSource {
 
  private:
   std::unique_ptr<trace::TraceSource> raw_;
+  BusInvertCoder coder_;
   std::string name_;
-  BusWord mask_;
-  BusWord bus_;
-  bool invert_ = false;
 };
 
 }  // namespace
 
 std::unique_ptr<trace::TraceSource> bus_invert_encode_source(
     std::unique_ptr<trace::TraceSource> raw) {
+  if (!raw) throw std::invalid_argument("bus_invert_encode_source: null source");
   return std::make_unique<BusInvertSource>(std::move(raw));
 }
 
@@ -66,25 +79,11 @@ BusInvertResult bus_invert_encode(const trace::Trace& raw) {
   result.encoded.n_bits = raw.n_bits;
   result.encoded.words.reserve(raw.words.size());
   result.invert_line.reserve(raw.words.size());
-
-  const BusWord mask = BusWord::mask_low(raw.n_bits);
-  BusWord bus;          // current physical bus state
-  bool invert = false;  // current invert-line state
+  BusInvertCoder coder(raw.n_bits);
   for (const BusWord& word : raw.words) {
-    const BusWord direct = (invert ? ~word : word) & mask;  // keep line unchanged
-    const BusWord flipped = ~direct & mask;
-    const int toggles_direct = (bus ^ direct).popcount();
-    // Flipping the invert line transmits the complement (+1 for the line).
-    const int toggles_flipped = (bus ^ flipped).popcount() + 1;
-    if (toggles_flipped < toggles_direct) {
-      invert = !invert;
-      bus = flipped;
-      ++result.inversions;
-    } else {
-      bus = direct;
-    }
-    result.encoded.words.push_back(bus);
-    result.invert_line.push_back(invert);
+    if (coder.drive(word)) ++result.inversions;
+    result.encoded.words.push_back(coder.bus);
+    result.invert_line.push_back(coder.invert);
   }
   return result;
 }

@@ -37,11 +37,11 @@ struct BusInvertResult {
 BusInvertResult bus_invert_encode(const trace::Trace& raw);
 
 // Streaming re-coder (DESIGN.md §12): wraps a raw word stream and emits
-// the words bus_invert_encode would drive — identical sequence, identical
-// "<name>+businvert" naming — one block at a time, carrying the
-// (bus state, invert line) pair across blocks. The per-cycle invert-line
-// states are not retained (that sidecar accounting stays with the
-// materialized encoder and ablation_encoding).
+// the words bus_invert_encode drives — both run the one per-word coder,
+// with the same "<name>+businvert" naming — one block at a time, carrying
+// the (bus state, invert line) pair across blocks. The per-cycle
+// invert-line states are not retained (that sidecar accounting stays with
+// the materialized encoder and ablation_encoding).
 std::unique_ptr<trace::TraceSource> bus_invert_encode_source(
     std::unique_ptr<trace::TraceSource> raw);
 

@@ -503,14 +503,15 @@ Benchmark make_wupwise() {
   return bench;
 }
 
-// Executes a benchmark kernel block by block: exactly capture_bus_trace's
-// loop (a LOAD drives its data word, anything else holds, an early halt
-// truncates), with the (machine, held word, cycles left) triple carried
-// across blocks. The machine image (4 MiB at the default memory size) is
-// built on the first next_block and dropped once the stream ends (its
-// cycles are spent or the kernel halted), so a suite of queued or cloned
-// sources holds at most the one machine being drained. Cloning starts a
-// fresh replay of the identical deterministic instruction stream.
+// Executes a benchmark kernel block by block through capture_bus_trace's
+// loop (capture_bus_words: a LOAD drives its data word, anything else
+// holds, an early halt truncates), with the (machine, held word, cycles
+// left) triple carried across blocks. The machine image (4 MiB at the
+// default memory size) is built on the first next_block and dropped once
+// the stream ends (its cycles are spent or the kernel halted), so a suite
+// of queued or cloned sources holds at most the one machine being drained.
+// Cloning starts a fresh replay of the identical deterministic instruction
+// stream.
 class BenchmarkTraceSource final : public trace::TraceSource {
  public:
   BenchmarkTraceSource(Benchmark bench, std::size_t cycles, std::size_t memory_words)
@@ -522,18 +523,10 @@ class BenchmarkTraceSource final : public trace::TraceSource {
   std::size_t next_block(BusWord* dst, std::size_t max) override {
     if (remaining_ == 0) return 0;
     if (!machine_) machine_.emplace(bench_.make_machine(memory_words_));
-    Machine& machine = *machine_;
-    std::size_t written = 0;
-    std::uint32_t data = 0;
-    while (written < std::min(max, remaining_) && !machine.halted()) {
-      const std::uint64_t before = machine.instructions_executed();
-      const bool loaded = machine.step(data);
-      if (machine.instructions_executed() == before) break;  // halted on entry
-      if (loaded) bus_word_ = data;
-      dst[written++] = BusWord(bus_word_);
-    }
+    const std::size_t written =
+        capture_bus_words(*machine_, dst, std::min(max, remaining_), bus_word_);
     remaining_ -= written;
-    if (machine.halted()) remaining_ = 0;  // an early halt ends the stream
+    if (machine_->halted()) remaining_ = 0;  // an early halt ends the stream
     if (remaining_ == 0) machine_.reset();
     return written;
   }

@@ -127,17 +127,24 @@ trace::Trace capture_bus_trace(Machine& machine, std::size_t cycles,
                                const std::string& trace_name) {
   trace::Trace out;
   out.name = trace_name;
-  out.words.reserve(cycles);
+  out.words.resize(cycles);
   std::uint32_t bus_word = 0;
+  out.words.resize(capture_bus_words(machine, out.words.data(), cycles, bus_word));
+  return out;
+}
+
+std::size_t capture_bus_words(Machine& machine, BusWord* dst, std::size_t cycles,
+                              std::uint32_t& bus_word) {
+  std::size_t written = 0;
   std::uint32_t data = 0;
-  while (out.words.size() < cycles && !machine.halted()) {
+  while (written < cycles && !machine.halted()) {
     const std::uint64_t before = machine.instructions_executed();
     const bool loaded = machine.step(data);
     if (machine.instructions_executed() == before) break;  // halted on entry
     if (loaded) bus_word = data;
-    out.words.push_back(bus_word);
+    dst[written++] = BusWord(bus_word);
   }
-  return out;
+  return written;
 }
 
 }  // namespace razorbus::cpu

@@ -62,4 +62,12 @@ class Machine {
 trace::Trace capture_bus_trace(Machine& machine, std::size_t cycles,
                                const std::string& trace_name);
 
+// The one capture loop, behind capture_bus_trace and Benchmark::stream:
+// writes up to `cycles` bus words into `dst` under the rules above and
+// returns how many it wrote (fewer only when the machine halts).
+// `bus_word` is the held word, carried in and out so a caller can capture
+// block by block.
+std::size_t capture_bus_words(Machine& machine, BusWord* dst, std::size_t cycles,
+                              std::uint32_t& bus_word);
+
 }  // namespace razorbus::cpu

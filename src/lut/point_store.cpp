@@ -1,14 +1,11 @@
 #include "lut/point_store.hpp"
 
-#include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <random>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
+#include "util/atomic_file.hpp"
 #include "util/file_lock.hpp"
 
 namespace razorbus::lut {
@@ -16,16 +13,6 @@ namespace razorbus::lut {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'B', 'P', 'T', 'S', '0', '0', '1'};
-
-// Random per-process token for temp-file names — same idiom and same
-// rationale as the table cache writer (cache.cpp): entropy is exactly what
-// cross-process uniqueness needs, and the token never reaches simulation
-// state.
-std::uint64_t process_token() {
-  // razorlint: allow(no-raw-random): naming entropy, not a simulation draw.
-  std::random_device rd;
-  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-}
 
 // Process-wide registry of open stores keyed by (cache directory, design
 // hash): every table build in the process shares one instance per design,
@@ -152,39 +139,21 @@ void PointStore::flush() {
   load_file();
   if (points_.size() == persisted_) return;  // the file already has them all
 
-  // Publish atomically: private temp file, then rename over the final
-  // path — a crash or a concurrent second writer can never leave a torn
-  // points_*.bin (same contract as the table cache, cache.cpp).
-  static const std::uint64_t tmp_token = process_token();
-  // razorlint: allow(no-mutable-static): atomic counter for temp-file name
-  // uniqueness within the process; file contents are identical regardless.
-  static std::atomic<unsigned> tmp_serial{0};
-  std::error_code ec;
-  std::ostringstream tmp_name;
-  tmp_name << path_ << ".tmp." << std::hex << tmp_token << "." << tmp_serial++;
-  const std::string tmp_path = tmp_name.str();
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return;
+  // Publish atomically (util::publish_atomic): a crash or a concurrent
+  // second writer can never leave a torn points_*.bin. The writer runs
+  // under mutex_, which this function holds throughout.
+  const std::map<std::uint64_t, StoredPoint>& points = points_;
+  const auto write = [&points](std::ostream& out) {
     out.write(kMagic, sizeof(kMagic));
-    const std::uint64_t count = points_.size();
+    const std::uint64_t count = points.size();
     out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    for (const auto& [key, point] : points_) {
+    for (const auto& [key, point] : points) {
       out.write(reinterpret_cast<const char*>(&key), sizeof(key));
       out.write(reinterpret_cast<const char*>(&point.delay), sizeof(point.delay));
       out.write(reinterpret_cast<const char*>(&point.energy), sizeof(point.energy));
     }
-    if (!out) {
-      std::filesystem::remove(tmp_path, ec);
-      return;
-    }
-  }
-  std::filesystem::rename(tmp_path, path_, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    return;
-  }
-  persisted_ = points_.size();
+  };
+  if (util::publish_atomic(path_, write).ok()) persisted_ = points.size();
 }
 
 interconnect::ClusterResult simulate_or_fetch(

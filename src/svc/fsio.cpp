@@ -2,27 +2,35 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+
+#include "util/atomic_file.hpp"
 
 namespace razorbus::svc {
 
 namespace {
 
-// Random per-process token for temp-file names — same idiom and rationale
-// as the point store and table cache writers: entropy is exactly what
-// cross-process uniqueness needs, and the token never reaches simulation
-// state.
-std::uint64_t process_token() {
-  // razorlint: allow(no-raw-random): naming entropy, not a simulation draw.
-  std::random_device rd;
-  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+util::FileWriter content_writer(const std::string& content) {
+  return [&content](std::ostream& out) { out << content; };
+}
+
+// Turns a failed util publish into the service's exceptions.
+util::Published checked(util::Published result, const std::string& path) {
+  switch (result.status) {
+    case util::Published::Status::ok: return result;
+    case util::Published::Status::open_failed:
+      throw std::runtime_error("cannot write " + result.tmp_path);
+    case util::Published::Status::write_failed:
+      throw std::runtime_error("short write to " + result.tmp_path);
+    case util::Published::Status::rename_failed: break;
+  }
+  throw std::runtime_error("cannot rename " + result.tmp_path + " -> " + path + ": " +
+                           result.error.message());
 }
 
 }  // namespace
@@ -35,49 +43,13 @@ std::string read_file(const std::string& path) {
   return text.str();
 }
 
-std::string unique_sibling(const std::string& path, const std::string& tag) {
-  static const std::uint64_t token = process_token();
-  // razorlint: allow(no-mutable-static): temp-name serial — naming only,
-  // never simulation state (same precedent as lut::PointStore::flush).
-  static std::atomic<unsigned> serial{0};
-  std::ostringstream name;
-  name << path << "." << tag << "." << std::hex << token << "." << serial++;
-  return name.str();
-}
-
-namespace {
-
-// Writes `content` to a fresh sibling temp file and returns its path.
-std::string write_temp(const std::string& path, const std::string& content) {
-  const std::string tmp_path = unique_sibling(path, "tmp");
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + tmp_path);
-  out << content;
-  out.flush();
-  if (!out) {
-    std::error_code ec;
-    std::filesystem::remove(tmp_path, ec);
-    throw std::runtime_error("short write to " + tmp_path);
-  }
-  return tmp_path;
-}
-
-}  // namespace
-
 void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp_path = write_temp(path, content);
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::error_code ignore;
-    std::filesystem::remove(tmp_path, ignore);
-    throw std::runtime_error("cannot rename " + tmp_path + " -> " + path + ": " +
-                             ec.message());
-  }
+  checked(util::publish_atomic(path, content_writer(content)), path);
 }
 
 bool create_file_exclusive(const std::string& path, const std::string& content) {
-  const std::string tmp_path = write_temp(path, content);
+  const std::string tmp_path =
+      checked(util::write_temp_file(path, content_writer(content)), path).tmp_path;
   const bool created = ::link(tmp_path.c_str(), path.c_str()) == 0;
   const int err = errno;
   std::error_code ignore;

@@ -2,8 +2,9 @@
 //
 // Everything the service persists — queue records, claims, done records,
 // cache entries, status snapshots, replayed reports — goes through
-// write_file_atomic: a private temp file renamed over the final path, the
-// same crash/concurrency contract as the LUT table cache and point store.
+// write_file_atomic: a private temp file renamed over the final path, by
+// the same util::publish_atomic helper the LUT table cache and point
+// store publish through (util/atomic_file.hpp).
 // A reader therefore sees either the previous complete file or the new
 // complete file, never a torn one; torn files can only be left by a crash
 // BEFORE the rename, and every service reader tolerates those by
@@ -26,10 +27,6 @@ void write_file_atomic(const std::string& path, const std::string& content);
 // body or not at all. Returns false when `path` already exists; throws
 // std::runtime_error on any other failure.
 bool create_file_exclusive(const std::string& path, const std::string& content);
-
-// A fresh sibling name `<path>.<tag>.<token>.<serial>`, unique across
-// threads and processes (temp files, tombstones).
-std::string unique_sibling(const std::string& path, const std::string& tag);
 
 // POSIX-shell single-quoting: inhibits every expansion, survives spaces,
 // '$', backticks and double quotes in operator-supplied paths.

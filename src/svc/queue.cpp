@@ -9,6 +9,7 @@
 #include <system_error>
 
 #include "svc/fsio.hpp"
+#include "util/atomic_file.hpp"
 #include "util/file_lock.hpp"
 
 namespace razorbus::svc {
@@ -141,7 +142,7 @@ bool JobQueue::steal_stale_claim(const std::string& claim_path) const {
   // and rename it to a unique tombstone only while it is still stale.
   const util::FileLock lock((fs::path(claims_dir_) / ".steal").string());
   if (!lock.held() || !claim_is_stale(claim_path)) return false;
-  const std::string tomb = unique_sibling(claim_path, "tomb");
+  const std::string tomb = util::unique_sibling(claim_path, "tomb");
   if (::rename(claim_path.c_str(), tomb.c_str()) == 0) {
     std::error_code ec;
     fs::remove(tomb, ec);

@@ -23,153 +23,143 @@ constexpr char kMagicV2[8] = {'R', 'B', 'T', 'R', 'A', 'C', 'E', '2'};
 
 int lanes_per_word(int n_bits) { return (n_bits + 63) / 64; }
 
-// Stage per-word payload elements through a chunk buffer so that
-// multi-million-cycle traces cost a handful of stream writes, not one per
-// word. `emit(word, chunk)` appends word's elements to the chunk.
-template <typename Elem, typename Emit>
-void write_chunked(std::ostream& os, const std::vector<BusWord>& words, Emit emit) {
-  constexpr std::size_t kChunkElems = 1 << 17;
-  std::vector<Elem> chunk;
-  chunk.reserve(std::min<std::size_t>(words.size() * 2, kChunkElems));
-  const auto flush = [&os, &chunk] {
-    os.write(reinterpret_cast<const char*>(chunk.data()),
-             static_cast<std::streamsize>(chunk.size() * sizeof(Elem)));
-    chunk.clear();
-  };
-  for (const BusWord& word : words) {
-    emit(word, chunk);
-    if (chunk.size() >= kChunkElems) flush();
+// Payloads are staged through a chunk buffer of this many words, so a
+// multi-million-cycle trace costs a handful of stream reads or writes and
+// a bounded scratch buffer.
+constexpr std::size_t kChunkWords = std::size_t{1} << 16;
+
+// Why a trace stream was rejected: a bad magic or header, or a payload
+// shorter than the header's word count.
+enum class Fault { none, not_a_trace, truncated };
+
+std::runtime_error fault_error(const char* reader, Fault fault, const std::string& path) {
+  return std::runtime_error(std::string(reader) +
+                            (fault == Fault::truncated ? ": truncated trace file: "
+                                                       : ": not a trace file: ") +
+                            path);
+}
+
+// Everything an RBTRACE1/2 file says before its payload.
+struct Header {
+  bool v1 = false;
+  int n_bits = 32;
+  std::string name;
+  std::uint64_t words = 0;
+
+  std::size_t word_bytes() const {
+    return v1 ? sizeof(std::uint32_t)
+              : static_cast<std::size_t>(lanes_per_word(n_bits)) * sizeof(std::uint64_t);
   }
-  if (!chunk.empty()) flush();
+};
+
+template <typename T>
+bool read_pod(std::istream& is, T& value) {
+  return static_cast<bool>(is.read(reinterpret_cast<char*>(&value), sizeof(value)));
 }
 
-std::optional<Trace> load_v1_body(std::istream& is) {
-  std::uint64_t name_len = 0;
-  if (!is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) || name_len > 4096)
-    return std::nullopt;
-  Trace trace;
-  trace.name.resize(name_len);
-  if (!is.read(trace.name.data(), static_cast<std::streamsize>(name_len)))
-    return std::nullopt;
-  std::uint64_t n = 0;
-  if (!is.read(reinterpret_cast<char*>(&n), sizeof(n)) || n > (1ull << 33))
-    return std::nullopt;
-  if (!util::claim_fits_stream(is, n, sizeof(std::uint32_t))) return std::nullopt;
-  std::vector<std::uint32_t> raw(n);
-  if (!is.read(reinterpret_cast<char*>(raw.data()),
-               static_cast<std::streamsize>(n * sizeof(std::uint32_t))))
-    return std::nullopt;
-  trace.n_bits = 32;
-  trace.words.assign(raw.begin(), raw.end());
-  return trace;
+template <typename T>
+void write_pod(std::ostream& os, T value) {
+  os.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-std::optional<Trace> load_v2_body(std::istream& is) {
-  std::uint32_t n_bits = 0;
-  if (!is.read(reinterpret_cast<char*>(&n_bits), sizeof(n_bits)) || n_bits == 0 ||
-      n_bits > static_cast<std::uint32_t>(BusWord::kMaxBits))
-    return std::nullopt;
+// The one header parser behind load_binary and open_trace_stream. The
+// claimed word count is checked against the bytes left in the stream, so a
+// corrupt header cannot commit a giant allocation for a read that is bound
+// to fail.
+Fault read_header(std::istream& is, Header& header) {
+  char magic[sizeof(kMagicV1)];
+  if (!is.read(magic, sizeof(magic))) return Fault::not_a_trace;
+  header.v1 = std::memcmp(magic, kMagicV1, sizeof(magic)) == 0;
+  if (!header.v1) {
+    std::uint32_t n_bits = 0;
+    if (std::memcmp(magic, kMagicV2, sizeof(magic)) != 0 || !read_pod(is, n_bits) ||
+        n_bits == 0 || n_bits > static_cast<std::uint32_t>(BusWord::kMaxBits))
+      return Fault::not_a_trace;
+    header.n_bits = static_cast<int>(n_bits);
+  }
   std::uint64_t name_len = 0;
-  if (!is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) || name_len > 4096)
-    return std::nullopt;
+  if (!read_pod(is, name_len) || name_len > 4096) return Fault::not_a_trace;
+  header.name.resize(name_len);
+  if (!is.read(header.name.data(), static_cast<std::streamsize>(name_len)) ||
+      !read_pod(is, header.words) || header.words > (1ull << 33))
+    return Fault::not_a_trace;
+  if (!util::claim_fits_stream(is, header.words, header.word_bytes()))
+    return Fault::truncated;
+  return Fault::none;
+}
+
+// The one payload decoder: reads exactly `n` words into `dst`, staging the
+// raw bytes through `scratch` in bounded chunks. False when the stream
+// ends first.
+bool read_payload(std::istream& is, const Header& header, BusWord* dst, std::size_t n,
+                  std::vector<char>& scratch) {
+  const std::size_t word_bytes = header.word_bytes();
+  while (n > 0) {
+    const std::size_t batch = std::min(n, kChunkWords);
+    scratch.resize(batch * word_bytes);
+    if (!is.read(scratch.data(), static_cast<std::streamsize>(scratch.size())))
+      return false;
+    const char* raw = scratch.data();
+    for (std::size_t w = 0; w < batch; ++w, raw += word_bytes) {
+      if (header.v1) {
+        std::uint32_t word = 0;
+        std::memcpy(&word, raw, sizeof(word));
+        *dst++ = BusWord(word);
+      } else {
+        std::uint64_t lanes[2] = {0, 0};
+        std::memcpy(lanes, raw, word_bytes);
+        *dst++ = BusWord::from_lanes(lanes[0], lanes[1]);
+      }
+    }
+    n -= batch;
+  }
+  return true;
+}
+
+// A whole trace, allocated once from the header's count; on failure
+// `fault` says why.
+std::optional<Trace> read_trace(std::istream& is, Fault& fault) {
+  Header header;
+  fault = read_header(is, header);
+  if (fault != Fault::none) return std::nullopt;
   Trace trace;
-  trace.n_bits = static_cast<int>(n_bits);
-  trace.name.resize(name_len);
-  if (!is.read(trace.name.data(), static_cast<std::streamsize>(name_len)))
+  trace.name = std::move(header.name);
+  trace.n_bits = header.n_bits;
+  trace.words.resize(static_cast<std::size_t>(header.words));
+  std::vector<char> scratch;
+  if (!read_payload(is, header, trace.words.data(), trace.words.size(), scratch)) {
+    fault = Fault::truncated;
     return std::nullopt;
-  std::uint64_t n = 0;
-  if (!is.read(reinterpret_cast<char*>(&n), sizeof(n)) || n > (1ull << 33))
-    return std::nullopt;
-  const auto lanes = static_cast<std::size_t>(lanes_per_word(trace.n_bits));
-  if (!util::claim_fits_stream(is, n, lanes * sizeof(std::uint64_t))) return std::nullopt;
-  trace.words.reserve(n);
-  // Bulk-read the lane stream in chunks, then assemble words.
-  constexpr std::size_t kChunkWords = 1 << 16;
-  std::vector<std::uint64_t> chunk;
-  std::uint64_t remaining = n;
-  while (remaining > 0) {
-    const std::size_t batch =
-        static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kChunkWords));
-    chunk.resize(batch * lanes);
-    if (!is.read(reinterpret_cast<char*>(chunk.data()),
-                 static_cast<std::streamsize>(chunk.size() * sizeof(std::uint64_t))))
-      return std::nullopt;
-    for (std::size_t w = 0; w < batch; ++w)
-      trace.words.push_back(BusWord::from_lanes(chunk[w * lanes],
-                                                lanes > 1 ? chunk[w * lanes + 1] : 0));
-    remaining -= batch;
   }
   return trace;
 }
 
 // Incremental reader behind open_trace_stream: the header is parsed once
-// at construction (with the same claimed-count-vs-file-size defence as
-// load_binary), after which each next_block reads and assembles at most
-// `max` words' worth of payload.
+// at construction, after which each next_block decodes at most `max`
+// words of payload.
 class FileTraceSource final : public TraceSource {
  public:
   explicit FileTraceSource(std::string path) : path_(std::move(path)) {
     is_.open(path_, std::ios::binary);
     if (!is_) throw std::runtime_error("open_trace_stream: cannot open " + path_);
-
-    char magic[sizeof(kMagicV1)];
-    if (!is_.read(magic, sizeof(magic)))
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    std::uint32_t n_bits = 32;
-    if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-      v1_ = true;
-    } else if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-      if (!is_.read(reinterpret_cast<char*>(&n_bits), sizeof(n_bits)) || n_bits == 0 ||
-          n_bits > static_cast<std::uint32_t>(BusWord::kMaxBits))
-        throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    } else {
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    }
-    n_bits_ = static_cast<int>(n_bits);
-    lanes_ = static_cast<std::size_t>(lanes_per_word(n_bits_));
-
-    std::uint64_t name_len = 0;
-    if (!is_.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) ||
-        name_len > 4096)
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    name_.resize(name_len);
-    if (!is_.read(name_.data(), static_cast<std::streamsize>(name_len)))
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    if (!is_.read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_)) ||
-        remaining_ > (1ull << 33) ||
-        !util::claim_fits_stream(is_, remaining_,
-                                 v1_ ? sizeof(std::uint32_t)
-                                     : lanes_ * sizeof(std::uint64_t)))
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    total_ = remaining_;
+    const Fault fault = read_header(is_, header_);
+    if (fault != Fault::none) throw fault_error("open_trace_stream", fault, path_);
+    remaining_ = header_.words;
   }
 
   std::size_t next_block(BusWord* dst, std::size_t max) override {
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(max, remaining_));
     if (n == 0) return 0;
-    if (v1_) {
-      raw32_.resize(n);
-      if (!is_.read(reinterpret_cast<char*>(raw32_.data()),
-                    static_cast<std::streamsize>(n * sizeof(std::uint32_t))))
-        throw std::runtime_error("open_trace_stream: truncated trace file: " + path_);
-      for (std::size_t w = 0; w < n; ++w) dst[w] = BusWord(raw32_[w]);
-    } else {
-      raw64_.resize(n * lanes_);
-      if (!is_.read(reinterpret_cast<char*>(raw64_.data()),
-                    static_cast<std::streamsize>(raw64_.size() * sizeof(std::uint64_t))))
-        throw std::runtime_error("open_trace_stream: truncated trace file: " + path_);
-      for (std::size_t w = 0; w < n; ++w)
-        dst[w] = BusWord::from_lanes(raw64_[w * lanes_],
-                                     lanes_ > 1 ? raw64_[w * lanes_ + 1] : 0);
-    }
+    if (!read_payload(is_, header_, dst, n, scratch_))
+      throw fault_error("open_trace_stream", Fault::truncated, path_);
     remaining_ -= n;
     return n;
   }
 
-  int n_bits() const override { return n_bits_; }
-  const std::string& name() const override { return name_; }
-  std::optional<std::uint64_t> length() const override { return total_; }
+  int n_bits() const override { return header_.n_bits; }
+  const std::string& name() const override { return header_.name; }
+  std::optional<std::uint64_t> length() const override { return header_.words; }
   std::unique_ptr<TraceSource> clone() const override {
     return std::make_unique<FileTraceSource>(path_);
   }
@@ -177,14 +167,9 @@ class FileTraceSource final : public TraceSource {
  private:
   std::string path_;
   std::ifstream is_;
-  bool v1_ = false;
-  int n_bits_ = 32;
-  std::size_t lanes_ = 1;
-  std::string name_;
+  Header header_;
   std::uint64_t remaining_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint32_t> raw32_;
-  std::vector<std::uint64_t> raw64_;
+  std::vector<char> scratch_;
 };
 
 }  // namespace
@@ -194,38 +179,38 @@ std::unique_ptr<TraceSource> open_trace_stream(const std::string& path) {
 }
 
 void save_binary(const Trace& trace, std::ostream& os) {
-  const std::uint64_t name_len = trace.name.size();
-  const std::uint64_t n = trace.words.size();
-  if (trace.n_bits == 32) {
-    os.write(kMagicV1, sizeof(kMagicV1));
-    os.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    os.write(trace.name.data(), static_cast<std::streamsize>(name_len));
-    os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    write_chunked<std::uint32_t>(
-        os, trace.words, [](const BusWord& word, std::vector<std::uint32_t>& chunk) {
-          chunk.push_back(word.low32());
-        });
-    return;
+  Header header;
+  header.v1 = trace.n_bits == 32;
+  header.n_bits = trace.n_bits;
+  os.write(header.v1 ? kMagicV1 : kMagicV2, sizeof(kMagicV1));
+  if (!header.v1) write_pod(os, static_cast<std::uint32_t>(trace.n_bits));
+  write_pod(os, static_cast<std::uint64_t>(trace.name.size()));
+  os.write(trace.name.data(), static_cast<std::streamsize>(trace.name.size()));
+  write_pod(os, static_cast<std::uint64_t>(trace.words.size()));
+  // The payload, chunk by chunk: the mirror image of read_payload.
+  const std::size_t word_bytes = header.word_bytes();
+  std::vector<char> chunk;
+  for (std::size_t first = 0; first < trace.words.size(); first += kChunkWords) {
+    const std::size_t batch = std::min(kChunkWords, trace.words.size() - first);
+    chunk.resize(batch * word_bytes);
+    char* raw = chunk.data();
+    for (std::size_t w = first; w < first + batch; ++w, raw += word_bytes) {
+      const BusWord& word = trace.words[w];
+      if (header.v1) {
+        const std::uint32_t low = word.low32();
+        std::memcpy(raw, &low, sizeof(low));
+      } else {
+        const std::uint64_t lanes[2] = {word.lane(0), word.lane(1)};
+        std::memcpy(raw, lanes, word_bytes);
+      }
+    }
+    os.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
   }
-  os.write(kMagicV2, sizeof(kMagicV2));
-  const auto n_bits = static_cast<std::uint32_t>(trace.n_bits);
-  os.write(reinterpret_cast<const char*>(&n_bits), sizeof(n_bits));
-  os.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-  os.write(trace.name.data(), static_cast<std::streamsize>(name_len));
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  const int lanes = lanes_per_word(trace.n_bits);
-  write_chunked<std::uint64_t>(
-      os, trace.words, [lanes](const BusWord& word, std::vector<std::uint64_t>& chunk) {
-        for (int l = 0; l < lanes; ++l) chunk.push_back(word.lane(l));
-      });
 }
 
 std::optional<Trace> load_binary(std::istream& is) {
-  char magic[sizeof(kMagicV1)];
-  if (!is.read(magic, sizeof(magic))) return std::nullopt;
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) return load_v1_body(is);
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) return load_v2_body(is);
-  return std::nullopt;
+  Fault fault = Fault::none;
+  return read_trace(is, fault);
 }
 
 void save_trace_file(const Trace& trace, const std::string& path) {
@@ -238,8 +223,9 @@ void save_trace_file(const Trace& trace, const std::string& path) {
 Trace load_trace_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("load_trace_file: cannot open " + path);
-  auto trace = load_binary(is);
-  if (!trace) throw std::runtime_error("load_trace_file: not a trace file: " + path);
+  Fault fault = Fault::none;
+  auto trace = read_trace(is, fault);
+  if (!trace) throw fault_error("load_trace_file", fault, path);
   return *std::move(trace);
 }
 

@@ -14,9 +14,7 @@ namespace {
 class MaterializedSource final : public TraceSource {
  public:
   explicit MaterializedSource(std::shared_ptr<const Trace> trace)
-      : trace_(std::move(trace)) {
-    if (!trace_) throw std::invalid_argument("make_trace_source: null trace");
-  }
+      : trace_(std::move(trace)) {}
 
   std::size_t next_block(BusWord* dst, std::size_t max) override {
     const std::size_t n = std::min(max, trace_->words.size() - pos_);
@@ -125,8 +123,7 @@ class WidenedSource final : public TraceSource {
         }
       }
     }
-    // The narrow stream ended mid-pack: flush the zero-padded tail word
-    // (exactly trace::widen's tail semantics).
+    // The narrow stream ended mid-pack: flush the zero-padded tail word.
     if (eof_ && packed_ > 0 && written < max) {
       dst[written++] = wide_;
       wide_ = BusWord();
@@ -171,10 +168,6 @@ class WidenedSource final : public TraceSource {
 std::unique_ptr<TraceSource> make_trace_source(Trace trace) {
   return std::make_unique<MaterializedSource>(
       std::make_shared<const Trace>(std::move(trace)));
-}
-
-std::unique_ptr<TraceSource> make_trace_source(std::shared_ptr<const Trace> trace) {
-  return std::make_unique<MaterializedSource>(std::move(trace));
 }
 
 std::unique_ptr<TraceSource> make_trace_view_source(const Trace& trace) {

@@ -27,11 +27,18 @@
 //     drivers (one supply / trace / Monte-Carlo sample per shard,
 //     DESIGN.md §9) stream the same input concurrently.
 //
-// Producers live next to what they stream: synthetic streams in
-// synthetic.hpp (`make_synthetic_source`), mini-CPU benchmark execution in
-// cpu/kernels.hpp (`Benchmark::stream`), RBTRACE1/2 file readers in io.hpp
-// (`open_trace_stream`), bus-invert re-coding in bus/businvert.hpp. This
-// header holds the interface plus the generic adaptors.
+// Every producer, adaptor and reader has exactly one implementation, and
+// it is the stream: the `Trace` forms are `materialize()` of it (or, where
+// the length is unknown up front, callers of its one loop). Producers live
+// next to what they stream: synthetic streams in synthetic.hpp
+// (`make_synthetic_source`; `generate_synthetic` fills through it),
+// mini-CPU benchmark execution in cpu/kernels.hpp (`Benchmark::stream`;
+// `Benchmark::capture` runs the same capture loop), RBTRACE1/2 file
+// readers in io.hpp (`open_trace_stream`; `load_binary` shares its header
+// parser and payload decoder), bus-invert re-coding in bus/businvert.hpp
+// (one coder behind the stream and `bus_invert_encode`). This header holds
+// the interface plus the generic adaptors, whose `trace::concatenate` and
+// `trace::widen` forms materialize them over view sources.
 #pragma once
 
 #include <cstdint>
@@ -76,26 +83,25 @@ inline constexpr std::size_t kDefaultBlockCycles = std::size_t{1} << 16;
 
 // Stream over a materialized trace (the golden-reference bridge: parity
 // tests stream the exact vector the legacy path indexes). The owning
-// overloads keep the trace alive via shared ownership, so clones are
-// cheap; the view overload does NOT copy or own — the caller guarantees
+// factory keeps the trace alive via shared ownership, so clones are
+// cheap; the view factory does NOT copy or own — the caller guarantees
 // `trace` outlives the source and every clone.
 std::unique_ptr<TraceSource> make_trace_source(Trace trace);
-std::unique_ptr<TraceSource> make_trace_source(std::shared_ptr<const Trace> trace);
 std::unique_ptr<TraceSource> make_trace_view_source(const Trace& trace);
 // One view source per trace, in order (the Trace-vector driver forwards).
 std::vector<std::unique_ptr<TraceSource>> make_trace_view_sources(
     const std::vector<Trace>& traces);
 
-// Back-to-back concatenation (the Fig. 8 consecutive-benchmark stream).
-// All parts must share one width — mixed widths throw std::invalid_argument
-// exactly like trace::concatenate. An empty part list yields an empty
-// 32-wire stream, mirroring concatenate({}).
+// Back-to-back concatenation (the Fig. 8 consecutive-benchmark stream;
+// trace::concatenate materializes it). All parts must share one width —
+// mixed widths throw std::invalid_argument. An empty part list yields an
+// empty 32-wire stream.
 std::unique_ptr<TraceSource> concatenate_sources(
     std::vector<std::unique_ptr<TraceSource>> parts, const std::string& name);
 
-// Streaming counterpart of trace::widen: packs `factor` consecutive narrow
-// words into one wide word (earliest word in the lowest bits), zero-padding
-// the final word when the narrow stream ends mid-pack. Requires
+// Packs `factor` consecutive narrow words into one wide word (earliest
+// word in the lowest bits), zero-padding the final word when the narrow
+// stream ends mid-pack; trace::widen materializes it. Requires
 // narrow->n_bits() * factor <= BusWord::kMaxBits.
 std::unique_ptr<TraceSource> widen_source(std::unique_ptr<TraceSource> narrow,
                                           int factor);

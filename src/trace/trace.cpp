@@ -1,6 +1,6 @@
 #include "trace/trace.hpp"
 
-#include <stdexcept>
+#include "trace/source.hpp"
 
 namespace razorbus::trace {
 
@@ -52,40 +52,14 @@ TraceStats compute_stats(const Trace& trace) {
   return stats;
 }
 
+// Both forms are materialize() of their streaming adaptors (source.cpp),
+// which own the width checks and the word loops.
 Trace concatenate(const std::vector<Trace>& traces, const std::string& name) {
-  Trace out;
-  out.name = name;
-  if (!traces.empty()) out.n_bits = traces.front().n_bits;
-  for (const auto& t : traces)
-    if (t.n_bits != out.n_bits)
-      throw std::invalid_argument("concatenate: mixed trace widths (" + name + ")");
-  std::size_t total = 0;
-  for (const auto& t : traces) total += t.words.size();
-  out.words.reserve(total);
-  for (const auto& t : traces)
-    out.words.insert(out.words.end(), t.words.begin(), t.words.end());
-  return out;
+  return materialize(*concatenate_sources(make_trace_view_sources(traces), name));
 }
 
 Trace widen(const Trace& trace, int factor) {
-  if (factor <= 0) throw std::invalid_argument("widen: factor must be positive");
-  if (trace.n_bits * factor > BusWord::kMaxBits)
-    throw std::invalid_argument("widen: result exceeds BusWord capacity");
-  Trace out;
-  out.name = trace.name;
-  out.n_bits = trace.n_bits * factor;
-  out.words.reserve((trace.words.size() + static_cast<std::size_t>(factor) - 1) /
-                    static_cast<std::size_t>(factor));
-  const BusWord in_mask = BusWord::mask_low(trace.n_bits);
-  for (std::size_t i = 0; i < trace.words.size(); i += static_cast<std::size_t>(factor)) {
-    BusWord wide;
-    for (int k = 0; k < factor && i + static_cast<std::size_t>(k) < trace.words.size();
-         ++k)
-      wide |= (trace.words[i + static_cast<std::size_t>(k)] & in_mask)
-              << (k * trace.n_bits);
-    out.words.push_back(wide);
-  }
-  return out;
+  return materialize(*widen_source(make_trace_view_source(trace), factor));
 }
 
 }  // namespace razorbus::trace

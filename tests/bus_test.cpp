@@ -400,6 +400,21 @@ TEST(BusInvertWidth, InvertDecisionUsesTraceWidth) {
             total_toggles(raw));
 }
 
+// The invert line counts as one toggle: on an odd width, a word whose
+// complement ties with it once the line is counted keeps the line low,
+// and one more toggle flips it. Stream and materialized encoder agree.
+TEST(BusInvertWidth, InvertLineCountsAsAToggle) {
+  const trace::Trace raw{"odd15", {0x0000u, 0x00FFu, 0x0100u}, 15};
+  const BusInvertResult enc = bus_invert_encode(raw);
+  // 0x00FF: 8 toggles direct vs 7 + 1 inverted, a tie, so no inversion.
+  // 0x0100: 9 toggles direct vs 6 + 1 inverted, so the line flips.
+  EXPECT_EQ(enc.encoded.words, (std::vector<BusWord>{0x0000u, 0x00FFu, 0x7EFFu}));
+  EXPECT_EQ(enc.invert_line, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(enc.inversions, 1u);
+  const auto source = bus_invert_encode_source(trace::make_trace_source(raw));
+  EXPECT_EQ(trace::materialize(*source).words, enc.encoded.words);
+}
+
 TEST(BusInvertWidth, WideEncodedTrafficRunsOnWideBus) {
   // The encoded 64-wire stream must drive a 64-wire simulator end to end
   // (composition of coding + DVS is the ablation_encoding scenario).

@@ -259,15 +259,18 @@ TEST(Machine, PcFallOffEndHalts) {
 
 TEST(BusTrace, HoldsBetweenLoads) {
   ProgramBuilder b("t");
-  b.loadi(1, 10).loadi(2, 42).store(1, 0, 2).load(3, 1, 0).nop().nop().halt();
+  b.loadi(1, 10).loadi(2, 42).store(1, 0, 2).load(3, 1, 0).nop().nop().load(4, 1, 1)
+      .nop().halt();
   Machine m(b.build(), 1u << 12);
   const trace::Trace t = capture_bus_trace(m, 100, "t");
-  // 6 executed instructions before halt.
-  ASSERT_EQ(t.words.size(), 6u);
+  // 8 executed instructions before halt.
+  ASSERT_EQ(t.words.size(), 8u);
   EXPECT_EQ(t.words[0], 0u);   // loadi: bus idle
   EXPECT_EQ(t.words[3], 42u);  // the load drives its data
   EXPECT_EQ(t.words[4], 42u);  // nop: bus holds
   EXPECT_EQ(t.words[5], 42u);
+  EXPECT_EQ(t.words[6], 0u);   // a load of zero (mem[11]) still drives it
+  EXPECT_EQ(t.words[7], 0u);   // and the bus holds the zero
 }
 
 // ---------------------------------------------------------------- kernels

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -369,6 +370,30 @@ TEST(Synthetic, RandomWalkTogglesFewBitsPerStep) {
 
 // ---------------------------------------------------------------- io
 
+// Writes `bytes` to a file and requires both file readers to reject it
+// with a std::runtime_error that names `fault` and the path.
+void expect_file_rejected(const std::string& bytes, const std::string& fault) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "trace_io_rejected.rbtrace").string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  const auto expect_message = [&](const auto& read, const char* reader) {
+    SCOPED_TRACE(reader);
+    try {
+      read();
+      ADD_FAILURE() << "accepted a bad trace file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(fault + ": " + path), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_message([&] { load_trace_file(path); }, "load_trace_file");
+  expect_message([&] { open_trace_stream(path); }, "open_trace_stream");
+  std::filesystem::remove(path);
+}
+
 TEST(TraceIo, BinaryRoundTripInMemory) {
   SyntheticConfig cfg;
   cfg.cycles = 3000;
@@ -385,6 +410,7 @@ TEST(TraceIo, BinaryRoundTripInMemory) {
 TEST(TraceIo, RejectsGarbageAndTruncation) {
   std::stringstream garbage("this is not a trace");
   EXPECT_FALSE(load_binary(garbage).has_value());
+  expect_file_rejected(garbage.str(), "not a trace file");
 
   const Trace t{"x", {1, 2, 3, 4, 5}};
   std::stringstream buffer;
@@ -393,6 +419,7 @@ TEST(TraceIo, RejectsGarbageAndTruncation) {
   data.resize(data.size() - 6);
   std::stringstream truncated(data);
   EXPECT_FALSE(load_binary(truncated).has_value());
+  expect_file_rejected(data, "truncated trace file");
 }
 
 TEST(TraceIo, CorruptWordCountRejectedWithoutGiantAllocation) {
@@ -413,6 +440,7 @@ TEST(TraceIo, CorruptWordCountRejectedWithoutGiantAllocation) {
 
   std::stringstream corrupt(data);
   EXPECT_FALSE(load_binary(corrupt).has_value());
+  expect_file_rejected(data, "truncated trace file");
 
   // A merely-too-large claim (payload shorter than the count says) is
   // rejected the same way.
@@ -420,6 +448,14 @@ TEST(TraceIo, CorruptWordCountRejectedWithoutGiantAllocation) {
   std::memcpy(&data[count_offset], &plausible, sizeof(plausible));
   std::stringstream short_payload(data);
   EXPECT_FALSE(load_binary(short_payload).has_value());
+  expect_file_rejected(data, "truncated trace file");
+
+  // A count past the format's limit is a bad header, not a short payload.
+  const std::uint64_t beyond = (1ull << 33) + 1;
+  std::memcpy(&data[count_offset], &beyond, sizeof(beyond));
+  std::stringstream bad_header(data);
+  EXPECT_FALSE(load_binary(bad_header).has_value());
+  expect_file_rejected(data, "not a trace file");
 }
 
 TEST(TraceIo, FileRoundTrip) {
