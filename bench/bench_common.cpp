@@ -1,11 +1,11 @@
 // Scenario-runner implementation (see bench_common.hpp).
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "util/parallel.hpp"
 
@@ -30,13 +30,24 @@ const core::DvsBusSystem& paper_system() {
   return system;
 }
 
-std::vector<trace::Trace> suite_traces(std::size_t cycles) {
-  std::vector<trace::Trace> traces;
-  for (const auto& bench : cpu::spec2000_suite()) {
-    std::fprintf(stderr, "[tracing %s: %zu cycles]\n", bench.name.c_str(), cycles);
-    traces.push_back(bench.capture(cycles));
-  }
-  return traces;
+std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench,
+                                                     std::size_t cycles, int width) {
+  if (width % 32 != 0)
+    throw std::invalid_argument("benchmark traces require a width that is a "
+                                "multiple of 32, got " +
+                                std::to_string(width));
+  const int factor = width / 32;
+  auto s = bench.stream(cycles * static_cast<std::size_t>(factor));
+  if (factor > 1) s = trace::widen_source(std::move(s), factor);
+  return s;
+}
+
+std::vector<std::unique_ptr<trace::TraceSource>> suite_sources(std::size_t cycles,
+                                                               int width) {
+  std::vector<std::unique_ptr<trace::TraceSource>> sources;
+  for (const auto& bench : cpu::spec2000_suite())
+    sources.push_back(benchmark_source(bench, cycles, width));
+  return sources;
 }
 
 void print_header(const char* title, const char* paper_ref) {
@@ -66,16 +77,23 @@ int run_scenario(int argc, char** argv, const Scenario& scenario) {
   try {
     CliFlags flags(argc, argv);
     ScenarioContext ctx(flags);
-    if (scenario.default_cycles > 0)
-      ctx.cycles = static_cast<std::size_t>(
-          flags.get_int("cycles", static_cast<std::int64_t>(scenario.default_cycles)));
+    if (scenario.default_cycles > 0) {
+      const std::int64_t cycles =
+          flags.get_int("cycles", static_cast<std::int64_t>(scenario.default_cycles));
+      if (cycles < 1)
+        throw std::invalid_argument("--cycles must be >= 1, got " +
+                                    std::to_string(cycles));
+      ctx.cycles = static_cast<std::size_t>(cycles);
+    }
 
     // Shared executor width: --threads=N shards the characterization and
     // the parallel experiment drivers over N threads (0 = hardware
     // concurrency, the default). Results are bit-identical at any width
     // (DESIGN.md §9), so this is purely a wall-clock knob.
-    const std::int64_t requested_threads =
-        std::max<std::int64_t>(0, flags.get_int("threads", 0));
+    const std::int64_t requested_threads = flags.get_int("threads", 0);
+    if (requested_threads < 0)
+      throw std::invalid_argument("--threads must be >= 0, got " +
+                                  std::to_string(requested_threads));
     util::set_global_threads(static_cast<unsigned>(requested_threads));
 
     // --json writes BENCH_<name>.json; --json=path overrides the location.

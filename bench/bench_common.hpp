@@ -2,8 +2,8 @@
 //
 // Every registered scenario regenerates one table or figure of the paper
 // (see DESIGN.md §4 for the index). They all share the same shape:
-// characterise the paper bus (cached on disk after the first run), capture
-// traces, run one experiment, print tables. The scenario runner factors
+// characterise the paper bus (cached on disk after the first run), stream
+// the benchmark suite, run one experiment, print tables. The scenario runner factors
 // that shape out of the 12 scenarios: flag parsing (--cycles, --json,
 // --threads), the banner, wall-clock timing, and a machine-readable JSON
 // report so the result trajectory of every scenario can be tracked across
@@ -16,13 +16,14 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "cpu/kernels.hpp"
-#include "trace/trace.hpp"
+#include "trace/source.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -35,8 +36,19 @@ core::SystemOptions options_with_progress(const char* what);
 // The characterised paper bus (built once, then loaded from the cache).
 const core::DvsBusSystem& paper_system();
 
-// All 10 benchmark traces at `cycles` cycles each, in Table 1 order.
-std::vector<trace::Trace> suite_traces(std::size_t cycles);
+// One mini-CPU benchmark's load stream, `cycles` bus cycles at `width`
+// wires: 32-bit loads, packed into flits of consecutive words on wider
+// buses (the README "memory bus" recipe). `width` must be a multiple of 32.
+std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench,
+                                                     std::size_t cycles, int width = 32);
+
+// The benchmark suite as 10 streams of `cycles` bus cycles each, in
+// Table 1 order: the one expansion of the suite, shared by the scenarios
+// and the campaign jobs. Nothing executes until a driver pulls a block, so
+// the suite is never resident (sweeps take trace::concatenate_sources of
+// it; closed loops take the sources one by one).
+std::vector<std::unique_ptr<trace::TraceSource>> suite_sources(std::size_t cycles,
+                                                               int width = 32);
 
 void print_header(const char* title, const char* paper_ref);
 

@@ -95,21 +95,6 @@ const core::DvsBusSystem& system_for_job(int width, double lut_tolerance) {
   return *it->second;
 }
 
-// One mini-CPU benchmark's load stream at `width` wires: 32-bit loads,
-// packed into flits of consecutive words on wider buses (the README
-// "memory bus" recipe).
-std::unique_ptr<trace::TraceSource> benchmark_source(const cpu::Benchmark& bench,
-                                                     int width, std::size_t cycles) {
-  if (width % 32 != 0)
-    throw std::invalid_argument("benchmark traces require a width that is a "
-                                "multiple of 32, got " +
-                                std::to_string(width));
-  const int factor = width / 32;
-  auto s = bench.stream(cycles * static_cast<std::size_t>(factor));
-  if (factor > 1) s = trace::widen_source(std::move(s), factor);
-  return s;
-}
-
 // One trace source at `width` wires: a synthetic stream, one mini-CPU
 // benchmark or a trace file, optionally bus-invert coded. Suite specs
 // name no single benchmark and are expanded by sources_for.
@@ -131,7 +116,7 @@ std::unique_ptr<trace::TraceSource> source_for_lane(const core::TraceSpec& spec,
     }
     case core::TraceSpec::Source::benchmark:
     case core::TraceSpec::Source::suite:
-      s = benchmark_source(cpu::benchmark_by_name(spec.benchmark), width, cycles);
+      s = benchmark_source(cpu::benchmark_by_name(spec.benchmark), cycles, width);
       break;
     case core::TraceSpec::Source::file: {
       s = trace::open_trace_stream(spec.path);
@@ -150,16 +135,14 @@ std::unique_ptr<trace::TraceSource> source_for_lane(const core::TraceSpec& spec,
 std::vector<std::unique_ptr<trace::TraceSource>> sources_for(
     const core::ScenarioSpec& spec, std::size_t cycles) {
   const int width = spec.widths.at(0);
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
   if (spec.trace.source != core::TraceSpec::Source::suite) {
+    std::vector<std::unique_ptr<trace::TraceSource>> sources;
     sources.push_back(source_for_lane(spec.trace, width, cycles, spec.bus_invert));
     return sources;
   }
-  for (const auto& bench : cpu::spec2000_suite()) {
-    sources.push_back(benchmark_source(bench, width, cycles));
-    if (spec.bus_invert)
-      sources.back() = bus::bus_invert_encode_source(std::move(sources.back()));
-  }
+  auto sources = suite_sources(cycles, width);
+  if (spec.bus_invert)
+    for (auto& s : sources) s = bus::bus_invert_encode_source(std::move(s));
   return sources;
 }
 

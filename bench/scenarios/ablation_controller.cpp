@@ -18,9 +18,9 @@ struct LoopResult {
   double avg_v;
 };
 
-LoopResult run(const trace::Trace& trace, const core::DvsRunConfig& cfg) {
-  const auto r =
-      core::run_closed_loop(paper_system(), tech::typical_corner(), trace, cfg);
+LoopResult run(const trace::TraceSource& workload, const core::DvsRunConfig& cfg) {
+  const auto r = core::run_closed_loop_streamed(paper_system(), tech::typical_corner(),
+                                                workload, cfg);
   return {100.0 * r.energy_gain(), 100.0 * r.error_rate(), to_mV(r.average_supply)};
 }
 
@@ -33,8 +33,10 @@ Scenario make_ablation_controller_scenario() {
   scenario.paper_ref = "design-choice ablations (DESIGN.md section 6)";
   scenario.default_cycles = 600000;
   scenario.run = [](ScenarioContext& ctx) {
-    // A single mid-activity benchmark keeps the comparison legible.
+    // A single mid-activity benchmark keeps the comparison legible. It runs
+    // 13 times, so it is captured once and served through a view.
     const trace::Trace trace = cpu::benchmark_by_name("vortex").capture(ctx.cycles);
+    const auto workload = trace::make_trace_view_source(trace);
     std::printf("Workload: vortex, %zu cycles, %s\n", ctx.cycles,
                 tech::typical_corner().name().c_str());
 
@@ -55,7 +57,7 @@ Scenario make_ablation_controller_scenario() {
         cfg.controller.low_threshold = c.lo;
         cfg.controller.high_threshold = c.hi;
         cfg.controller.window_cycles = c.window;
-        const LoopResult r = run(trace, cfg);
+        const LoopResult r = run(*workload, cfg);
         table.row()
             .add(format_fixed(100.0 * c.lo, 1) + "-" + format_fixed(100.0 * c.hi, 1))
             .add(static_cast<long long>(c.window))
@@ -73,7 +75,7 @@ Scenario make_ablation_controller_scenario() {
       for (const std::uint64_t delay : {0ull, 3000ull, 15000ull, 60000ull}) {
         core::DvsRunConfig cfg;
         cfg.regulator_delay_cycles = delay;
-        const LoopResult r = run(trace, cfg);
+        const LoopResult r = run(*workload, cfg);
         table.row()
             .add(static_cast<long long>(delay))
             .add(r.gain, 1)
@@ -114,7 +116,7 @@ Scenario make_ablation_controller_scenario() {
     {
       Table table({"Controller", "Gain (%)", "Err (%)", "Avg V (mV)"});
       {
-        const LoopResult r = run(trace, core::DvsRunConfig{});
+        const LoopResult r = run(*workload, core::DvsRunConfig{});
         table.row()
             .add("threshold [1%,2%] (paper)")
             .add(r.gain, 1)
@@ -125,7 +127,7 @@ Scenario make_ablation_controller_scenario() {
       for (const double gain : {1.0, 2.0, 6.0}) {
         core::DvsRunConfig cfg;
         cfg.proportional.emplace().gain = gain;
-        const LoopResult r = run(trace, cfg);
+        const LoopResult r = run(*workload, cfg);
         table.row()
             .add("proportional, k=" + format_fixed(gain, 1))
             .add(r.gain, 1)

@@ -49,27 +49,29 @@ Scenario make_ablation_encoding_scenario() {
   scenario.default_cycles = 400000;
   scenario.run = [](ScenarioContext& ctx) {
     const auto corner = tech::typical_corner();
-    const auto traces = suite_traces(ctx.cycles);
 
     Table table({"Benchmark", "Invert-only gain (%)", "DVS-only gain (%)",
                  "Combined gain (%)", "Inversion rate (%)"});
 
     double sums[3] = {0.0, 0.0, 0.0};
     double base_sum = 0.0;
-    for (const auto& raw : traces) {
-      std::fprintf(stderr, "[%s]\n", raw.name.c_str());
+    for (const auto& bench : cpu::spec2000_suite()) {
+      // The invert line is a word vector, so each benchmark is captured in
+      // turn (one at a time; the suite is never resident).
+      std::fprintf(stderr, "[%s]\n", bench.name.c_str());
+      const trace::Trace raw = bench.capture(ctx.cycles);
       const bus::BusInvertResult enc = bus::bus_invert_encode(raw);
       const trace::Trace side = line_trace(enc.invert_line);
 
       // (2) DVS on the raw trace; its nominal meter prices the baseline,
       // the plain bus at nominal supply, in the same pass.
-      const core::DvsRunReport dvs =
-          core::run_closed_loop(paper_system(), corner, raw, core::DvsRunConfig{});
+      const core::DvsRunReport dvs = core::run_closed_loop_streamed(
+          paper_system(), corner, *trace::make_trace_view_source(raw));
       const double base = dvs.baseline_bus_energy;
 
       // (3) DVS on the encoded trace.
-      const core::DvsRunReport dvs_enc = core::run_closed_loop(
-          paper_system(), corner, enc.encoded, core::DvsRunConfig{});
+      const core::DvsRunReport dvs_enc = core::run_closed_loop_streamed(
+          paper_system(), corner, *trace::make_trace_view_source(enc.encoded));
 
       // (1) bus-invert at nominal supply (the encoded run's baseline) + the
       // invert line's energy.

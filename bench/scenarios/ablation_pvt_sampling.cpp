@@ -6,9 +6,9 @@
 // conditions (discrete process corner, continuous temperature and IR drop)
 // and report the distribution of closed-loop DVS gains — the expected
 // energy saving for a part drawn at random, rather than at hand-picked
-// corners. The sampling itself lives in core::pvt_sample_gains, sharded
-// one sample per shard with a per-sample Rng stream (DESIGN.md §9), so the
-// population is identical at any --threads=N.
+// corners. The sampling itself lives in core::pvt_sample_gains_streamed,
+// sharded one sample per shard with a per-sample Rng stream (DESIGN.md §9),
+// so the population is identical at any --threads=N.
 #include <iostream>
 
 #include "scenarios/scenarios.hpp"
@@ -28,12 +28,14 @@ Scenario make_ablation_pvt_sampling_scenario() {
     config.samples = static_cast<int>(ctx.flags().get_int("samples", 24));
     config.seed = static_cast<std::uint64_t>(ctx.flags().get_int("seed", 2025));
 
+    // Every sample replays the same benchmark, so it is captured once and
+    // served through a view.
     const trace::Trace trace = cpu::benchmark_by_name("vortex").capture(ctx.cycles);
     std::printf("Workload: vortex, %zu cycles, %d sampled operating points\n", ctx.cycles,
                 config.samples);
 
-    const core::PvtSampleResult result =
-        core::pvt_sample_gains(paper_system(), trace, config);
+    const core::PvtSampleResult result = core::pvt_sample_gains_streamed(
+        paper_system(), *trace::make_trace_view_source(trace), config);
 
     Histogram gain_hist(0.0, 0.6, 12);
     Table table({"#", "Process", "Temp (C)", "IR drop (%)", "Gain (%)", "Err (%)"});

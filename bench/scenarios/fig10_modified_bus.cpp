@@ -4,8 +4,11 @@
 // gain, and the closed-loop DVS average gain at the worst corner improves
 // (paper: 6.3% -> 8.2%).
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "scenarios/scenarios.hpp"
+#include "util/parallel.hpp"
 
 namespace razorbus::bench {
 
@@ -17,8 +20,13 @@ Scenario make_fig10_modified_bus_scenario() {
   scenario.default_cycles = 100000;
   scenario.extra_flags = {"dvs_cycles", "ratio"};
   scenario.run = [](ScenarioContext& ctx) {
-    const auto dvs_cycles =
-        static_cast<std::size_t>(ctx.flags().get_int("dvs_cycles", 500000));
+    // Checked like --cycles: a streamed suite would run a wrapped negative
+    // budget (about 2^64 cycles) effectively forever.
+    const std::int64_t dvs_flag = ctx.flags().get_int("dvs_cycles", 500000);
+    if (dvs_flag < 1)
+      throw std::invalid_argument("--dvs_cycles must be >= 1, got " +
+                                  std::to_string(dvs_flag));
+    const auto dvs_cycles = static_cast<std::size_t>(dvs_flag);
     const double ratio = ctx.flags().get_double("ratio", 1.95);
 
     static const core::DvsBusSystem modified(interconnect::BusDesign::modified_bus(ratio),
@@ -28,16 +36,26 @@ Scenario make_fig10_modified_bus_scenario() {
         paper_system().design().parasitics.cc_to_cg_ratio(),
         modified.design().parasitics.cc_to_cg_ratio(), ratio);
 
-    const auto traces = suite_traces(ctx.cycles);
+    const auto suite = trace::concatenate_sources(suite_sources(ctx.cycles), "suite");
+    const auto corners = tech::fig5_corners();
+    const core::DvsBusSystem* designs[2] = {&paper_system(), &modified};
+
+    // Every (corner, design) sweep is an independent pass over the streamed
+    // suite, so they run one per shard, each draining its own clone of the
+    // suite; the results do not depend on the thread count (DESIGN.md §9).
+    const auto gains = util::parallel_map(
+        util::global_pool(), 2 * corners.size(), [&](std::size_t s) {
+          const auto sweep = core::static_voltage_sweep_streamed(
+              *designs[s % 2], corners[s / 2], *suite);
+          return core::gains_for_targets(sweep, {0.0, 0.02, 0.05});
+        });
 
     Table table({"PVT corner", "Delay@1.2V orig/mod (ps)", "Gain 0%: orig/mod (%)",
                  "Gain 2%: orig/mod (%)", "Gain 5%: orig/mod (%)"});
-    for (const auto& corner : tech::fig5_corners()) {
-      std::fprintf(stderr, "[sweeping %s]\n", corner.name().c_str());
-      const auto orig = core::gains_for_targets(
-          core::static_voltage_sweep(paper_system(), corner, traces), {0.0, 0.02, 0.05});
-      const auto mod = core::gains_for_targets(
-          core::static_voltage_sweep(modified, corner, traces), {0.0, 0.02, 0.05});
+    for (std::size_t c = 0; c < corners.size(); ++c) {
+      const auto& corner = corners[c];
+      const auto& orig = gains[2 * c];
+      const auto& mod = gains[2 * c + 1];
       auto pair = [](double a, double b) {
         return format_fixed(100.0 * a, 1) + " / " + format_fixed(100.0 * b, 1);
       };
@@ -55,17 +73,17 @@ Scenario make_fig10_modified_bus_scenario() {
     std::printf("\nClosed-loop DVS at the worst corner (%zu cycles/benchmark):\n",
                 dvs_cycles);
     const auto corner = tech::worst_case_corner();
-    const auto dvs_traces = suite_traces(dvs_cycles);
+    const auto dvs_sources = suite_sources(dvs_cycles);
+    const auto orig_reports =
+        core::run_closed_loop_suite_streamed(paper_system(), corner, dvs_sources);
+    const auto mod_reports =
+        core::run_closed_loop_suite_streamed(modified, corner, dvs_sources);
     double orig_base = 0.0, orig_tot = 0.0, mod_base = 0.0, mod_tot = 0.0;
-    for (const auto& t : dvs_traces) {
-      std::fprintf(stderr, "[closed loop: %s]\n", t.name.c_str());
-      const auto o =
-          core::run_closed_loop(paper_system(), corner, t, core::DvsRunConfig{});
-      const auto m = core::run_closed_loop(modified, corner, t, core::DvsRunConfig{});
-      orig_base += o.baseline_bus_energy;
-      orig_tot += o.totals.total_energy();
-      mod_base += m.baseline_bus_energy;
-      mod_tot += m.totals.total_energy();
+    for (std::size_t t = 0; t < dvs_sources.size(); ++t) {
+      orig_base += orig_reports[t].baseline_bus_energy;
+      orig_tot += orig_reports[t].totals.total_energy();
+      mod_base += mod_reports[t].baseline_bus_energy;
+      mod_tot += mod_reports[t].totals.total_energy();
     }
     const double orig_gain = 1.0 - orig_tot / orig_base;
     const double mod_gain = 1.0 - mod_tot / mod_base;

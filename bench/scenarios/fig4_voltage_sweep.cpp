@@ -10,9 +10,9 @@ namespace razorbus::bench {
 namespace {
 
 void sweep_for(ScenarioContext& ctx, const tech::PvtCorner& corner,
-               const std::vector<trace::Trace>& traces) {
+               const trace::TraceSource& suite) {
   const core::StaticSweepResult sweep =
-      core::static_voltage_sweep(paper_system(), corner, traces);
+      core::static_voltage_sweep_streamed(paper_system(), corner, suite);
 
   std::printf("\nPVT corner: %s  (shadow-safe floor %.0f mV)\n", corner.name().c_str(),
               to_mV(sweep.floor_supply));
@@ -43,9 +43,9 @@ Scenario make_fig4_voltage_sweep_scenario() {
     std::printf("Combined trace: 10 benchmarks x %zu cycles "
                 "(paper: 10M each; raise with --cycles=N)\n", ctx.cycles);
 
-    const auto traces = suite_traces(ctx.cycles);
-    sweep_for(ctx, tech::worst_case_corner(), traces);  // Fig. 4(a)
-    sweep_for(ctx, tech::typical_corner(), traces);     // Fig. 4(b)
+    const auto suite = trace::concatenate_sources(suite_sources(ctx.cycles), "suite");
+    sweep_for(ctx, tech::worst_case_corner(), *suite);  // Fig. 4(a)
+    sweep_for(ctx, tech::typical_corner(), *suite);     // Fig. 4(b)
 
     std::printf(
         "\nExpected shape (paper): at the worst corner errors appear immediately\n"

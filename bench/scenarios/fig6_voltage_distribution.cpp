@@ -28,9 +28,9 @@ Scenario make_fig6_voltage_distribution_scenario() {
       const char* names[3] = {"crafty", "vortex", "mgrid"};
       std::array<double, 3> achieved{};
       for (int p = 0; p < 3; ++p) {
-        const trace::Trace trace = cpu::benchmark_by_name(names[p]).capture(ctx.cycles);
-        const core::VoltageDistribution d =
-            core::oracle_voltage_distribution(paper_system(), corner, trace, target);
+        const core::VoltageDistribution d = core::oracle_voltage_distribution(
+            paper_system(), corner, *cpu::benchmark_by_name(names[p]).stream(ctx.cycles),
+            target);
         achieved[static_cast<std::size_t>(p)] = d.achieved_error_rate;
         for (const auto& [v, frac] : d.time_at_voltage)
           rows[v][static_cast<std::size_t>(p)] = 100.0 * frac;

@@ -21,24 +21,24 @@ Scenario make_fig8_dvs_trace_scenario() {
                 ctx.cycles);
 
     const auto corner = tech::typical_corner();
-    const auto traces = suite_traces(ctx.cycles);
+    const auto sources = suite_sources(ctx.cycles);
 
     core::DvsRunConfig cfg;
     cfg.record_series = true;
     const core::ConsecutiveRunReport report =
-        core::run_consecutive(paper_system(), corner, traces, cfg);
+        core::run_consecutive_streamed(paper_system(), corner, sources, cfg);
 
     // Per-program summary (regions 1..10 of the figure).
     Table summary({"#", "Benchmark", "Avg V (mV)", "Avg err (%)", "Gain (%)"});
-    for (std::size_t i = 0; i < traces.size(); ++i) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
       const auto& r = report.per_trace[i];
       summary.row()
           .add(static_cast<long long>(i + 1))
-          .add(traces[i].name)
+          .add(sources[i]->name())
           .add(to_mV(r.average_supply), 0)
           .add(100.0 * r.totals.error_rate(), 2)
           .add(100.0 * r.energy_gain(), 1);
-      ctx.metric(traces[i].name + "_gain", r.energy_gain());
+      ctx.metric(sources[i]->name() + "_gain", r.energy_gain());
     }
     ctx.table("per_program", summary);
 

@@ -18,7 +18,7 @@ Scenario make_scaling_study_scenario() {
   scenario.paper_ref = "Section 6 (technology scaling discussion)";
   scenario.default_cycles = 100000;
   scenario.run = [](ScenarioContext& ctx) {
-    const auto traces = suite_traces(ctx.cycles);
+    const auto suite = trace::concatenate_sources(suite_sources(ctx.cycles), "suite");
     const auto corner = tech::typical_corner();
 
     Table table({"Node", "R (ohm/mm)", "Cc/Cg", "Repeaters", "Worst/best delay*",
@@ -54,7 +54,7 @@ Scenario make_scaling_study_scenario() {
       const double best = system.table().delay(best_cls, eval.process, eval.temp_c, vnom);
 
       const auto gains = core::gains_for_targets(
-          core::static_voltage_sweep(system, eval, traces), {0.02});
+          core::static_voltage_sweep_streamed(system, eval, *suite), {0.02});
 
       table.row()
           .add(name)

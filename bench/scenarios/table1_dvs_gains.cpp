@@ -11,7 +11,7 @@ namespace razorbus::bench {
 namespace {
 
 void table_for(ScenarioContext& ctx, const tech::PvtCorner& corner,
-               const std::vector<trace::Trace>& traces) {
+               const std::vector<std::unique_ptr<trace::TraceSource>>& sources) {
   const double fixed_supply = paper_system().fixed_vs_supply(corner.process);
   std::printf("\nPVT corner: %s\n", corner.name().c_str());
   std::printf("Fixed VS supply: %.0f mV, DVS floor: %.0f mV\n", to_mV(fixed_supply),
@@ -25,19 +25,19 @@ void table_for(ScenarioContext& ctx, const tech::PvtCorner& corner,
 
   // One independent closed-loop run per benchmark: sharded across the
   // executor (one simulator per trace), reports back in Table 1 order.
-  std::fprintf(stderr, "[running %zu benchmarks @ %s]\n", traces.size(),
+  std::fprintf(stderr, "[running %zu benchmarks @ %s]\n", sources.size(),
                corner.name().c_str());
   const std::vector<core::DvsRunReport> fixed_reports =
-      core::run_fixed_vs_suite(paper_system(), corner, traces);
+      core::run_fixed_vs_suite_streamed(paper_system(), corner, sources);
   const std::vector<core::DvsRunReport> dvs_reports =
-      core::run_closed_loop_suite(paper_system(), corner, traces, core::DvsRunConfig{});
+      core::run_closed_loop_suite_streamed(paper_system(), corner, sources);
 
-  for (std::size_t t = 0; t < traces.size(); ++t) {
+  for (std::size_t t = 0; t < sources.size(); ++t) {
     const core::DvsRunReport& fixed = fixed_reports[t];
     const core::DvsRunReport& dvs = dvs_reports[t];
 
     table.row()
-        .add(traces[t].name)
+        .add(sources[t]->name())
         .add(100.0 * fixed.energy_gain(), 1)
         .add(100.0 * dvs.energy_gain(), 1)
         .add(100.0 * dvs.error_rate(), 2)
@@ -79,9 +79,9 @@ Scenario make_table1_dvs_gains_scenario() {
         "DVS starts at the nominal 1.2 V, so short runs under-report its\n"
         "steady-state gain (the descent transient is amortised in longer runs).\n",
         ctx.cycles);
-    const auto traces = suite_traces(ctx.cycles);
-    table_for(ctx, tech::worst_case_corner(), traces);
-    table_for(ctx, tech::typical_corner(), traces);
+    const auto sources = suite_sources(ctx.cycles);
+    table_for(ctx, tech::worst_case_corner(), sources);
+    table_for(ctx, tech::typical_corner(), sources);
 
     std::printf(
         "\nExpected shape (paper): worst corner - fixed VS gains exactly 0,\n"

@@ -41,12 +41,13 @@ Scenario make_width_sweep_scenario() {
       cfg.load_rate = 0.4;
       cfg.seed = 0x5eed;
       cfg.n_bits = width;
-      const trace::Trace trace =
-          trace::generate_synthetic(cfg, "uniform" + std::to_string(width));
+      const auto traffic =
+          trace::make_synthetic_source(cfg, "uniform" + std::to_string(width));
 
       const core::DvsRunReport dvs =
-          core::run_closed_loop(system, corner, trace, core::DvsRunConfig{});
-      const core::DvsRunReport fixed = core::run_fixed_vs(system, corner, trace);
+          core::run_closed_loop_streamed(system, corner, *traffic);
+      const core::DvsRunReport fixed =
+          core::run_fixed_vs_streamed(system, corner, *traffic);
 
       table.row()
           .add(static_cast<long long>(width))

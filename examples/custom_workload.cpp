@@ -43,8 +43,8 @@ int run(const razorbus::CliFlags& flags) {
   for (std::uint32_t i = 0; i < 1024; ++i) machine.set_mem(i, (i * 3) & 0xFF);
 
   const trace::Trace trace = cpu::capture_bus_trace(machine, 400000, "strided_sum");
-  const core::DvsRunReport report =
-      core::run_closed_loop(system, corner, trace, core::DvsRunConfig{});
+  const core::DvsRunReport report = core::run_closed_loop_streamed(
+      system, corner, *trace::make_trace_view_source(trace));
   std::printf("custom program '%s': %.1f%% energy gain, %.2f%% errors, avg %4.0f mV\n",
               trace.name.c_str(), 100.0 * report.energy_gain(),
               100.0 * report.error_rate(), to_mV(report.average_supply));

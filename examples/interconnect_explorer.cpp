@@ -38,7 +38,7 @@ int run(const razorbus::CliFlags& flags) {
   tcfg.style = trace::SyntheticStyle::uniform;
   tcfg.cycles = cycles;
   tcfg.load_rate = 0.35;
-  const trace::Trace workload = trace::generate_synthetic(tcfg, "uniform");
+  const auto workload = trace::make_synthetic_source(tcfg, "uniform");
 
   const auto corner = tech::typical_corner();
   std::printf("Coupling-ratio sweep at %s, workload: %zu uniform cycles\n",
@@ -59,7 +59,7 @@ int run(const razorbus::CliFlags& flags) {
     const double best = system.table().delay(best_cls, corner.process, corner.temp_c,
                                              design.node.vdd_nominal);
     const auto gains = core::gains_for_targets(
-        core::static_voltage_sweep(system, corner, {workload}), {0.02});
+        core::static_voltage_sweep_streamed(system, corner, *workload), {0.02});
 
     table.row()
         .add(ratio, 2)

@@ -18,11 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "cpu/kernels.hpp"
-#include "trace/trace.hpp"
+#include "trace/source.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -88,24 +89,24 @@ int run(const razorbus::CliFlags& flags) {
               to_ps(system.nominal_worst_delay(corner)));
 
   // Two consecutive 32-bit load words form one 64-bit flit.
-  std::vector<trace::Trace> traces;
+  std::vector<std::unique_ptr<trace::TraceSource>> sources;
   for (const auto& bench : cpu::spec2000_suite())
-    traces.push_back(trace::widen(bench.capture(cycles), kBusBits / 32));
+    sources.push_back(trace::widen_source(bench.stream(cycles), kBusBits / 32));
 
   core::DvsRunConfig cfg;
   cfg.record_series = true;
   const core::ConsecutiveRunReport report =
-      core::run_consecutive(system, corner, traces, cfg);
+      core::run_consecutive_streamed(system, corner, sources, cfg);
 
   Table table({"Benchmark", "Gain (%)", "Avg err (%)", "Avg V (mV)", "Errors", "Cycles"});
   Summary summary;
   double energy = 0.0;
   double baseline = 0.0;
   double supply_cycles = 0.0;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
+  for (std::size_t i = 0; i < sources.size(); ++i) {
     const auto& r = report.per_trace[i];
     table.row()
-        .add(traces[i].name)
+        .add(sources[i]->name())
         .add(100.0 * r.energy_gain(), 1)
         .add(100.0 * r.totals.error_rate(), 2)
         .add(to_mV(r.average_supply), 0)

@@ -30,21 +30,22 @@ int run(const razorbus::CliFlags& flags) {
               system.design().repeater_size,
               to_ps(system.nominal_worst_delay(tech::worst_case_corner())));
 
-  // 2. A workload: the crafty (chess) kernel's memory-read-bus trace.
-  const trace::Trace trace = cpu::benchmark_by_name("crafty").capture(1000000);
+  // 2. A workload: the crafty (chess) kernel's memory-read-bus trace,
+  //    streamed — the kernel runs block by block as the drivers pull.
+  const auto workload = cpu::benchmark_by_name("crafty").stream(1000000);
 
   // 3. Closed-loop DVS at the typical corner: double-sampling flops detect
   //    and correct timing errors while the controller holds the error rate
   //    in the [1%, 2%] band.
   const auto corner = tech::typical_corner();
   const core::DvsRunReport dvs =
-      core::run_closed_loop(system, corner, trace, core::DvsRunConfig{});
+      core::run_closed_loop_streamed(system, corner, *workload);
 
   // 4. Compare with the conventional alternative (fixed voltage scaling).
-  const core::DvsRunReport fixed = core::run_fixed_vs(system, corner, trace);
+  const core::DvsRunReport fixed = core::run_fixed_vs_streamed(system, corner, *workload);
 
-  std::printf("\nWorkload: %s, %zu cycles at %s\n", trace.name.c_str(), trace.cycles(),
-              corner.name().c_str());
+  std::printf("\nWorkload: %s, %llu cycles at %s\n", workload->name().c_str(),
+              static_cast<unsigned long long>(dvs.totals.cycles), corner.name().c_str());
   std::printf("  fixed VS   : %5.1f%% energy gain at %4.0f mV (error-free)\n",
               100.0 * fixed.energy_gain(), to_mV(fixed.average_supply));
   std::printf("  razor DVS  : %5.1f%% energy gain at %4.0f mV average "

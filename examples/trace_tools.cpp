@@ -118,8 +118,10 @@ int run(const razorbus::CliFlags& flags) {
   const auto corner = tech::typical_corner();
   core::DvsRunConfig cfg;
   cfg.start_supply = system.dvs_floor(corner.process) + 0.1;  // skip the descent
-  const auto on_full = core::run_closed_loop(system, corner, full, cfg);
-  const auto on_reduced = core::run_closed_loop(system, corner, reduced, cfg);
+  const auto on_full = core::run_closed_loop_streamed(
+      system, corner, *trace::make_trace_view_source(full), cfg);
+  const auto on_reduced = core::run_closed_loop_streamed(
+      system, corner, *trace::make_trace_view_source(reduced), cfg);
   std::printf(
       "\nDVS gain: full trace %.1f%% (%zu cycles) vs simpoints %.1f%% (%zu cycles)\n",
               100.0 * on_full.energy_gain(), full.cycles(),

@@ -1,9 +1,9 @@
 // The one closed loop (paper Section 5, Fig. 7) and the one trace cursor.
 //
 // Every closed-loop experiment runs through `ClosedLoop`: the single-bus
-// drivers of experiments.hpp (one lane), run_consecutive's back-to-back
-// benchmarks (one lane, one `run` per source, state carried across) and
-// sys::BusSystem (N lanes on one regulator). Each lane is a bus, its own
+// drivers of experiments.hpp (one lane), run_consecutive_streamed's
+// back-to-back benchmarks (one lane, one `run` per source, state carried
+// across) and sys::BusSystem (N lanes on one regulator). Each lane is a bus, its own
 // DVS simulator with its nominal meter (the energy of the same words on the
 // conventional bus at nominal supply, priced in the same trace pass) and
 // its own StreamCursor; the lanes share one ramping regulator, one

@@ -34,7 +34,7 @@ auto map_shards(std::size_t n, StreamStats* stats, Run&& run) {
   return out;
 }
 
-// The Monte-Carlo operating-point draw of pvt_sample_gains.
+// The Monte-Carlo operating-point draw of pvt_sample_gains_streamed.
 tech::PvtCorner draw_pvt_corner(Rng& rng) {
   tech::PvtCorner corner;
   // Process corners are discrete (die-to-die); skew toward typical.
@@ -155,7 +155,7 @@ std::vector<TargetGainPoint> gains_for_targets(const StaticSweepResult& sweep,
 
 VoltageDistribution oracle_voltage_distribution(const DvsBusSystem& system,
                                                 const tech::PvtCorner& environment,
-                                                const trace::Trace& trace,
+                                                const trace::TraceSource& source,
                                                 double target_error_rate,
                                                 std::uint64_t window_cycles) {
   dvs::OracleSelector oracle(system.design(), system.table(), environment);
@@ -163,10 +163,10 @@ VoltageDistribution oracle_voltage_distribution(const DvsBusSystem& system,
   config.window_cycles = window_cycles;
   config.target_error_rate = target_error_rate;
   config.vmin = system.shadow_floor(environment);
-  const dvs::OracleResult r = oracle.select(trace, config);
+  const dvs::OracleResult r = oracle.select(*source.clone(), config);
 
   VoltageDistribution out;
-  out.benchmark = trace.name;
+  out.benchmark = source.name();
   out.target_error_rate = target_error_rate;
   out.time_at_voltage = r.time_at_voltage.fractions();
   out.achieved_error_rate = r.achieved_error_rate;

@@ -1,17 +1,16 @@
 // Experiment drivers reproducing the paper's evaluation.
 //
 // Every table and figure of the paper maps to one of these functions; the
-// bench binaries are thin printers around them (see DESIGN.md section 4
-// for the experiment index).
+// registered scenarios are thin printers around them (see DESIGN.md
+// section 4 for the experiment index).
 //
-// Each experiment has ONE implementation, which takes its input as
+// Each experiment has ONE entry, which takes its input as
 // `trace::TraceSource` streams (DESIGN.md §12) and iterates fixed-size
 // blocks, so campaign length is bounded by simulation time, not memory.
-// Materialized `trace::Trace` inputs enter through
-// trace::make_trace_view_source: the Trace signatures below are one-line
-// forwards kept for the benches, examples and tests that hold traces in
-// RAM. Streamed = materialized therefore holds by construction — same
-// integer counts, exactly equal energy/supply doubles; tests/stream_test.cpp
+// The scenarios pass the benchmark suite as streams; a materialized
+// `trace::Trace` enters only through trace::make_trace_view_source(s).
+// Streamed = materialized therefore holds by construction — same integer
+// counts, exactly equal energy/supply doubles; tests/stream_test.cpp
 // keeps checking that reports are invariant under the block size. Every
 // closed loop runs through core::ClosedLoop (closed_loop.hpp). The width
 // rule: traces wider than the bus throw; narrower traces are legal (surplus
@@ -33,7 +32,6 @@
 #include "dvs/controller.hpp"
 #include "dvs/proportional.hpp"
 #include "trace/source.hpp"
-#include "trace/trace.hpp"
 #include "util/stats.hpp"
 
 namespace razorbus::core {
@@ -94,16 +92,6 @@ StaticSweepResult static_voltage_sweep_streamed(
     bus::EngineMode engine = bus::EngineMode::bit_parallel,
     const StreamConfig& stream = {}, StreamStats* stats = nullptr);
 
-inline StaticSweepResult static_voltage_sweep(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<trace::Trace>& traces, double timing_jitter_sigma = 0.0,
-    bus::EngineMode engine = bus::EngineMode::bit_parallel) {
-  return static_voltage_sweep_streamed(
-      system, environment,
-      *trace::concatenate_sources(trace::make_trace_view_sources(traces), "suite"),
-      timing_jitter_sigma, engine);
-}
-
 // ---------------------------------------------------------------- Fig. 5
 struct TargetGainPoint {
   double target_error_rate = 0.0;
@@ -126,9 +114,11 @@ struct VoltageDistribution {
   double achieved_error_rate = 0.0;
 };
 
+// The oracle's windowed supply choice (dvs::OracleSelector) over a clone of
+// `source`, as a time-at-voltage distribution.
 VoltageDistribution oracle_voltage_distribution(const DvsBusSystem& system,
                                                 const tech::PvtCorner& environment,
-                                                const trace::Trace& trace,
+                                                const trace::TraceSource& source,
                                                 double target_error_rate,
                                                 std::uint64_t window_cycles = 10000);
 
@@ -194,14 +184,6 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const StreamConfig& stream = {},
                                       StreamStats* stats = nullptr);
 
-inline DvsRunReport run_closed_loop(const DvsBusSystem& system,
-                                    const tech::PvtCorner& environment,
-                                    const trace::Trace& trace,
-                                    const DvsRunConfig& config = {}) {
-  return run_closed_loop_streamed(system, environment,
-                                  *trace::make_trace_view_source(trace), config);
-}
-
 // Fixed-VS baseline: run the trace at the fixed-VS supply for the corner's
 // process — not a control loop, so the report's average supply is that
 // supply exactly. Gains are zero errors by construction (at zero jitter; a
@@ -213,15 +195,6 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
                                    double timing_jitter_sigma = 0.0,
                                    const StreamConfig& stream = {},
                                    StreamStats* stats = nullptr);
-
-inline DvsRunReport run_fixed_vs(const DvsBusSystem& system,
-                                 const tech::PvtCorner& environment,
-                                 const trace::Trace& trace,
-                                 bus::EngineMode engine = bus::EngineMode::bit_parallel,
-                                 double timing_jitter_sigma = 0.0) {
-  return run_fixed_vs_streamed(system, environment, *trace::make_trace_view_source(trace),
-                               engine, timing_jitter_sigma);
-}
 
 // Continue a closed-loop run across consecutive traces without resetting
 // controller/regulator state (Fig. 8 runs the 10 benchmarks back to back).
@@ -241,16 +214,8 @@ ConsecutiveRunReport run_consecutive_streamed(
     const DvsRunConfig& config = {}, const StreamConfig& stream = {},
     StreamStats* stats = nullptr);
 
-inline ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
-                                            const tech::PvtCorner& environment,
-                                            const std::vector<trace::Trace>& traces,
-                                            const DvsRunConfig& config = {}) {
-  return run_consecutive_streamed(system, environment,
-                                  trace::make_trace_view_sources(traces), config);
-}
-
 // Independent closed-loop / fixed-VS runs over a trace suite (Table 1 runs
-// every benchmark separately). Unlike run_consecutive, controller and
+// every benchmark separately). Unlike run_consecutive_streamed, controller and
 // regulator state reset per trace, so the traces are embarrassingly
 // parallel: sharded one source per shard, each shard cloning its source
 // into its own BusSimulator, reports returned in source order (DESIGN.md
@@ -266,22 +231,6 @@ std::vector<DvsRunReport> run_fixed_vs_suite_streamed(
     bus::EngineMode engine = bus::EngineMode::bit_parallel,
     double timing_jitter_sigma = 0.0, const StreamConfig& stream = {},
     StreamStats* stats = nullptr);
-
-inline std::vector<DvsRunReport> run_closed_loop_suite(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<trace::Trace>& traces, const DvsRunConfig& config = {}) {
-  return run_closed_loop_suite_streamed(system, environment,
-                                        trace::make_trace_view_sources(traces), config);
-}
-inline std::vector<DvsRunReport> run_fixed_vs_suite(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<trace::Trace>& traces,
-    bus::EngineMode engine = bus::EngineMode::bit_parallel,
-    double timing_jitter_sigma = 0.0) {
-  return run_fixed_vs_suite_streamed(system, environment,
-                                     trace::make_trace_view_sources(traces), engine,
-                                     timing_jitter_sigma);
-}
 
 // ------------------------------------------------- PVT sampling extension
 // Monte-Carlo over operating conditions (the paper hand-picks corners; the
@@ -313,11 +262,5 @@ PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
                                           const PvtSampleConfig& config = {},
                                           const StreamConfig& stream = {},
                                           StreamStats* stats = nullptr);
-
-inline PvtSampleResult pvt_sample_gains(const DvsBusSystem& system,
-                                        const trace::Trace& trace,
-                                        const PvtSampleConfig& config = {}) {
-  return pvt_sample_gains_streamed(system, *trace::make_trace_view_source(trace), config);
-}
 
 }  // namespace razorbus::core

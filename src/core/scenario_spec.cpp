@@ -241,18 +241,22 @@ ControllerSpec ControllerSpec::from_json(const Json& json) {
   }
   spec.custom_label = f.get_string("label", "");
   if (!spec.custom_label.empty()) check_name(spec.custom_label, "controllers");
+  // Either controller decides once per window, so a window holds a cycle.
+  const auto window = [&f](std::uint64_t fallback) {
+    const long long cycles = f.get_int("window", static_cast<long long>(fallback));
+    if (cycles < 1) bad_spec("controllers", "'window' must be >= 1");
+    return static_cast<std::uint64_t>(cycles);
+  };
   if (spec.kind == dvs::ControllerKind::threshold) {
     spec.threshold.low_threshold = f.get_double("low", spec.threshold.low_threshold);
     spec.threshold.high_threshold = f.get_double("high", spec.threshold.high_threshold);
-    spec.threshold.window_cycles = static_cast<std::uint64_t>(
-        f.get_int("window", static_cast<long long>(spec.threshold.window_cycles)));
+    spec.threshold.window_cycles = window(spec.threshold.window_cycles);
     spec.threshold.voltage_step = f.get_double("step", spec.threshold.voltage_step);
   } else if (spec.kind == dvs::ControllerKind::proportional) {
     spec.proportional.target_error_rate =
         f.get_double("target", spec.proportional.target_error_rate);
     spec.proportional.gain = f.get_double("gain", spec.proportional.gain);
-    spec.proportional.window_cycles = static_cast<std::uint64_t>(
-        f.get_int("window", static_cast<long long>(spec.proportional.window_cycles)));
+    spec.proportional.window_cycles = window(spec.proportional.window_cycles);
     spec.proportional.max_step = f.get_double("max_step", spec.proportional.max_step);
   }
   f.reject_unknown();

@@ -533,6 +533,8 @@ class BenchmarkTraceSource final : public trace::TraceSource {
 
   int n_bits() const override { return 32; }
   const std::string& name() const override { return bench_.name; }
+  // The cycle budget: an upper bound, as an early halt ends the stream sooner.
+  std::optional<std::uint64_t> length() const override { return cycles_; }
   std::unique_ptr<trace::TraceSource> clone() const override {
     return std::make_unique<BenchmarkTraceSource>(bench_, cycles_, memory_words_);
   }

@@ -48,8 +48,8 @@ struct Benchmark {
   // the word sequence is identical to capture(cycles) (same hold-last-word
   // semantics, same early-halt truncation), but the resident memory is the
   // machine image plus the consumer's block buffer, independent of
-  // `cycles`. `length()` is unknown (a kernel may halt early); `clone()`
-  // restarts execution from a fresh machine.
+  // `cycles`. `length()` reports `cycles`, an upper bound (a kernel may
+  // halt early); `clone()` restarts execution from a fresh machine.
   std::unique_ptr<trace::TraceSource> stream(
       std::size_t cycles, std::size_t memory_words = 1u << 20) const;
 };

@@ -50,15 +50,6 @@ std::size_t OracleSelector::critical_grid_index(const BusWord& prev,
   return critical;
 }
 
-OracleResult OracleSelector::select(const trace::Trace& trace,
-                                    const OracleConfig& config) const {
-  // One implementation serves both forms: the materialized trace is viewed
-  // as a (non-owning) stream, whose per-word visit order is identical to
-  // the historical vector loop.
-  const auto view = trace::make_trace_view_source(trace);
-  return select(*view, config);
-}
-
 OracleResult OracleSelector::select(trace::TraceSource& source,
                                     const OracleConfig& config,
                                     std::size_t block_cycles) const {

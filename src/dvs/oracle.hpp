@@ -18,7 +18,6 @@
 #include "lut/table.hpp"
 #include "tech/corner.hpp"
 #include "trace/source.hpp"
-#include "trace/trace.hpp"
 #include "util/stats.hpp"
 
 namespace razorbus::dvs {
@@ -49,14 +48,10 @@ class OracleSelector {
   // means "errors even at the top grid voltage".
   std::size_t critical_grid_index(const BusWord& prev, const BusWord& cur) const;
 
-  OracleResult select(const trace::Trace& trace, const OracleConfig& config) const;
-
-  // Streamed form (DESIGN.md §12): identical window accounting over a
-  // block-buffered stream — per-window histograms are the only state, so
-  // the oracle windows arbitrarily long captures in O(block) memory. The
-  // result matches select() on the same word sequence exactly. The source
-  // is consumed (not cloned); per-window voltages still accumulate
-  // O(windows) entries.
+  // Windowed selection over a block-buffered stream (DESIGN.md §12):
+  // per-window histograms are the only state, so the oracle windows
+  // arbitrarily long captures in O(block) memory. The source is consumed
+  // (not cloned); per-window voltages still accumulate O(windows) entries.
   OracleResult select(trace::TraceSource& source, const OracleConfig& config,
                       std::size_t block_cycles = trace::kDefaultBlockCycles) const;
 

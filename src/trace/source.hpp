@@ -66,9 +66,11 @@ class TraceSource {
   // Trace name, used for report keys exactly like Trace::name.
   virtual const std::string& name() const = 0;
 
-  // Total words this stream will produce, when known up front (synthetic
-  // budgets, file word counts). Unknown for e.g. halt-dependent CPU
-  // streams; consumers must treat it as a hint, never a promise.
+  // Total words this stream will produce when known up front (synthetic
+  // budgets, file word counts), or an upper bound on them (a mini-CPU
+  // stream's cycle budget, which an early halt cuts short). Consumers must
+  // treat it as a hint — materialize() sizes its vector from it — never a
+  // promise.
   virtual std::optional<std::uint64_t> length() const { return std::nullopt; }
 
   // Fresh, independent stream over the same word sequence, positioned at
@@ -81,14 +83,15 @@ class TraceSource {
 // small enough that dozens of concurrent shards stay cache- and RAM-cheap.
 inline constexpr std::size_t kDefaultBlockCycles = std::size_t{1} << 16;
 
-// Stream over a materialized trace (the golden-reference bridge: parity
-// tests stream the exact vector the legacy path indexes). The owning
+// Stream over a materialized trace: the one way a `Trace` enters the
+// experiment drivers, which take only sources. The owning
 // factory keeps the trace alive via shared ownership, so clones are
 // cheap; the view factory does NOT copy or own — the caller guarantees
 // `trace` outlives the source and every clone.
 std::unique_ptr<TraceSource> make_trace_source(Trace trace);
 std::unique_ptr<TraceSource> make_trace_view_source(const Trace& trace);
-// One view source per trace, in order (the Trace-vector driver forwards).
+// One view source per trace, in order (trace::concatenate and
+// sys::BusSystem::run_closed_loop over Trace vectors).
 std::vector<std::unique_ptr<TraceSource>> make_trace_view_sources(
     const std::vector<Trace>& traces);
 
@@ -106,7 +109,8 @@ std::unique_ptr<TraceSource> concatenate_sources(
 std::unique_ptr<TraceSource> widen_source(std::unique_ptr<TraceSource> narrow,
                                           int factor);
 
-// Drain a source into a materialized Trace (tests, small captures). This
+// Drain a source into a materialized Trace (tests, small captures), its
+// vector sized once from length() when the source reports one. This
 // re-introduces the O(length) memory cost streaming exists to avoid — use
 // it only when the result is known to fit.
 Trace materialize(TraceSource& source,

@@ -169,6 +169,31 @@ TEST(ScenarioSpec, MalformedSpecsThrow) {
                std::invalid_argument);
 }
 
+// A window of 0 never closes and a negative one would wrap to about 2^64
+// cycles: both are rejected at parse, under either window-count controller.
+TEST(ScenarioSpec, ControllerWindowMustHoldACycle) {
+  const auto spec_with = [](const std::string& kind, const std::string& window) {
+    return R"({"name": "x", "experiment": "closed_loop", "controllers": [{"kind": ")" +
+           kind + R"(", "window": )" + window + "}]}";
+  };
+  for (const char* kind : {"threshold", "proportional"}) {
+    for (const char* window : {"0", "-1"}) {
+      try {
+        parse_scenario(spec_with(kind, window));
+        ADD_FAILURE() << kind << " window " << window << " parsed";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "scenario spec: controllers: 'window' must be >= 1")
+            << kind << " window " << window;
+      }
+    }
+  }
+  // One cycle is the smallest legal window.
+  const core::ScenarioSpec threshold = parse_scenario(spec_with("threshold", "1"));
+  EXPECT_EQ(threshold.controllers[0].threshold.window_cycles, 1u);
+  const core::ScenarioSpec proportional = parse_scenario(spec_with("proportional", "1"));
+  EXPECT_EQ(proportional.controllers[0].proportional.window_cycles, 1u);
+}
+
 TEST(CampaignSpec, ParsesDefaultsAndRejectsEmpty) {
   const core::CampaignSpec campaign = parse_campaign(
       R"({"name": "quick", "defaults": {"cycles": 20000, "threads": 2},
@@ -475,6 +500,30 @@ class CampaignEndToEnd : public ::testing::Test {
     ASSERT_EQ(run_cmd("rm -rf campaign_test_out && mkdir -p campaign_test_out"), 0);
   }
 };
+
+// Bad scenario budgets fail before the banner, naming the flag: --cycles=-1
+// would otherwise wrap to 2^64 - 1 cycles, --cycles=0 would write a NaN
+// metric, and --threads=-1 used to be read as "auto".
+TEST_F(CampaignEndToEnd, ScenarioRejectsBadCyclesAndThreads) {
+  for (const std::string flags :
+       {"--cycles=0", "--cycles=-1", "--cycles=1000 --threads=-1"}) {
+    const std::string bad = flags.substr(flags.rfind("--"));
+    const std::string flag = bad.substr(0, bad.find('='));
+    EXPECT_NE(run_cmd("./campaign scenario fig4_voltage_sweep " + flags +
+                      " > campaign_test_out/bad_flag.log 2>&1"),
+              0)
+        << flags;
+    const std::string log = slurp("campaign_test_out/bad_flag.log");
+    EXPECT_NE(log.find(flag + " must be >="), std::string::npos) << log;
+    EXPECT_EQ(log.find("Reproduces:"), std::string::npos) << log;  // no banner
+  }
+  // fig10's closed-loop budget is checked the same way when its run starts.
+  EXPECT_NE(run_cmd("./campaign scenario fig10_modified_bus --cycles=1000 "
+                    "--dvs_cycles=-1 > campaign_test_out/bad_flag.log 2>&1"),
+            0);
+  const std::string log = slurp("campaign_test_out/bad_flag.log");
+  EXPECT_NE(log.find("--dvs_cycles must be >= 1"), std::string::npos) << log;
+}
 
 TEST_F(CampaignEndToEnd, BenchJobReportsMatchGolden) {
   // The acceptance scenarios: fig4, fig8 and table1, at budgets small

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/experiments.hpp"
 #include "core/system.hpp"
@@ -13,14 +14,15 @@ namespace {
 
 using test_support::paper_system;
 
-trace::Trace uniform_trace(std::size_t cycles, double load_rate = 0.4,
-                           std::uint64_t seed = 7) {
+std::unique_ptr<trace::TraceSource> uniform_trace(std::size_t cycles,
+                                                  double load_rate = 0.4,
+                                                  std::uint64_t seed = 7) {
   trace::SyntheticConfig cfg;
   cfg.style = trace::SyntheticStyle::uniform;
   cfg.cycles = cycles;
   cfg.load_rate = load_rate;
   cfg.seed = seed;
-  return trace::generate_synthetic(cfg, "uniform");
+  return trace::make_synthetic_source(cfg, "uniform");
 }
 
 // ---------------------------------------------------------------- system
@@ -73,21 +75,16 @@ TEST(System, ShadowFloorBelowFixedVsForSameCorner) {
 class SweepTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    traces_ = new std::vector<trace::Trace>{uniform_trace(40000)};
-    sweep_ = new StaticSweepResult(
-        static_voltage_sweep(paper_system(), tech::typical_corner(), *traces_));
+    sweep_ = new StaticSweepResult(static_voltage_sweep_streamed(
+        paper_system(), tech::typical_corner(), *uniform_trace(40000)));
   }
   static void TearDownTestSuite() {
     delete sweep_;
-    delete traces_;
     sweep_ = nullptr;
-    traces_ = nullptr;
   }
-  static std::vector<trace::Trace>* traces_;
   static StaticSweepResult* sweep_;
 };
 
-std::vector<trace::Trace>* SweepTest::traces_ = nullptr;
 StaticSweepResult* SweepTest::sweep_ = nullptr;
 
 TEST_F(SweepTest, PointsAscendFromFloorToNominal) {
@@ -147,7 +144,7 @@ TEST_F(SweepTest, GainsEmptySweepRejected) {
 
 TEST(OracleDistribution, FractionsSumToOneAndRespectTarget) {
   const VoltageDistribution d = oracle_voltage_distribution(
-      paper_system(), tech::typical_corner(), uniform_trace(50000), 0.02);
+      paper_system(), tech::typical_corner(), *uniform_trace(50000), 0.02);
   double total = 0.0;
   for (const auto& [v, f] : d.time_at_voltage) {
     EXPECT_GE(v, 0.6);
@@ -167,8 +164,8 @@ TEST(ClosedLoop, ConvergesToFloorOnIdleTraffic) {
   trace::Trace idle{"idle", std::vector<BusWord>(300000, BusWord())};
   DvsRunConfig cfg;
   cfg.record_series = true;
-  const DvsRunReport r =
-      run_closed_loop(paper_system(), tech::typical_corner(), idle, cfg);
+  const DvsRunReport r = run_closed_loop_streamed(
+      paper_system(), tech::typical_corner(), *trace::make_trace_view_source(idle), cfg);
   // No errors ever: every window steps down 20 mV until the floor.
   EXPECT_EQ(r.totals.errors, 0u);
   EXPECT_NEAR(r.floor_supply, paper_system().dvs_floor(tech::ProcessCorner::typical),
@@ -180,8 +177,8 @@ TEST(ClosedLoop, ConvergesToFloorOnIdleTraffic) {
 }
 
 TEST(ClosedLoop, ErrorRateStaysNearTargetBand) {
-  const DvsRunReport r = run_closed_loop(paper_system(), tech::typical_corner(),
-                                         uniform_trace(200000), DvsRunConfig{});
+  const DvsRunReport r = run_closed_loop_streamed(
+      paper_system(), tech::typical_corner(), *uniform_trace(200000), DvsRunConfig{});
   EXPECT_LT(r.error_rate(), 0.03);  // average close to the 2% ceiling
   EXPECT_EQ(r.totals.shadow_failures, 0u);
   EXPECT_GT(r.energy_gain(), 0.0);
@@ -190,8 +187,8 @@ TEST(ClosedLoop, ErrorRateStaysNearTargetBand) {
 TEST(ClosedLoop, SeriesRecordedWhenRequested) {
   DvsRunConfig cfg;
   cfg.record_series = true;
-  const DvsRunReport r = run_closed_loop(paper_system(), tech::typical_corner(),
-                                         uniform_trace(50000), cfg);
+  const DvsRunReport r = run_closed_loop_streamed(
+      paper_system(), tech::typical_corner(), *uniform_trace(50000), cfg);
   ASSERT_EQ(r.series.size(), 5u);  // one sample per 10k window
   for (const auto& s : r.series) {
     EXPECT_GE(s.supply, r.floor_supply - 1e-9);
@@ -206,8 +203,8 @@ TEST(ClosedLoop, StartSupplyHonoured) {
   DvsRunConfig cfg;
   cfg.start_supply = 1.0;
   cfg.record_series = true;
-  const DvsRunReport r = run_closed_loop(paper_system(), tech::typical_corner(),
-                                         uniform_trace(20000), cfg);
+  const DvsRunReport r = run_closed_loop_streamed(
+      paper_system(), tech::typical_corner(), *uniform_trace(20000), cfg);
   ASSERT_FALSE(r.series.empty());
   EXPECT_LE(r.series.front().supply, 1.0 + 1e-9);
 }
@@ -216,8 +213,8 @@ TEST(ClosedLoop, VoltageNeverLeavesRegulatorRange) {
   DvsRunConfig cfg;
   cfg.record_series = true;
   cfg.timing_jitter_sigma = 4e-12;
-  const DvsRunReport r = run_closed_loop(paper_system(), tech::worst_case_corner(),
-                                         uniform_trace(150000, 0.6, 3), cfg);
+  const DvsRunReport r = run_closed_loop_streamed(
+      paper_system(), tech::worst_case_corner(), *uniform_trace(150000, 0.6, 3), cfg);
   for (const auto& s : r.series) {
     EXPECT_GE(s.supply, r.floor_supply - 1e-9);
     EXPECT_LE(s.supply, 1.2 + 1e-9);
@@ -226,12 +223,13 @@ TEST(ClosedLoop, VoltageNeverLeavesRegulatorRange) {
 }
 
 TEST(ClosedLoop, ConsecutiveRunsShareRegulatorState) {
-  std::vector<trace::Trace> traces{uniform_trace(60000, 0.4, 1),
-                                   uniform_trace(60000, 0.4, 2)};
+  std::vector<std::unique_ptr<trace::TraceSource>> traces;
+  traces.push_back(uniform_trace(60000, 0.4, 1));
+  traces.push_back(uniform_trace(60000, 0.4, 2));
   DvsRunConfig cfg;
   cfg.record_series = true;
   const ConsecutiveRunReport r =
-      run_consecutive(paper_system(), tech::typical_corner(), traces, cfg);
+      run_consecutive_streamed(paper_system(), tech::typical_corner(), traces, cfg);
   ASSERT_EQ(r.per_trace.size(), 2u);
   EXPECT_EQ(r.per_trace[0].totals.cycles, 60000u);
   EXPECT_EQ(r.per_trace[1].totals.cycles, 60000u);
@@ -246,7 +244,8 @@ TEST(ClosedLoop, ConsecutiveRunsShareRegulatorState) {
 
 TEST(FixedVsRun, ErrorFreeAndGainsMatchSupplySquared) {
   const DvsRunReport r =
-      run_fixed_vs(paper_system(), tech::typical_corner(), uniform_trace(30000));
+      run_fixed_vs_streamed(paper_system(), tech::typical_corner(),
+                            *uniform_trace(30000));
   EXPECT_EQ(r.totals.errors, 0u);
   const double v = paper_system().fixed_vs_supply(tech::ProcessCorner::typical);
   EXPECT_DOUBLE_EQ(r.average_supply, v);
@@ -257,17 +256,19 @@ TEST(FixedVsRun, ErrorFreeAndGainsMatchSupplySquared) {
 
 TEST(FixedVsRun, SlowProcessGainsAreZero) {
   tech::PvtCorner worst = tech::worst_case_corner();
-  const DvsRunReport r = run_fixed_vs(paper_system(), worst, uniform_trace(20000));
+  const DvsRunReport r =
+      run_fixed_vs_streamed(paper_system(), worst, *uniform_trace(20000));
   EXPECT_DOUBLE_EQ(r.average_supply, 1.2);
   EXPECT_NEAR(r.energy_gain(), 0.0, 1e-9);
   EXPECT_EQ(r.totals.errors, 0u);
 }
 
 TEST(FixedVsRun, DvsBeatsFixedVsAtTheTypicalCorner) {
-  const trace::Trace t = uniform_trace(200000, 0.3, 11);
-  const DvsRunReport fixed = run_fixed_vs(paper_system(), tech::typical_corner(), t);
+  const auto t = uniform_trace(200000, 0.3, 11);
+  const DvsRunReport fixed =
+      run_fixed_vs_streamed(paper_system(), tech::typical_corner(), *t);
   const DvsRunReport dvs =
-      run_closed_loop(paper_system(), tech::typical_corner(), t, DvsRunConfig{});
+      run_closed_loop_streamed(paper_system(), tech::typical_corner(), *t);
   EXPECT_GT(dvs.energy_gain(), fixed.energy_gain());
 }
 

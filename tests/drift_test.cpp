@@ -202,8 +202,9 @@ TEST(DriftParity, ZeroDriftMatchesStaticRunByteIdentically) {
   single_cfg.controller.window_cycles = 2000;
   single_cfg.regulator_delay_cycles = 700;
   single_cfg.record_series = true;
-  const core::DvsRunReport single =
-      core::run_closed_loop(drift_system(), tech::typical_corner(), trace, single_cfg);
+  const core::DvsRunReport single = core::run_closed_loop_streamed(
+      drift_system(), tech::typical_corner(), *trace::make_trace_view_source(trace),
+      single_cfg);
   EXPECT_EQ(zero.per_bus.front().totals.errors, single.totals.errors);
   EXPECT_EQ(zero.per_bus.front().totals.bus_energy, single.totals.bus_energy);
   EXPECT_EQ(zero.average_supply, single.average_supply);

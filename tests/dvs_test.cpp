@@ -265,12 +265,12 @@ TEST_F(OracleTest, ZeroTargetPicksVoltageWithNoErrors) {
   cfg.style = trace::SyntheticStyle::uniform;
   cfg.cycles = 20000;
   cfg.load_rate = 0.3;
-  const trace::Trace t = trace::generate_synthetic(cfg, "uniform");
+  const auto t = trace::make_synthetic_source(cfg, "uniform");
 
   OracleConfig ocfg;
   ocfg.window_cycles = 5000;
   ocfg.target_error_rate = 0.0;
-  const OracleResult r = oracle_.select(t, ocfg);
+  const OracleResult r = oracle_.select(*t, ocfg);
   EXPECT_DOUBLE_EQ(r.achieved_error_rate, 0.0);
   ASSERT_EQ(r.window_voltages.size(), 4u);
 }
@@ -280,13 +280,13 @@ TEST_F(OracleTest, HigherTargetAllowsLowerVoltages) {
   cfg.style = trace::SyntheticStyle::uniform;
   cfg.cycles = 40000;
   cfg.load_rate = 0.3;
-  const trace::Trace t = trace::generate_synthetic(cfg, "uniform");
+  const auto t = trace::make_synthetic_source(cfg, "uniform");
 
   auto average_voltage = [&](double target) {
     OracleConfig ocfg;
     ocfg.window_cycles = 10000;
     ocfg.target_error_rate = target;
-    const OracleResult r = oracle_.select(t, ocfg);
+    const OracleResult r = oracle_.select(*t->clone(), ocfg);
     double sum = 0.0;
     for (const double v : r.window_voltages) sum += v;
     return sum / static_cast<double>(r.window_voltages.size());
@@ -300,12 +300,12 @@ TEST_F(OracleTest, AchievedErrorRateRespectsTarget) {
   cfg.style = trace::SyntheticStyle::uniform;
   cfg.cycles = 50000;
   cfg.load_rate = 0.4;
-  const trace::Trace t = trace::generate_synthetic(cfg, "uniform");
+  const auto t = trace::make_synthetic_source(cfg, "uniform");
 
   OracleConfig ocfg;
   ocfg.window_cycles = 10000;
   ocfg.target_error_rate = 0.02;
-  const OracleResult r = oracle_.select(t, ocfg);
+  const OracleResult r = oracle_.select(*t, ocfg);
   EXPECT_LE(r.achieved_error_rate, 0.02 + 1e-9);
 }
 
@@ -313,13 +313,13 @@ TEST_F(OracleTest, FloorIsRespected) {
   trace::SyntheticConfig cfg;
   cfg.cycles = 20000;
   cfg.load_rate = 0.05;  // nearly idle: the oracle wants to go very low
-  const trace::Trace t = trace::generate_synthetic(cfg, "idle");
+  const auto t = trace::make_synthetic_source(cfg, "idle");
 
   OracleConfig ocfg;
   ocfg.window_cycles = 5000;
   ocfg.target_error_rate = 0.05;
   ocfg.vmin = 1.10;
-  const OracleResult r = oracle_.select(t, ocfg);
+  const OracleResult r = oracle_.select(*t, ocfg);
   for (const double v : r.window_voltages) EXPECT_GE(v, 1.10 - 1e-9);
 }
 
@@ -327,10 +327,10 @@ TEST_F(OracleTest, TimeFractionsSumToOne) {
   trace::SyntheticConfig cfg;
   cfg.cycles = 30000;
   cfg.load_rate = 0.3;
-  const trace::Trace t = trace::generate_synthetic(cfg, "u");
+  const auto t = trace::make_synthetic_source(cfg, "u");
   OracleConfig ocfg;
   ocfg.target_error_rate = 0.02;
-  const OracleResult r = oracle_.select(t, ocfg);
+  const OracleResult r = oracle_.select(*t, ocfg);
   double total = 0.0;
   for (const auto& [v, frac] : r.time_at_voltage.fractions()) {
     (void)v;
@@ -343,7 +343,8 @@ TEST_F(OracleTest, ZeroWindowRejected) {
   OracleConfig bad;
   bad.window_cycles = 0;
   trace::Trace t{"t", {1, 2, 3}};
-  EXPECT_THROW(oracle_.select(t, bad), std::invalid_argument);
+  EXPECT_THROW(oracle_.select(*trace::make_trace_view_source(t), bad),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------- proportional

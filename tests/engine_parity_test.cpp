@@ -543,7 +543,8 @@ TEST(EngineParity, ConsecutiveLegBaselinesMatchRunReference) {
     cfg.engine = engine;
     cfg.controller.window_cycles = 2000;
     cfg.regulator_delay_cycles = 700;
-    const core::ConsecutiveRunReport r = core::run_consecutive(system, env, legs, cfg);
+    const core::ConsecutiveRunReport r = core::run_consecutive_streamed(
+        system, env, trace::make_trace_view_sources(legs), cfg);
     ASSERT_EQ(r.per_trace.size(), legs.size());
     for (std::size_t i = 0; i < legs.size(); ++i) {
       const RunningTotals expected =

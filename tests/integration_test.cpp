@@ -1,14 +1,15 @@
 // End-to-end reproduction checks: the qualitative claims of each paper
-// table/figure, at reduced cycle counts (the bench binaries run the full
+// table/figure, at reduced cycle counts (the registered scenarios run the full
 // versions; these tests assert the SHAPE of every headline result).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "core/experiments.hpp"
 #include "cpu/kernels.hpp"
 #include "test_support.hpp"
-#include "trace/trace.hpp"
+#include "trace/source.hpp"
 #include "util/units.hpp"
 
 namespace razorbus::core {
@@ -18,19 +19,16 @@ using test_support::paper_system;
 
 constexpr std::size_t kCycles = 150000;
 
-const std::vector<trace::Trace>& suite_traces() {
-  static const std::vector<trace::Trace> traces = [] {
-    std::vector<trace::Trace> out;
-    for (const auto& bench : cpu::spec2000_suite()) out.push_back(bench.capture(kCycles));
-    return out;
-  }();
-  return traces;
+// One benchmark's stream at the test budget, as the scenarios pass it.
+std::unique_ptr<trace::TraceSource> trace_of(const std::string& name) {
+  return cpu::benchmark_by_name(name).stream(kCycles);
 }
 
-const trace::Trace& trace_of(const std::string& name) {
-  for (const auto& t : suite_traces())
-    if (t.name == name) return t;
-  throw std::runtime_error("no trace " + name);
+std::vector<std::unique_ptr<trace::TraceSource>> traces_of(
+    const std::vector<std::string>& names) {
+  std::vector<std::unique_ptr<trace::TraceSource>> out;
+  for (const auto& name : names) out.push_back(trace_of(name));
+  return out;
 }
 
 // ------------------------------------------------------------------ Fig. 4
@@ -38,8 +36,8 @@ const trace::Trace& trace_of(const std::string& name) {
 TEST(Fig4, WorstCornerErrorsStartImmediatelyBelowNominal) {
   // Paper: the bus is designed error-free exactly at the worst corner, so
   // error rates rise as soon as the supply drops below 1.2 V.
-  const StaticSweepResult sweep = static_voltage_sweep(
-      paper_system(), tech::worst_case_corner(), {trace_of("mgrid")});
+  const StaticSweepResult sweep = static_voltage_sweep_streamed(
+      paper_system(), tech::worst_case_corner(), *trace_of("mgrid"));
   const auto& points = sweep.points;
   ASSERT_GE(points.size(), 3u);
   EXPECT_DOUBLE_EQ(points.back().error_rate, 0.0);          // at 1.2 V
@@ -47,8 +45,8 @@ TEST(Fig4, WorstCornerErrorsStartImmediatelyBelowNominal) {
 }
 
 TEST(Fig4, TypicalCornerErrorFreeDownToAbout980mV) {
-  const StaticSweepResult sweep = static_voltage_sweep(
-      paper_system(), tech::typical_corner(), {trace_of("mgrid")});
+  const StaticSweepResult sweep = static_voltage_sweep_streamed(
+      paper_system(), tech::typical_corner(), *trace_of("mgrid"));
   double lowest_error_free = 1.2;
   for (const auto& p : sweep.points)
     // razorlint: allow(float-eq): "error-free" is an exact zero count / count.
@@ -57,8 +55,8 @@ TEST(Fig4, TypicalCornerErrorFreeDownToAbout980mV) {
 }
 
 TEST(Fig4, EnergyCurveIsRoughlyQuadraticInSupply) {
-  const StaticSweepResult sweep = static_voltage_sweep(
-      paper_system(), tech::typical_corner(), {trace_of("applu")});
+  const StaticSweepResult sweep = static_voltage_sweep_streamed(
+      paper_system(), tech::typical_corner(), *trace_of("applu"));
   for (const auto& p : sweep.points) {
     const double quadratic = (p.supply * p.supply) / (1.2 * 1.2);
     EXPECT_NEAR(p.norm_bus_energy, quadratic, 0.12) << "at " << p.supply;
@@ -66,8 +64,8 @@ TEST(Fig4, EnergyCurveIsRoughlyQuadraticInSupply) {
 }
 
 TEST(Fig4, RecoveryOverheadSmallComparedToSavings) {
-  const StaticSweepResult sweep = static_voltage_sweep(
-      paper_system(), tech::typical_corner(), {trace_of("swim")});
+  const StaticSweepResult sweep = static_voltage_sweep_streamed(
+      paper_system(), tech::typical_corner(), *trace_of("swim"));
   for (const auto& p : sweep.points)
     EXPECT_LT(p.norm_total_energy - p.norm_bus_energy, 0.10);
 }
@@ -78,7 +76,7 @@ TEST(Fig5, GainsGrowAsCornersGetFaster) {
   std::vector<double> gains_at_2pct;
   for (const auto& corner : tech::fig5_corners()) {
     const StaticSweepResult sweep =
-        static_voltage_sweep(paper_system(), corner, {trace_of("vortex")});
+        static_voltage_sweep_streamed(paper_system(), corner, *trace_of("vortex"));
     gains_at_2pct.push_back(gains_for_targets(sweep, {0.02})[0].energy_gain);
   }
   // Monotone (non-strictly) along the slowest -> fastest corner order.
@@ -90,8 +88,8 @@ TEST(Fig5, GainsGrowAsCornersGetFaster) {
 TEST(Fig5, ZeroAndTwoPercentTargetsNearlyIndistinguishable) {
   // Paper: "gains from 0% and 2% error rates are indistinguishable" —
   // error rates jump straight from 0 past 2% on the 20 mV grid.
-  const StaticSweepResult sweep = static_voltage_sweep(
-      paper_system(), tech::typical_corner(), {trace_of("mgrid")});
+  const StaticSweepResult sweep = static_voltage_sweep_streamed(
+      paper_system(), tech::typical_corner(), *trace_of("mgrid"));
   const auto gains = gains_for_targets(sweep, {0.0, 0.02, 0.05});
   EXPECT_NEAR(gains[0].energy_gain, gains[1].energy_gain, 0.06);
   EXPECT_GE(gains[2].energy_gain, gains[1].energy_gain - 1e-12);
@@ -102,9 +100,9 @@ TEST(Fig5, ZeroAndTwoPercentTargetsNearlyIndistinguishable) {
 TEST(Fig6, CraftyRunsAtLowerVoltageThanMgrid) {
   const auto corner = tech::typical_corner();
   const VoltageDistribution crafty =
-      oracle_voltage_distribution(paper_system(), corner, trace_of("crafty"), 0.02);
+      oracle_voltage_distribution(paper_system(), corner, *trace_of("crafty"), 0.02);
   const VoltageDistribution mgrid =
-      oracle_voltage_distribution(paper_system(), corner, trace_of("mgrid"), 0.02);
+      oracle_voltage_distribution(paper_system(), corner, *trace_of("mgrid"), 0.02);
   auto mean_voltage = [](const VoltageDistribution& d) {
     double acc = 0.0;
     for (const auto& [v, f] : d.time_at_voltage) acc += v * f;
@@ -115,7 +113,7 @@ TEST(Fig6, CraftyRunsAtLowerVoltageThanMgrid) {
 
 TEST(Fig6, MgridCannotDropMuchEvenAtFivePercent) {
   const VoltageDistribution d = oracle_voltage_distribution(
-      paper_system(), tech::typical_corner(), trace_of("mgrid"), 0.05);
+      paper_system(), tech::typical_corner(), *trace_of("mgrid"), 0.05);
   // Paper: mgrid stays at/above ~980 mV even with a 5% error budget.
   for (const auto& [v, f] : d.time_at_voltage) {
     if (f > 0.01) {
@@ -128,13 +126,13 @@ TEST(Fig6, MgridCannotDropMuchEvenAtFivePercent) {
 
 TEST(Table1, WorstCornerFixedVsGainsAreZeroDvsPositive) {
   const auto corner = tech::worst_case_corner();
-  const trace::Trace& quiet = trace_of("mesa");
+  const auto quiet = trace_of("mesa");
 
-  const DvsRunReport fixed = run_fixed_vs(paper_system(), corner, quiet);
+  const DvsRunReport fixed = run_fixed_vs_streamed(paper_system(), corner, *quiet);
   EXPECT_NEAR(fixed.energy_gain(), 0.0, 1e-9);
 
   DvsRunConfig cfg;
-  const DvsRunReport dvs = run_closed_loop(paper_system(), corner, quiet, cfg);
+  const DvsRunReport dvs = run_closed_loop_streamed(paper_system(), corner, *quiet, cfg);
   EXPECT_GT(dvs.energy_gain(), 0.02);  // program-activity gains even here
   EXPECT_LT(dvs.error_rate(), 0.03);
 }
@@ -143,10 +141,11 @@ TEST(Table1, TypicalCornerDvsBeatsFixedVsClearly) {
   const auto corner = tech::typical_corner();
   // Long enough that the ~180k-cycle descent from nominal does not dominate
   // the average (the paper runs 10M cycles per benchmark).
-  const trace::Trace t = cpu::benchmark_by_name("gap").capture(600000);
-  const double fixed_gain = run_fixed_vs(paper_system(), corner, t).energy_gain();
+  const auto t = cpu::benchmark_by_name("gap").stream(600000);
+  const double fixed_gain =
+      run_fixed_vs_streamed(paper_system(), corner, *t).energy_gain();
   const double dvs_gain =
-      run_closed_loop(paper_system(), corner, t, DvsRunConfig{}).energy_gain();
+      run_closed_loop_streamed(paper_system(), corner, *t).energy_gain();
   EXPECT_GT(fixed_gain, 0.10);             // ~17% in the paper
   EXPECT_GT(dvs_gain, fixed_gain + 0.08);  // 35-45% in the paper
 }
@@ -155,9 +154,11 @@ TEST(Table1, QuietProgramsGainMoreThanNoisyOnesAtWorstCorner) {
   const auto corner = tech::worst_case_corner();
   DvsRunConfig cfg;
   const double quiet_gain =
-      run_closed_loop(paper_system(), corner, trace_of("mesa"), cfg).energy_gain();
+      run_closed_loop_streamed(paper_system(), corner, *trace_of("mesa"), cfg)
+          .energy_gain();
   const double noisy_gain =
-      run_closed_loop(paper_system(), corner, trace_of("swim"), cfg).energy_gain();
+      run_closed_loop_streamed(paper_system(), corner, *trace_of("swim"), cfg)
+          .energy_gain();
   // Paper Table 1: mesa 17.5% vs swim 1.2% at the worst corner.
   EXPECT_GT(quiet_gain, noisy_gain + 0.02);
 }
@@ -165,8 +166,8 @@ TEST(Table1, QuietProgramsGainMoreThanNoisyOnesAtWorstCorner) {
 TEST(Table1, AverageErrorRatesStayNearTheTarget) {
   DvsRunConfig cfg;
   for (const char* name : {"crafty", "vortex", "applu"}) {
-    const DvsRunReport r =
-        run_closed_loop(paper_system(), tech::typical_corner(), trace_of(name), cfg);
+    const DvsRunReport r = run_closed_loop_streamed(
+        paper_system(), tech::typical_corner(), *trace_of(name), cfg);
     EXPECT_LT(r.error_rate(), 0.035) << name;  // paper: slightly above 2% possible
     EXPECT_EQ(r.totals.shadow_failures, 0u) << name;
   }
@@ -179,9 +180,9 @@ TEST(Fig8, InstantaneousErrorRateCanOvershootTarget) {
   // spikes up to ~6%) even though the average stays near the target.
   DvsRunConfig cfg;
   cfg.record_series = true;
-  const ConsecutiveRunReport r = run_consecutive(
-      paper_system(), tech::typical_corner(),
-      {trace_of("crafty"), trace_of("mgrid"), trace_of("mesa")}, cfg);
+  const ConsecutiveRunReport r =
+      run_consecutive_streamed(paper_system(), tech::typical_corner(),
+                               traces_of({"crafty", "mgrid", "mesa"}), cfg);
 
   double max_window_rate = 0.0;
   for (const auto& s : r.series)
@@ -194,9 +195,8 @@ TEST(Fig8, InstantaneousErrorRateCanOvershootTarget) {
 TEST(Fig8, SupplyAdaptsAcrossProgramTransitions) {
   DvsRunConfig cfg;
   cfg.record_series = true;
-  const ConsecutiveRunReport r =
-      run_consecutive(paper_system(), tech::typical_corner(),
-                      {trace_of("mesa"), trace_of("swim")}, cfg);
+  const ConsecutiveRunReport r = run_consecutive_streamed(
+      paper_system(), tech::typical_corner(), traces_of({"mesa", "swim"}), cfg);
   ASSERT_EQ(r.per_trace.size(), 2u);
   ASSERT_GE(r.series.size(), 8u);
 
@@ -227,9 +227,9 @@ TEST(Fig10, ModifiedBusGainsAtLeastMatchOriginalAtNonZeroTargets) {
 
   const auto corner = tech::worst_case_corner();
   const StaticSweepResult orig_sweep =
-      static_voltage_sweep(paper_system(), corner, {trace_of("vortex")}, 4e-12);
+      static_voltage_sweep_streamed(paper_system(), corner, *trace_of("vortex"), 4e-12);
   const StaticSweepResult mod_sweep =
-      static_voltage_sweep(modified, corner, {trace_of("vortex")}, 4e-12);
+      static_voltage_sweep_streamed(modified, corner, *trace_of("vortex"), 4e-12);
 
   const double orig2 = gains_for_targets(orig_sweep, {0.02})[0].energy_gain;
   const double mod2 = gains_for_targets(mod_sweep, {0.02})[0].energy_gain;

@@ -166,13 +166,13 @@ TEST(Adaptive, SweepReportsMatchDenseWithinTolerance) {
   trace::SyntheticConfig tc;
   tc.cycles = 4000;
   tc.seed = 0x5eed;
-  const std::vector<trace::Trace> traces{trace::generate_synthetic(tc, "adaptive")};
+  const auto workload = trace::make_synthetic_source(tc, "adaptive");
   const auto env = tech::typical_corner();
 
   const core::StaticSweepResult ds =
-      core::static_voltage_sweep(dense_system, env, traces);
+      core::static_voltage_sweep_streamed(dense_system, env, *workload);
   const core::StaticSweepResult as =
-      core::static_voltage_sweep(adaptive_system, env, traces);
+      core::static_voltage_sweep_streamed(adaptive_system, env, *workload);
 
   EXPECT_NEAR(as.floor_supply, ds.floor_supply, 0.021);  // at most one grid step
   ASSERT_GT(ds.points.size(), 1u);

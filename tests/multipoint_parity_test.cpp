@@ -337,10 +337,12 @@ TEST(MultiPointDrivers, BatchedSweepMatchesReferenceEngine) {
   const std::vector<trace::Trace> traces = {
       trace::generate_synthetic(trace_config(32, 1200, 61), "sa"),
       trace::generate_synthetic(trace_config(32, 800, 62), "sb")};
+  const auto suite =
+      trace::concatenate_sources(trace::make_trace_view_sources(traces), "suite");
   for (const double sigma : {0.0, 5e-12}) {
-    const auto reference =
-        core::static_voltage_sweep(system, env, traces, sigma, bus::EngineMode::reference);
-    const auto batched = core::static_voltage_sweep(system, env, traces, sigma);
+    const auto reference = core::static_voltage_sweep_streamed(
+        system, env, *suite, sigma, bus::EngineMode::reference);
+    const auto batched = core::static_voltage_sweep_streamed(system, env, *suite, sigma);
     expect_sweeps_identical(reference, batched, "sweep sigma " + std::to_string(sigma));
   }
 }
@@ -361,8 +363,8 @@ TEST(MultiPointDrivers, StreamedBatchedSweepMatchesReferenceAndMaterialized) {
         system, env, *source, sigma, bus::EngineMode::reference, stream, &reference_stats);
     const auto batched = core::static_voltage_sweep_streamed(
         system, env, *source, sigma, bus::EngineMode::bit_parallel, stream, &batched_stats);
-    const auto batched_materialized =
-        core::static_voltage_sweep(system, env, {materialized}, sigma);
+    const auto batched_materialized = core::static_voltage_sweep_streamed(
+        system, env, *trace::make_trace_view_source(materialized), sigma);
     expect_sweeps_identical(reference, batched, "streamed reference vs batched" + what);
     expect_sweeps_identical(batched, batched_materialized,
                             "batched streamed vs materialized" + what);

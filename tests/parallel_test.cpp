@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -147,8 +148,9 @@ trace::SyntheticConfig synthetic_config(std::size_t cycles, std::uint64_t seed) 
   return cfg;
 }
 
-trace::Trace synthetic_trace(std::size_t cycles, std::uint64_t seed, const char* name) {
-  return trace::generate_synthetic(synthetic_config(cycles, seed), name);
+std::unique_ptr<trace::TraceSource> synthetic_trace(std::size_t cycles,
+                                                    std::uint64_t seed, const char* name) {
+  return trace::make_synthetic_source(synthetic_config(cycles, seed), name);
 }
 
 void expect_identical(const core::StaticSweepResult& a, const core::StaticSweepResult& b) {
@@ -204,15 +206,17 @@ TEST(Determinism, LutBuildTablesAreByteIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, StaticSweepIsBitIdenticalAcrossThreadCounts) {
   const core::DvsBusSystem& system = test_support::small_system();
-  const std::vector<trace::Trace> traces{synthetic_trace(4000, 0xa1, "sweep-a"),
-                                         synthetic_trace(4000, 0xb2, "sweep-b")};
+  std::vector<std::unique_ptr<trace::TraceSource>> parts;
+  parts.push_back(synthetic_trace(4000, 0xa1, "sweep-a"));
+  parts.push_back(synthetic_trace(4000, 0xb2, "sweep-b"));
+  const auto traces = trace::concatenate_sources(std::move(parts), "sweep");
   const double jitter_sigma = 2e-12;  // exercises the per-shard jitter Rng
 
   core::StaticSweepResult reference;
   for (const unsigned threads : kThreadCounts) {
     util::set_global_threads(threads);
-    const core::StaticSweepResult sweep =
-        core::static_voltage_sweep(system, tech::typical_corner(), traces, jitter_sigma);
+    const core::StaticSweepResult sweep = core::static_voltage_sweep_streamed(
+        system, tech::typical_corner(), *traces, jitter_sigma);
     if (threads == 1) {
       reference = sweep;
       ASSERT_GT(reference.points.size(), 1u);
@@ -259,10 +263,9 @@ TEST(Determinism, StreamedSweepPointsAndStreamStatsMatchAcrossThreadCounts) {
 
 TEST(Determinism, GainsForTargetsMatchAcrossThreadCounts) {
   const core::DvsBusSystem& system = test_support::small_system();
-  const std::vector<trace::Trace> traces{synthetic_trace(4000, 0xc3, "gains")};
   util::set_global_threads(1);
-  const core::StaticSweepResult sweep =
-      core::static_voltage_sweep(system, tech::typical_corner(), traces);
+  const core::StaticSweepResult sweep = core::static_voltage_sweep_streamed(
+      system, tech::typical_corner(), *synthetic_trace(4000, 0xc3, "gains"));
   const std::vector<double> targets{0.0, 0.01, 0.02, 0.05};
 
   const auto reference = core::gains_for_targets(sweep, targets);
@@ -284,7 +287,7 @@ TEST(Determinism, PvtSamplingIsBitIdenticalAcrossThreadCounts) {
   // Sampling draws fast/slow corners and both temperatures, so it needs the
   // full paper tables (loaded from the shared disk cache).
   const core::DvsBusSystem& system = test_support::paper_system();
-  const trace::Trace trace = synthetic_trace(20000, 0xd4, "pvt");
+  const auto trace = synthetic_trace(20000, 0xd4, "pvt");
   core::PvtSampleConfig config;
   config.samples = 6;
   config.seed = 99;
@@ -292,7 +295,8 @@ TEST(Determinism, PvtSamplingIsBitIdenticalAcrossThreadCounts) {
   core::PvtSampleResult reference;
   for (const unsigned threads : kThreadCounts) {
     util::set_global_threads(threads);
-    core::PvtSampleResult result = core::pvt_sample_gains(system, trace, config);
+    core::PvtSampleResult result =
+        core::pvt_sample_gains_streamed(system, *trace, config);
     ASSERT_EQ(result.samples.size(), static_cast<std::size_t>(config.samples));
     if (threads == 1) {
       reference = std::move(result);
@@ -319,7 +323,7 @@ TEST(Determinism, PvtSamplingIsBitIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, ClosedLoopSuiteMatchesSequentialRuns) {
   const core::DvsBusSystem& system = test_support::paper_system();
-  std::vector<trace::Trace> traces;
+  std::vector<std::unique_ptr<trace::TraceSource>> traces;
   for (std::uint64_t t = 0; t < 4; ++t)
     traces.push_back(synthetic_trace(15000, 0xe0 + t, "suite"));
   const core::DvsRunConfig config;
@@ -329,15 +333,16 @@ TEST(Determinism, ClosedLoopSuiteMatchesSequentialRuns) {
   util::set_global_threads(1);
   std::vector<core::DvsRunReport> sequential;
   for (const auto& trace : traces)
-    sequential.push_back(core::run_closed_loop(system, corner, trace, config));
+    sequential.push_back(core::run_closed_loop_streamed(system, corner, *trace, config));
   std::vector<core::DvsRunReport> fixed_sequential;
   for (const auto& trace : traces)
-    fixed_sequential.push_back(core::run_fixed_vs(system, corner, trace));
+    fixed_sequential.push_back(core::run_fixed_vs_streamed(system, corner, *trace));
 
   for (const unsigned threads : kThreadCounts) {
     util::set_global_threads(threads);
-    const auto suite = core::run_closed_loop_suite(system, corner, traces, config);
-    const auto fixed = core::run_fixed_vs_suite(system, corner, traces);
+    const auto suite =
+        core::run_closed_loop_suite_streamed(system, corner, traces, config);
+    const auto fixed = core::run_fixed_vs_suite_streamed(system, corner, traces);
     ASSERT_EQ(suite.size(), traces.size());
     ASSERT_EQ(fixed.size(), traces.size());
     for (std::size_t t = 0; t < traces.size(); ++t) {
@@ -352,13 +357,13 @@ TEST(Determinism, SweepJsonReportIsByteIdenticalAcrossThreadCounts) {
   // End-to-end on the reporting path: the numbers formatted into a JSON
   // document (as the bench scenario runner does) match byte for byte.
   const core::DvsBusSystem& system = test_support::small_system();
-  const std::vector<trace::Trace> traces{synthetic_trace(4000, 0xf5, "json")};
+  const auto trace = synthetic_trace(4000, 0xf5, "json");
 
   std::string reference;
   for (const unsigned threads : kThreadCounts) {
     util::set_global_threads(threads);
     const core::StaticSweepResult sweep =
-        core::static_voltage_sweep(system, tech::typical_corner(), traces);
+        core::static_voltage_sweep_streamed(system, tech::typical_corner(), *trace);
     Json report = Json::object();
     report.set("floor_supply", sweep.floor_supply);
     report.set("baseline_bus_energy", sweep.baseline_bus_energy);

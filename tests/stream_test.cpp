@@ -212,9 +212,21 @@ TEST(TraceSource, BenchmarkStreamTruncatesAtHaltLikeCapture) {
   for (const std::size_t block : {1, 2, 3, 5, 64}) {
     SCOPED_TRACE(block);
     const auto source = bench.stream(100, 16);
+    EXPECT_EQ(source->length().value_or(0), 100u);  // the budget: an upper bound
     expect_stream_equals(expected, *source, block);
     expect_ended_and_replayable(expected, *source, block);
   }
+}
+
+// The cycle budget is the stream's length(), so materialize() sizes the
+// word vector once instead of growing it by doubling.
+TEST(TraceSource, BenchmarkStreamLengthSizesMaterializeOnce) {
+  const auto source = cpu::benchmark_by_name("crafty").stream(100000);
+  ASSERT_TRUE(source->length().has_value());
+  EXPECT_EQ(*source->length(), 100000u);
+  const trace::Trace t = trace::materialize(*source);
+  EXPECT_EQ(t.words.size(), 100000u);
+  EXPECT_EQ(t.words.capacity(), 100000u);
 }
 
 TEST(TraceSource, FileStreamMatchesLoad) {
@@ -286,7 +298,8 @@ TEST(StreamParity, ClosedLoopThresholdBitIdentical) {
   core::DvsRunConfig config = parity_config();
   config.record_series = true;
 
-  const core::DvsRunReport golden = core::run_closed_loop(system, corner, t, config);
+  const core::DvsRunReport golden = core::run_closed_loop_streamed(
+      system, corner, *trace::make_trace_view_source(t), config);
   for (const std::size_t block : {kOddBlock, trace::kDefaultBlockCycles}) {
     const auto source = trace::make_trace_view_source(t);
     core::StreamStats stats;
@@ -306,8 +319,9 @@ TEST(StreamParity, ClosedLoopProportionalBitIdentical) {
   config.proportional.emplace().window_cycles = 2000;
   config.regulator_delay_cycles = 700;
 
-  const core::DvsRunReport golden = core::run_closed_loop(system, corner, t, config);
   const auto source = trace::make_trace_view_source(t);
+  const core::DvsRunReport golden =
+      core::run_closed_loop_streamed(system, corner, *source, config);
   const core::DvsRunReport streamed = core::run_closed_loop_streamed(
       system, corner, *source, config, core::StreamConfig{kOddBlock});
   expect_report_eq(golden, streamed);
@@ -319,9 +333,9 @@ TEST(StreamParity, FixedVsBitIdenticalWithJitter) {
   const auto corner = tech::typical_corner();
   const double jitter = 3e-12;
 
-  const core::DvsRunReport golden =
-      core::run_fixed_vs(system, corner, t, bus::EngineMode::bit_parallel, jitter);
   const auto source = trace::make_trace_view_source(t);
+  const core::DvsRunReport golden = core::run_fixed_vs_streamed(
+      system, corner, *source, bus::EngineMode::bit_parallel, jitter);
   const core::DvsRunReport streamed = core::run_fixed_vs_streamed(
       system, corner, *source, bus::EngineMode::bit_parallel, jitter,
       core::StreamConfig{kOddBlock});
@@ -337,10 +351,9 @@ TEST(StreamParity, ConsecutiveRunBitIdentical) {
   core::DvsRunConfig config = parity_config();
   config.record_series = true;
 
+  const auto sources = trace::make_trace_view_sources(traces);
   const core::ConsecutiveRunReport golden =
-      core::run_consecutive(system, corner, traces, config);
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  for (const auto& t : traces) sources.push_back(trace::make_trace_view_source(t));
+      core::run_consecutive_streamed(system, corner, sources, config);
   const core::ConsecutiveRunReport streamed = core::run_consecutive_streamed(
       system, corner, sources, config, core::StreamConfig{kOddBlock});
 
@@ -362,13 +375,12 @@ TEST(StreamParity, StaticSweepBitIdentical) {
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
 
+  // A multi-trace sweep runs the traces back to back through one
+  // simulator: it sweeps their concatenation.
+  const auto source =
+      trace::concatenate_sources(trace::make_trace_view_sources(traces), "ab");
   const core::StaticSweepResult golden =
-      core::static_voltage_sweep(system, corner, traces);
-  // The materialized sweep runs the traces back to back through one
-  // simulator, so the streamed equivalent is their concatenation.
-  std::vector<std::unique_ptr<trace::TraceSource>> parts;
-  for (const auto& t : traces) parts.push_back(trace::make_trace_view_source(t));
-  const auto source = trace::concatenate_sources(std::move(parts), "ab");
+      core::static_voltage_sweep_streamed(system, corner, *source);
   core::StreamStats stats;
   const core::StaticSweepResult streamed = core::static_voltage_sweep_streamed(
       system, corner, *source, 0.0, bus::EngineMode::bit_parallel,
@@ -397,17 +409,17 @@ TEST(StreamParity, SuiteDriversBitIdentical) {
   const auto corner = tech::typical_corner();
   const core::DvsRunConfig config = parity_config();
 
-  std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  for (const auto& t : traces) sources.push_back(trace::make_trace_view_source(t));
+  const auto sources = trace::make_trace_view_sources(traces);
 
-  const auto golden_cl = core::run_closed_loop_suite(system, corner, traces, config);
+  const auto golden_cl =
+      core::run_closed_loop_suite_streamed(system, corner, sources, config);
   const auto streamed_cl = core::run_closed_loop_suite_streamed(
       system, corner, sources, config, core::StreamConfig{kOddBlock});
   ASSERT_EQ(golden_cl.size(), streamed_cl.size());
   for (std::size_t i = 0; i < golden_cl.size(); ++i)
     expect_report_eq(golden_cl[i], streamed_cl[i]);
 
-  const auto golden_fv = core::run_fixed_vs_suite(system, corner, traces);
+  const auto golden_fv = core::run_fixed_vs_suite_streamed(system, corner, sources);
   const auto streamed_fv = core::run_fixed_vs_suite_streamed(
       system, corner, sources, bus::EngineMode::bit_parallel, 0.0,
       core::StreamConfig{kOddBlock});
@@ -425,8 +437,9 @@ TEST(StreamParity, PvtSamplingBitIdentical) {
   config.samples = 3;
   config.run = parity_config();
 
-  const core::PvtSampleResult golden = core::pvt_sample_gains(system, t, config);
   const auto source = trace::make_trace_view_source(t);
+  const core::PvtSampleResult golden =
+      core::pvt_sample_gains_streamed(system, *source, config);
   const core::PvtSampleResult streamed = core::pvt_sample_gains_streamed(
       system, *source, config, core::StreamConfig{kOddBlock});
 
@@ -451,9 +464,10 @@ TEST(StreamParity, OracleSelectMatches) {
   config.window_cycles = 2500;
   config.target_error_rate = 0.02;
 
-  const dvs::OracleResult golden = oracle.select(t, config);
-  auto source = trace::make_trace_view_source(t);
-  const dvs::OracleResult streamed = oracle.select(*source, config, kOddBlock);
+  const dvs::OracleResult golden =
+      oracle.select(*trace::make_trace_view_source(t), config);
+  const dvs::OracleResult streamed =
+      oracle.select(*trace::make_trace_view_source(t), config, kOddBlock);
 
   EXPECT_EQ(golden.achieved_error_rate, streamed.achieved_error_rate);
   ASSERT_EQ(golden.window_voltages.size(), streamed.window_voltages.size());

@@ -193,8 +193,8 @@ TEST(SystemParity, OneBusMatchesSingleBusPerWidth) {
     const trace::Trace trace = synth(kCycles, 40 + static_cast<std::uint64_t>(width),
                                      width);
     const core::DvsRunConfig cfg = single_config();
-    const core::DvsRunReport single =
-        core::run_closed_loop(sys_w, tech::typical_corner(), trace, cfg);
+    const core::DvsRunReport single = core::run_closed_loop_streamed(
+        sys_w, tech::typical_corner(), *trace::make_trace_view_source(trace), cfg);
 
     const sys::BusSystem system({{&sys_w, 1.0}});
     const sys::SystemRunReport report = system.run_closed_loop(
@@ -207,8 +207,8 @@ TEST(SystemParity, OneBusMatchesSingleBusPerWidth) {
 TEST(SystemParity, OneBusMatchesSingleBusEveryArbitrationPolicy) {
   const trace::Trace trace = synth(kCycles, 7);
   const core::DvsRunConfig cfg = single_config();
-  const core::DvsRunReport single =
-      core::run_closed_loop(small_system(), tech::typical_corner(), trace, cfg);
+  const core::DvsRunReport single = core::run_closed_loop_streamed(
+      small_system(), tech::typical_corner(), *trace::make_trace_view_source(trace), cfg);
   const sys::BusSystem system({{&small_system(), 1.0}});
   for (const auto policy :
        {dvs::ArbitrationPolicy::max_error, dvs::ArbitrationPolicy::sum_error,
@@ -225,8 +225,9 @@ TEST(SystemParity, OneBusMatchesSingleBusEveryEngineMode) {
   for (const auto engine : {bus::EngineMode::bit_parallel, bus::EngineMode::reference}) {
     core::DvsRunConfig cfg = single_config();
     cfg.engine = engine;
-    const core::DvsRunReport single =
-        core::run_closed_loop(small_system(), tech::typical_corner(), trace, cfg);
+    const core::DvsRunReport single = core::run_closed_loop_streamed(
+        small_system(), tech::typical_corner(), *trace::make_trace_view_source(trace),
+        cfg);
     const sys::BusSystem system({{&small_system(), 1.0}});
     SCOPED_TRACE(bus::to_string(engine));
     expect_one_bus_parity(system.run_closed_loop(tech::typical_corner(), {trace},
@@ -269,8 +270,8 @@ TEST(SystemParity, OneBusStreamedMatchesSingleBusStreamedWithStats) {
 TEST(MultiBus, TwoIdenticalLanesUnderMaxMatchOneLane) {
   const trace::Trace trace = synth(kCycles, 13);
   const core::DvsRunConfig cfg = single_config();
-  const core::DvsRunReport single =
-      core::run_closed_loop(small_system(), tech::typical_corner(), trace, cfg);
+  const core::DvsRunReport single = core::run_closed_loop_streamed(
+      small_system(), tech::typical_corner(), *trace::make_trace_view_source(trace), cfg);
 
   const sys::BusSystem pair(
       {{&small_system(), 1.0}, {&small_system(), 1.0}});
@@ -288,8 +289,8 @@ TEST(MultiBus, TwoIdenticalLanesUnderMaxMatchOneLane) {
 TEST(MultiBus, HalfWeightsOnIdenticalLanesMatchOneLane) {
   const trace::Trace trace = synth(kCycles, 13);
   const core::DvsRunConfig cfg = single_config();
-  const core::DvsRunReport single =
-      core::run_closed_loop(small_system(), tech::typical_corner(), trace, cfg);
+  const core::DvsRunReport single = core::run_closed_loop_streamed(
+      small_system(), tech::typical_corner(), *trace::make_trace_view_source(trace), cfg);
 
   // 0.5*e + 0.5*e = e each window: weighted fusion reduces to identity.
   const sys::BusSystem pair(

@@ -227,9 +227,10 @@ TEST(Width, EndToEndSweepAndClosedLoop) {
   for (const int width : kWidths) {
     const auto& system = system_at(width);
     const trace::Trace trace = wide_trace(width, 30000, 0xc0ffee + width);
+    const auto source = trace::make_trace_view_source(trace);
 
     const core::StaticSweepResult sweep =
-        core::static_voltage_sweep(system, env, {trace});
+        core::static_voltage_sweep_streamed(system, env, *source);
     ASSERT_GT(sweep.points.size(), 1u) << "width " << width;
     for (std::size_t i = 1; i < sweep.points.size(); ++i) {
       EXPECT_LE(sweep.points[i].error_rate, sweep.points[i - 1].error_rate + 1e-12)
@@ -242,7 +243,8 @@ TEST(Width, EndToEndSweepAndClosedLoop) {
     core::DvsRunConfig cfg;
     cfg.controller.window_cycles = 2000;
     cfg.regulator_delay_cycles = 500;
-    const core::DvsRunReport report = core::run_closed_loop(system, env, trace, cfg);
+    const core::DvsRunReport report =
+        core::run_closed_loop_streamed(system, env, *source, cfg);
     EXPECT_EQ(report.totals.cycles, trace.words.size()) << "width " << width;
     EXPECT_EQ(report.totals.shadow_failures, 0u) << "width " << width;
     EXPECT_LT(report.average_supply, system.design().node.vdd_nominal)
@@ -308,8 +310,9 @@ TEST(Width, WidenedTracesRoundTripAndRun) {
     EXPECT_EQ(loaded->words, wide.words);
 
     const auto& system = system_at(32 * factor);
-    const core::DvsRunReport report = core::run_closed_loop(
-        system, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0}, wide);
+    const core::DvsRunReport report = core::run_closed_loop_streamed(
+        system, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0},
+        *trace::make_trace_view_source(wide));
     EXPECT_EQ(report.totals.cycles, wide.words.size());
   }
 }
@@ -317,7 +320,8 @@ TEST(Width, WidenedTracesRoundTripAndRun) {
 // Traces wider than the bus must be rejected loudly, not truncated.
 TEST(Width, OverwideTraceRejected) {
   const trace::Trace wide = wide_trace(64, 100, 3);
-  EXPECT_THROW(core::run_closed_loop(system_at(16), tech::typical_corner(), wide),
+  EXPECT_THROW(core::run_closed_loop_streamed(system_at(16), tech::typical_corner(),
+                                              *trace::make_trace_view_source(wide)),
                std::invalid_argument);
 }
 
